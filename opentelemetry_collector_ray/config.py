@@ -8,16 +8,19 @@ factories keyed by ``component.ID`` (``service/internal/graph/
 graph.go:101-206``; factories ``component/component.go:182-200``).
 
 Here: YAML (or dict) config with ``${env:NAME}`` / ``${env:NAME:-default}``
-interpolation, a factory registry mapping type names → stage builders, and
-a validated Pipeline spec with the collector's section names retained
+interpolation, a factory registry mapping type names → stage builders (most
+processors derived from their stage function's signature), and a
+validated Pipeline spec with the collector's section names retained
 (receivers / processors / exporters / connectors).
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 _URI_RE = re.compile(r"\$\{(env|file|yaml|https?):([^}]*)\}")
@@ -165,13 +168,11 @@ def resolve_config(uris: list) -> dict:
 
 @dataclass
 class Factory:
-    """Component factory (component.go:182-200 analog): default config +
-    builder ``(config_dict) -> stage`` where a stage is a callable for
-    map_batches or a (kind-specific) builder object."""
+    """Component factory (component.go:182-200 analog): ``create(cfg)``
+    builds a stage — a callable for map_batches or a
+    :class:`DatasetTransform`."""
 
-    kind: str  # receiver | processor | exporter | connector
     create: Callable[[dict], Any]
-    default_config: dict = field(default_factory=dict)
 
 
 class DatasetTransform:
@@ -201,6 +202,292 @@ def get_factory(type_name: str) -> Factory:
         raise ConfigError(f"unknown component type: {type_name!r} "
                           f"(known: {sorted(_REGISTRY)})")
     return _REGISTRY[type_name]
+
+
+# OTLP wire components (the otlpreceiver / otlpexporter file analogs): the
+# SAME type name serves as receiver (request files → flat rows) and exporter
+# (flat rows → request files) — the builder dispatches on the pipeline ROLE
+# it appears under, like the reference's otlp component id in both positions.
+_OTLP = {"otlp_json", "otlp_proto", "otlp_proto_metrics", "otlp_proto_spans",
+         "otlp_json_spans"}
+# turns / spans / profile_frames are derived-signal receivers: events
+# parquet → one table per signal (the collector wires a receiver per
+# signal, we wire a derivation per signal)
+RECEIVERS = frozenset({"parquet", "csv", "orc", "promtext", "jsonl", "ipc",
+                       "textlog", "multiline", "turns", "spans",
+                       "profile_frames"} | _OTLP)
+EXPORTERS = frozenset({"parquet_sink", "jsonl_sink", "ipc_sink", "csv_sink",
+                       "orc_sink", "prom_sink", "debug"} | _OTLP)
+
+
+# ------------------------------------------------ derived processors
+#
+# A derived processor's YAML fields ARE its stage function's parameters:
+# required fields are the parameters with no default, defaults and type
+# coercions come from the signature. Each row: component name →
+# ("module:function" under ``stages/``, the YAML fields it accepts, with
+# ``yaml=param`` only where the YAML key differs from the parameter).
+
+STAGES: dict[str, tuple[str, str]] = {
+    "count_agg": ("aggregate:grouped_count", "keys count_name strategy"),
+    "count_distinct": ("aggregate:grouped_count_distinct",
+                       "keys distinct_col out_name final_strategy"),
+    "mode_agg": ("aggregate:grouped_mode",
+                 "key value_col out=out_name count_name n_buckets"),
+    "string_agg": ("aggregate:grouped_string_agg",
+                   "key order_by value_col sep out=out_name n_buckets"),
+    "binary_eval": ("agreement:binary_eval",
+                    "keys pred=pred_col label=label_col strategy"),
+    "auc": ("agreement:grouped_auc", "key score=score_col label=label_col"),
+    "gini_impurity": ("agreement:gini_impurity", "key cat=cat_col"),
+    "apportion": ("allocate:apportion",
+                  "keys seats=n_seats weight_col max_groups"),
+    "bpe": ("bpe:bpe_tokenize",
+            "text_col id_col num_merges max_word_types persist"),
+    "cardinality_cap": ("cardinality:cardinality_cap",
+                        "group=group_col series=series_col k overflow_value "
+                        "count_name sum_cols"),
+    "latest_by": ("cdc:latest_by_key", "key order_by keep n_buckets"),
+    "throttle": ("cdc:first_k_by", "key order_by k n_buckets"),
+    "dedupe_consecutive": ("cdc:dedupe_consecutive",
+                           "key order_by value_cols n_buckets"),
+    "scd2": ("cdc:scd2_intervals",
+             "key order_col value_cols tie_break n_buckets"),
+    "log_dedup": ("cdc:log_dedup", "match_cols ts_col interval_us "
+                  "count_name strategy n_buckets"),
+    "checksum": ("checksum:table_checksum", "cols group_col sep n_buckets"),
+    "cohort": ("cohort:cohort_retention", "user_col ts_col period n_buckets"),
+    "contamination": ("contamination:flag_contaminated",
+                      "phrases text_col id_col"),
+    "gini": ("corpusstats:grouped_gini", "key value_col"),
+    "vocab_growth": ("corpusstats:vocab_growth",
+                     "text_col id_col bucket_size ngram"),
+    "frequent_terms": ("corpusstats:frequent_terms",
+                       "num den text_col persist"),
+    "oov_stats": ("corpusstats:oov_stats", "text_col id_cols min_count "
+                  "max_vocab split_pattern persist"),
+    "quantize": ("embeddings:quantize_embeddings", "vec_col keep_vec"),
+    "range_lookup": ("enrich:range_lookup",
+                     "column=col breaks labels out=out_col"),
+    "label_encode": ("encoding:label_encode",
+                     "column=col out=out_col order max_categories persist"),
+    "feature_hash": ("encoding:feature_hash",
+                     "id_col text_col n_buckets hash_mode"),
+    "target_encode": ("encoding:target_encode",
+                      "cat_col target_col smoothing_m out=out_name"),
+    "funnel": ("funnel:funnel", "key order_col step_col steps out_prefix "
+               "completed_name n_buckets"),
+    "fuzzy_lookup": ("fuzzy:fuzzy_lookup",
+                     "column=probe_col candidates max_dist out_prefix"),
+    "edit_pairs": ("fuzzy:edit_distance_pairs",
+                   "id=id_col text=text_col max_dist block=block_col "
+                   "max_len max_block_pairs"),
+    "pagerank": ("graph:pagerank", "src dst damping iterations max_nodes "
+                 "persist tol rank_col weight_col personalize"),
+    "pair_cosine": ("graph:cooccurrence_cosine",
+                    "group=group_col item=item_col min_support max_items"),
+    "assoc_rules": ("graph:association_rules", "group=group_col "
+                    "item=item_col min_support scale max_items"),
+    "bfs": ("graph:bfs_layers",
+            "src dst seeds max_depth directed max_nodes"),
+    "rolling_distinct": ("intervals:rolling_distinct_count",
+                         "entity_col time_col window out_time out_count "
+                         "max_times n_buckets"),
+    "overlap_pairs": ("intervals:overlap_pair_count",
+                      "key start_col end_col count_name n_name"),
+    "merge_intervals": ("intervals:merge_intervals",
+                        "key start_col end_col min_gap n_buckets prereduce "
+                        "out_start out_end count_name"),
+    "concurrency": ("intervals:concurrency_profile",
+                    "key start_col end_col persist"),
+    "zorder": ("layout:zorder_sort",
+               "x_col y_col tie_break code_col rank_col persist"),
+    "ohlc": ("metricsops:grouped_ohlc",
+             "keys order_by=order_cols value=value_col"),
+    "hysteresis_alerts": ("metricsops:hysteresis_alerts",
+                          "key order_by value=value_col high low"),
+    "cusum": ("metricsops:cusum_scores",
+              "key order_by value_col target drift n_buckets"),
+    "trend": ("metricsops:grouped_trend", "key x_col y_col scale max_groups"),
+    "slo_burn": ("metricsops:slo_burn", "key ts=ts_col err=err_col "
+                 "short_us long_us err_permille id_cols"),
+    "exphist_downscale": ("metricsops:exphist_downscale", "keys shift"),
+    "exphist_quantile": ("metricsops:exphist_quantile", "key q_permille"),
+    "budget_by": ("mixing:select_budget_by",
+                  "key value_col id_col budget order_col"),
+    "top_share": ("mixing:select_top_share_by",
+                  "key value_col id_col share_num share_den n_buckets"),
+    "epoch_order": ("mixing:epoch_order", "id_col epoch n_shards hash_mode"),
+    "token_budget": ("mixing:select_token_budget",
+                     "score_col token_col budget id_col persist"),
+    "moments": ("normalize:grouped_moments", "keys value=value_col strategy"),
+    "chi2_drift": ("normalize:chi2_two_sample",
+                   "group_col cell_col group_a group_b scale max_cells"),
+    "minmax_scale": ("normalize:minmax_scale",
+                     "column=col key scale out_col max_groups persist"),
+    "robust_scale": ("normalize:robust_scale",
+                     "column=col key scale out_col max_groups persist"),
+    "mad_outliers": ("normalize:mad_outliers",
+                     "column=col key k flag_col max_groups persist"),
+    "sigma_outliers": ("normalize:sigma_outliers",
+                       "column=col key k flag_col max_groups persist"),
+    "tail_budget": ("packing:tail_budget",
+                    "key order_by weight=weight_col budget out=out_col"),
+    "l_diversity": ("privacy:l_diversity",
+                    "quasi=quasi_cols sensitive=sensitive_col l"),
+    "dp_release": ("privacy:dp_count_release", "keys epsilon seed "
+                   "count_name suppress_below strategy"),
+    "t_closeness": ("privacy:t_closeness",
+                    "group=group_col sensitive=sensitive_col max_grid"),
+    "tfidf": ("ranking:score_tfidf_int",
+              "terms=query_terms scale text_col id_col persist"),
+    "grid_densify": ("resample:grid_densify",
+                     "row=row_col col=col_col count_name strategy max_cells"),
+    "lag_xcorr": ("resample:lagged_xcorr_parts",
+                  "bucket_col group_col group_a group_b lags max_span"),
+    "hopping_window": ("resample:hopping_window_agg",
+                       "ts_col size_us slide_us keys count_name sum_cols "
+                       "window_name strategy"),
+    "resample": ("resample:resample_asof", "key ts_col every_us value_cols "
+                 "how max_points_per_key grid_name"),
+    "pivot": ("reshape:pivot",
+              "keys name_col value_col names strict strategy"),
+    "unpivot": ("reshape:unpivot", "keys value_cols name_col value_col"),
+    "rollup": ("rollup:rollup_agg", "keys count_name sum_cols min_cols "
+               "max_cols sets grouping_id_name strategy"),
+    "sample": ("sampling:sample_bottom_k", "k id_col hash_mode keep_rank"),
+    "sample_weighted": ("sampling:sample_weighted_k",
+                        "k id_col weight_col hash_mode keep_rank"),
+    "sample_by": ("sampling:sample_bottom_k_by",
+                  "k id_col by hash_mode keep_rank"),
+    "quota_sample": ("sampling:quota_sample",
+                     "key seats=n_seats id=id_col max_groups persist"),
+    "dedup_index": ("seenindex:dedup_against_index",
+                    "path=index_path text_col id_col n_buckets"),
+    "heavy_hitters": ("sketch:heavy_hitters",
+                      "col k capacity count_name persist"),
+    "skyline": ("skyline:skyline_2d", "x_col y_col persist"),
+    "global_sort": ("sort:global_sort",
+                    "keys descending num_partitions rank_col persist"),
+    "weighted_median": ("spanops:grouped_weighted_median",
+                        "key value_col weight_col n_buckets"),
+    "service_graph": ("spanops:service_graph", "n_buckets"),
+    "apdex": ("spanops:apdex", "t_us key duration=duration_col"),
+    "head_sample": ("spanops:head_sample", "permille trace_col"),
+    "dup_stats": ("subdedup:duplication_stats",
+                  "text_col id_col window stride min_count"),
+    "km": ("survival:km_parts", "duration_col observed_col max_durations"),
+    "decayed_count": ("temporal:decayed_count", "keys ts=ts_col anchor_us "
+                      "half_life_days max_halvings"),
+    "delta_to_rate": ("temporal:delta_to_rate", "key order_by=order_col "
+                      "value=value_col ts=ts_col scale out=out_col"),
+    "late_arrivals": ("temporal:late_arrivals", "key arrival=arrival_cols "
+                      "ts=ts_col allowed_lateness"),
+}
+
+# first-parameter names of stages that take a ``lambda: ds`` thunk (they
+# re-read their input once per pass) instead of the Dataset itself
+_THUNK_PARAMS = frozenset({"make_ds", "make_edges", "ds_factory"})
+# read by the builder for every processor, not by the stage
+_BUILDER_KEYS = frozenset({"batch_size", "concurrency"})
+# what a required field may not be: absent, null, or an empty value
+_EMPTY = (None, "", [], {})
+_COERCE: dict[str, Callable[[Any], Any]] = {
+    "int": int, "float": float, "str": str,
+    "list[str]": lambda v: [v] if isinstance(v, str) else [str(x) for x in v],
+}
+
+
+def _stage(target: str) -> tuple[Callable, list[inspect.Parameter]]:
+    """Import ``module:function`` under ``stages/`` on first use, so
+    importing this module pulls in no stage module."""
+    module, _, name = target.partition(":")
+    fn = getattr(importlib.import_module(f"{__package__}.stages.{module}"),
+                 name)
+    return fn, list(inspect.signature(fn).parameters.values())
+
+
+def _base_type(annotation: Any) -> str:
+    """``"int"`` for ``int`` or ``int | None``; ``""`` for a union of
+    several types or no annotation."""
+    if annotation is inspect.Parameter.empty:
+        return ""
+    if not isinstance(annotation, str):
+        annotation = inspect.formatannotation(annotation)
+    types = [t.strip() for t in annotation.split("|")]
+    types = [t for t in types if t != "None"]
+    return types[0] if len(types) == 1 else ""
+
+
+def _coerce(annotation: Any, value: Any) -> Any:
+    conv = _COERCE.get(_base_type(annotation))
+    return value if value is None or conv is None else conv(value)
+
+
+def resolve(name: str, cfg: dict) -> tuple[Callable, dict[str, Any]]:
+    """Bind derived processor ``name``'s YAML config to its stage:
+    returns the stage function and its keyword arguments (every
+    exposed parameter, defaults filled in from the signature)."""
+    target, spec = STAGES[name]
+    fn, params = _stage(target)
+    fields = {key: param or key for key, _, param in
+              (f.partition("=") for f in spec.split())}
+    unknown = sorted(set(cfg) - set(fields) - _BUILDER_KEYS)
+    if unknown:
+        raise ConfigError(f"{name}: unknown field(s) {unknown} "
+                          f"(accepted: {sorted(fields)})")
+    by_name = {p.name: p for p in params[1:]}
+    kwargs, missing = {}, []
+    for key, pname in fields.items():
+        p = by_name[pname]
+        if p.default is p.empty and cfg.get(key) in _EMPTY:
+            missing.append(key)
+        elif key not in cfg:
+            kwargs[pname] = p.default
+        else:
+            try:
+                kwargs[pname] = _coerce(p.annotation, cfg[key])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{name}: {key}={cfg[key]!r} is not a valid "
+                    f"{p.annotation}") from None
+    if missing:
+        raise ConfigError(
+            f"{name}: missing required field(s) {', '.join(missing)}")
+    return fn, kwargs
+
+
+def _derived(name: str) -> Factory:
+    def create(cfg: dict) -> DatasetTransform:
+        fn, kwargs = resolve(name, cfg)
+        first = next(iter(inspect.signature(fn).parameters))
+        if first in _THUNK_PARAMS:
+            return DatasetTransform(lambda ds: fn(lambda: ds, **kwargs))
+        return DatasetTransform(lambda ds: fn(ds, **kwargs))
+
+    return Factory(create)
+
+
+# ------------------------------------------- hand-written processors
+#
+# Kept where the YAML shape is not a stage argument: rule lists, mappings
+# and rational pairs, compositions and variants, cross-field rules, and
+# raw batch UDFs.
+
+def _require(name: str, cfg: dict, *keys: str) -> None:
+    for key in keys:
+        if cfg.get(key) in _EMPTY:
+            raise ConfigError(f"{name}: {key} is required")
+
+
+def _rational_pairs(name: str, cfg: dict) -> tuple[tuple[int, int], ...]:
+    try:
+        return tuple((int(n), int(d)) for n, d in (cfg.get("qs") or [[1, 2]]))
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{name}: qs must be [[num, den], ...] integer rational pairs "
+            f"(e.g. [[1, 2], [9, 10]]), not flat floats — got "
+            f"{cfg.get('qs')!r}") from None
 
 
 def _register_builtins() -> None:
@@ -238,33 +525,6 @@ def _register_builtins() -> None:
         return FilterStage(include=fc(cfg.get("include")),
                            exclude=fc(cfg.get("exclude")))
 
-    register("parquet", Factory("receiver", lambda cfg: cfg))  # paths config
-    # derived-signal receivers: read events parquet → turns / spans /
-    # profile-frames tables (signal-typed pipelines; the collector wires a
-    # receiver per signal, we wire a derivation per signal)
-    register("csv", Factory("receiver", lambda cfg: cfg))
-    register("orc", Factory("receiver", lambda cfg: cfg))
-    register("promtext", Factory("receiver", lambda cfg: cfg))
-    register("jsonl", Factory("receiver", lambda cfg: cfg))
-    register("ipc", Factory("receiver", lambda cfg: cfg))
-    register("textlog", Factory("receiver", lambda cfg: cfg))
-    register("multiline", Factory("receiver", lambda cfg: cfg))
-    register("turns", Factory("receiver", lambda cfg: cfg))
-    register("spans", Factory("receiver", lambda cfg: cfg))
-    register("profile_frames", Factory("receiver", lambda cfg: cfg))
-    # OTLP wire components (the otlpreceiver / otlpexporter file analogs):
-    # the SAME type name serves as receiver (request files → flat rows)
-    # and exporter (flat rows → request files) — the builder dispatches on
-    # the pipeline ROLE it appears under, like the reference's otlp
-    # component id working in both positions.
-    register("otlp_json", Factory("receiver+exporter", lambda cfg: cfg))
-    register("otlp_proto", Factory("receiver+exporter", lambda cfg: cfg))
-    register("otlp_proto_metrics",
-             Factory("receiver+exporter", lambda cfg: cfg))
-    register("otlp_proto_spans",
-             Factory("receiver+exporter", lambda cfg: cfg))
-    register("otlp_json_spans",
-             Factory("receiver+exporter", lambda cfg: cfg))
     def make_redact(cfg: dict):
         from .functions.redact import PII_RULES, redact_table
 
@@ -287,8 +547,7 @@ def _register_builtins() -> None:
     def make_score(cfg: dict):
         from .stages.scoring import LinearScorerStage
 
-        if not cfg.get("weights"):
-            raise ConfigError("score: weights is required")
+        _require("score", cfg, "weights")
         return LinearScorerStage(dict(cfg["weights"]),
                                  bias=int(cfg.get("bias", 0)),
                                  out_col=cfg.get("out_col", "score"))
@@ -306,71 +565,20 @@ def _register_builtins() -> None:
 
         return fn
 
-    def make_count_agg(cfg: dict):
-        from .stages.aggregate import grouped_count
-
-        if not cfg.get("keys"):
-            raise ConfigError("count_agg: keys is required")
-        keys = list(cfg["keys"])
-        name = cfg.get("count_name", "n")
-        strategy = cfg.get("strategy", "shuffle")
-        return DatasetTransform(lambda ds: grouped_count(
-            ds.select_columns(keys), keys, count_name=name,
-            strategy=strategy))
-
     def make_mix(cfg: dict):
         from .stages.mixing import mix_by_class
 
-        if not cfg.get("weights"):
-            raise ConfigError("mix: weights mapping is required")
-        if not cfg.get("class_col") or not cfg.get("id_col"):
-            raise ConfigError("mix: class_col and id_col are required")
+        _require("mix", cfg, "weights", "class_col", "id_col")
         weights = {str(k): int(v) for k, v in cfg["weights"].items()}
         return DatasetTransform(lambda ds: mix_by_class(
             lambda: ds, cfg["class_col"], weights, id_col=cfg["id_col"],
             base=int(cfg.get("base", 1000)),
             persist=cfg.get("persist", "none")))
 
-    def make_global_sort(cfg: dict):
-        from .stages.sort import global_sort
-
-        if not cfg.get("keys"):
-            raise ConfigError("global_sort: keys list is required")
-        return DatasetTransform(lambda ds: global_sort(
-            lambda: ds, list(cfg["keys"]),
-            descending=cfg.get("descending", False),
-            num_partitions=cfg.get("num_partitions"),
-            rank_col=cfg.get("rank_col"),
-            persist=cfg.get("persist", "none")))
-
-    def make_contamination(cfg: dict):
-        from .stages.contamination import flag_contaminated
-
-        if not cfg.get("phrases"):
-            raise ConfigError("contamination: phrases list is required")
-        return DatasetTransform(lambda ds: flag_contaminated(
-            ds, [str(p) for p in cfg["phrases"]],
-            text_col=cfg.get("text_col", "text"),
-            id_col=cfg.get("id_col", "doc_id")))
-
-    def make_tfidf(cfg: dict):
-        from .stages.ranking import score_tfidf_int
-
-        if not cfg.get("terms"):
-            raise ConfigError("tfidf: terms list is required")
-        return DatasetTransform(lambda ds: score_tfidf_int(
-            lambda: ds, [str(t) for t in cfg["terms"]],
-            scale=int(cfg.get("scale", 1000)),
-            text_col=cfg.get("text_col", "text"),
-            id_col=cfg.get("id_col", "doc_id"),
-            persist=cfg.get("persist", "none")))
-
     def make_window(cfg: dict):
         from .stages.window import per_key_window
 
-        if not cfg.get("key") or not cfg.get("order_by") \
-                or not cfg.get("ops"):
-            raise ConfigError("window: key, order_by and ops are required")
+        _require("window", cfg, "key", "order_by", "ops")
         ops = {out: tuple(spec) for out, spec in cfg["ops"].items()}
         return DatasetTransform(lambda ds: per_key_window(
             ds, cfg["key"], list(cfg["order_by"]), ops,
@@ -379,158 +587,38 @@ def _register_builtins() -> None:
     def make_cont_quantiles(cfg: dict):
         from .stages.spanops import grouped_cont_quantiles
 
-        if not cfg.get("key") or not cfg.get("value"):
-            raise ConfigError("cont_quantiles: key and value are required")
-        try:
-            qs = tuple((int(n), int(d)) for n, d in
-                       (cfg.get("qs") or [[1, 2]]))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "cont_quantiles: qs must be [[num, den], ...] integer "
-                "rational pairs (e.g. [[1, 2], [9, 10]]), not flat "
-                f"floats — got {cfg.get('qs')!r}") from None
+        _require("cont_quantiles", cfg, "key", "value")
+        qs = _rational_pairs("cont_quantiles", cfg)
         return DatasetTransform(lambda ds: grouped_cont_quantiles(
             ds, cfg["key"], cfg["value"], qs=qs,
             n_buckets=cfg.get("n_buckets", 64),
             count_strategy=cfg.get("count_strategy", "shuffle")))
 
+    def make_weighted_quantiles(cfg: dict):
+        from .stages.spanops import grouped_weighted_quantiles
+
+        _require("weighted_quantiles", cfg, "key", "value_col", "weight_col")
+        qs = _rational_pairs("weighted_quantiles", cfg)
+        return DatasetTransform(lambda ds: grouped_weighted_quantiles(
+            ds, cfg["key"], cfg["value_col"], cfg["weight_col"],
+            qs=qs, n_buckets=cfg.get("n_buckets", 64)))
+
     def make_extract_explode(cfg: dict):
+        # the stage takes text_col positionally with no default; the YAML
+        # field defaults to "text"
         from .stages.parse import extract_all_explode
 
-        if not cfg.get("pattern"):
-            raise ConfigError("extract_explode: pattern is required")
+        _require("extract_explode", cfg, "pattern")
         return DatasetTransform(lambda ds: extract_all_explode(
             ds, cfg.get("text_col", "text"), cfg["pattern"],
             keep=[str(c) for c in cfg.get("keep", [])],
             out=cfg.get("out", "match")))
 
-    def make_latest_by(cfg: dict):
-        from .stages.cdc import latest_by_key
-
-        if not cfg.get("key") or not cfg.get("order_by"):
-            raise ConfigError("latest_by: key and order_by are required")
-        return DatasetTransform(lambda ds: latest_by_key(
-            ds, cfg["key"], list(cfg["order_by"]),
-            keep=cfg.get("keep", "last"),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_throttle(cfg: dict):
-        from .stages.cdc import first_k_by
-
-        if not cfg.get("key") or not cfg.get("order_by") \
-                or not cfg.get("k"):
-            raise ConfigError("throttle: key, order_by and k are required")
-        return DatasetTransform(lambda ds: first_k_by(
-            ds, cfg["key"], list(cfg["order_by"]), int(cfg["k"]),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_dedupe_consecutive(cfg: dict):
-        from .stages.cdc import dedupe_consecutive
-
-        if not cfg.get("key") or not cfg.get("order_by") \
-                or not cfg.get("value_cols"):
-            raise ConfigError(
-                "dedupe_consecutive: key, order_by and value_cols are "
-                "required")
-        return DatasetTransform(lambda ds: dedupe_consecutive(
-            ds, cfg["key"], list(cfg["order_by"]),
-            [str(c) for c in cfg["value_cols"]],
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_label_encode(cfg: dict):
-        from .stages.encoding import label_encode
-
-        if not cfg.get("column"):
-            raise ConfigError("label_encode: column is required")
-        return DatasetTransform(lambda ds: label_encode(
-            lambda: ds, cfg["column"], out_col=cfg.get("out"),
-            order=cfg.get("order", "frequency"),
-            max_categories=int(cfg.get("max_categories", 10_000_000)),
-            persist=cfg.get("persist", "none")))
-
-    def make_scd2(cfg: dict):
-        from .stages.cdc import scd2_intervals
-
-        if not cfg.get("key") or not cfg.get("order_col") \
-                or not cfg.get("value_cols"):
-            raise ConfigError(
-                "scd2: key, order_col and value_cols are required")
-        return DatasetTransform(lambda ds: scd2_intervals(
-            ds, cfg["key"], cfg["order_col"],
-            [str(c) for c in cfg["value_cols"]],
-            tie_break=cfg.get("tie_break"),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_feature_hash(cfg: dict):
-        from .stages.encoding import feature_hash
-
-        if not cfg.get("id_col") or not cfg.get("text_col"):
-            raise ConfigError(
-                "feature_hash: id_col and text_col are required")
-        return DatasetTransform(lambda ds: feature_hash(
-            ds, cfg["id_col"], cfg["text_col"],
-            n_buckets=int(cfg.get("n_buckets", 64)),
-            hash_mode=str(cfg.get("hash_mode", "xx64"))))
-
-    def make_target_encode(cfg: dict):
-        from .stages.encoding import target_encode
-
-        if not cfg.get("cat_col") or not cfg.get("target_col"):
-            raise ConfigError(
-                "target_encode: cat_col and target_col are required")
-        return DatasetTransform(lambda ds: target_encode(
-            ds, cfg["cat_col"], cfg["target_col"],
-            smoothing_m=int(cfg.get("smoothing_m", 20)),
-            out_name=str(cfg.get("out", "enc"))))
-
-    def make_checksum(cfg: dict):
-        from .stages.checksum import table_checksum
-
-        if not cfg.get("cols"):
-            raise ConfigError("checksum: cols is required")
-        return DatasetTransform(lambda ds: table_checksum(
-            ds, [str(c) for c in cfg["cols"]],
-            group_col=cfg.get("group_col"),
-            sep=str(cfg.get("sep", ":")),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_apportion(cfg: dict):
-        from .stages.allocate import apportion
-
-        if not cfg.get("keys") or "seats" not in cfg:
-            raise ConfigError("apportion: keys and seats are required")
-        return DatasetTransform(lambda ds: apportion(
-            ds, [str(k) for k in cfg["keys"]], int(cfg["seats"]),
-            weight_col=cfg.get("weight_col"),
-            max_groups=int(cfg.get("max_groups", 1_000_000))))
-
-    def make_ohlc(cfg: dict):
-        from .stages.metricsops import grouped_ohlc
-
-        for req in ("keys", "order_by", "value"):
-            if not cfg.get(req):
-                raise ConfigError(f"ohlc: {req} is required")
-        return DatasetTransform(lambda ds: grouped_ohlc(
-            ds, [str(k) for k in cfg["keys"]],
-            [str(c) for c in cfg["order_by"]], str(cfg["value"])))
-
-    def make_l_diversity(cfg: dict):
-        from .stages.privacy import l_diversity
-
-        for req in ("quasi", "sensitive", "l"):
-            if cfg.get(req) in (None, [], ""):
-                raise ConfigError(f"l_diversity: {req} is required")
-        return DatasetTransform(lambda ds: l_diversity(
-            ds, [str(k) for k in cfg["quasi"]], str(cfg["sensitive"]),
-            int(cfg["l"])))
-
     def make_hist_quantile(cfg: dict):
         from .stages.metricsops import (explicit_histogram,
                                         hist_quantile_linear)
 
-        for req in ("keys", "value", "bounds", "q_permille"):
-            if cfg.get(req) in (None, [], ""):
-                raise ConfigError(f"hist_quantile: {req} is required")
+        _require("hist_quantile", cfg, "keys", "value", "bounds", "q_permille")
         bounds = [int(b) for b in cfg["bounds"]]
         keys = [str(k) for k in cfg["keys"]]
 
@@ -545,8 +633,7 @@ def _register_builtins() -> None:
     def make_sentence_stats(cfg: dict):
         from .functions.text import SENTENCE_RE, sentence_stats
 
-        if not cfg.get("column"):
-            raise ConfigError("sentence_stats: column is required")
+        _require("sentence_stats", cfg, "column")
         pattern = str(cfg.get("pattern", SENTENCE_RE))
 
         def fn(t):
@@ -560,122 +647,11 @@ def _register_builtins() -> None:
         return DatasetTransform(lambda ds: ds.map_batches(
             fn, batch_format="pyarrow"))
 
-    def make_grid_densify(cfg: dict):
-        from .stages.resample import grid_densify
-
-        if not cfg.get("row") or not cfg.get("col"):
-            raise ConfigError("grid_densify: row and col are required")
-        return DatasetTransform(lambda ds: grid_densify(
-            ds, str(cfg["row"]), str(cfg["col"]),
-            count_name=str(cfg.get("count_name", "n")),
-            strategy=str(cfg.get("strategy", "tree")),
-            max_cells=int(cfg.get("max_cells", 5_000_000))))
-
-    def make_decayed_count(cfg: dict):
-        from .stages.temporal import decayed_count
-
-        for req in ("keys", "ts", "anchor_us"):
-            if cfg.get(req) in (None, [], ""):
-                raise ConfigError(f"decayed_count: {req} is required")
-        return DatasetTransform(lambda ds: decayed_count(
-            ds, [str(k) for k in cfg["keys"]], str(cfg["ts"]),
-            int(cfg["anchor_us"]),
-            half_life_days=int(cfg.get("half_life_days", 3)),
-            max_halvings=int(cfg.get("max_halvings", 30))))
-
-    def make_quota_sample(cfg: dict):
-        from .stages.sampling import quota_sample
-
-        for req in ("key", "seats", "id"):
-            if cfg.get(req) in (None, ""):
-                raise ConfigError(f"quota_sample: {req} is required")
-        return DatasetTransform(lambda ds: quota_sample(
-            ds, str(cfg["key"]), int(cfg["seats"]), str(cfg["id"]),
-            max_groups=int(cfg.get("max_groups", 100_000)),
-            persist=str(cfg.get("persist", "none"))))
-
-    def make_moments(cfg: dict):
-        from .stages.normalize import grouped_moments
-
-        if not cfg.get("keys") or not cfg.get("value"):
-            raise ConfigError("moments: keys and value are required")
-        return DatasetTransform(lambda ds: grouped_moments(
-            ds, [str(k) for k in cfg["keys"]], str(cfg["value"]),
-            strategy=str(cfg.get("strategy", "tree"))))
-
-    def make_weighted_median(cfg: dict):
-        from .stages.spanops import grouped_weighted_median
-
-        for req in ("key", "value_col", "weight_col"):
-            if not cfg.get(req):
-                raise ConfigError(f"weighted_median: {req} is required")
-        return DatasetTransform(lambda ds: grouped_weighted_median(
-            ds, cfg["key"], cfg["value_col"], cfg["weight_col"],
-            n_buckets=cfg.get("n_buckets", 64)))
-
-    def make_weighted_quantiles(cfg: dict):
-        from .stages.spanops import grouped_weighted_quantiles
-
-        for req in ("key", "value_col", "weight_col"):
-            if not cfg.get(req):
-                raise ConfigError(
-                    f"weighted_quantiles: {req} is required")
-        try:
-            qs = tuple((int(n), int(d)) for n, d in
-                       (cfg.get("qs") or [[1, 2]]))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "weighted_quantiles: qs must be [[num, den], ...] "
-                f"integer rational pairs — got {cfg.get('qs')!r}") \
-                from None
-        return DatasetTransform(lambda ds: grouped_weighted_quantiles(
-            ds, cfg["key"], cfg["value_col"], cfg["weight_col"],
-            qs=qs, n_buckets=cfg.get("n_buckets", 64)))
-
-    def make_log_dedup(cfg: dict):
-        from .stages.cdc import log_dedup
-
-        if not cfg.get("match_cols") or not cfg.get("ts_col") \
-                or cfg.get("interval_us") is None:
-            raise ConfigError(
-                "log_dedup: match_cols, ts_col and interval_us are "
-                "required")
-        return DatasetTransform(lambda ds: log_dedup(
-            ds, [str(c) for c in cfg["match_cols"]], cfg["ts_col"],
-            int(cfg["interval_us"]),
-            count_name=cfg.get("count_name", "log_count"),
-            strategy=cfg.get("strategy", "shuffle"),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_lag_xcorr(cfg: dict):
-        from .stages.resample import lagged_xcorr_parts
-
-        for req in ("bucket_col", "group_col", "group_a", "group_b"):
-            if cfg.get(req) is None:
-                raise ConfigError(f"lag_xcorr: {req} is required")
-        return DatasetTransform(lambda ds: lagged_xcorr_parts(
-            ds, cfg["bucket_col"], cfg["group_col"],
-            cfg["group_a"], cfg["group_b"],
-            lags=tuple(int(x) for x in
-                       cfg.get("lags", [-3, -2, -1, 0, 1, 2, 3])),
-            max_span=int(cfg.get("max_span", 20_000_000))))
-
-    def make_km(cfg: dict):
-        from .stages.survival import km_parts
-
-        for req in ("duration_col", "observed_col"):
-            if not cfg.get(req):
-                raise ConfigError(f"km: {req} is required")
-        return DatasetTransform(lambda ds: km_parts(
-            ds, cfg["duration_col"], cfg["observed_col"],
-            max_durations=int(cfg.get("max_durations", 20_000_000))))
-
     def make_ks_drift(cfg: dict):
         from .stages.normalize import grouped_ks, ks_two_sample
 
-        for req in ("group_col", "value_col", "group_a", "group_b"):
-            if cfg.get(req) is None:
-                raise ConfigError(f"ks_drift: {req} is required")
+        _require("ks_drift", cfg, "group_col", "value_col", "group_a",
+                 "group_b")
         if cfg.get("key"):  # per-key distributed variant
             return DatasetTransform(lambda ds: grouped_ks(
                 ds, cfg["key"], cfg["group_col"], cfg["value_col"],
@@ -685,31 +661,6 @@ def _register_builtins() -> None:
             ds, cfg["group_col"], cfg["value_col"],
             cfg["group_a"], cfg["group_b"],
             max_distinct=int(cfg.get("max_distinct", 20_000_000))))
-
-    def make_chi2_drift(cfg: dict):
-        from .stages.normalize import chi2_two_sample
-
-        for req in ("group_col", "cell_col", "group_a", "group_b"):
-            if cfg.get(req) is None:
-                raise ConfigError(f"chi2_drift: {req} is required")
-        return DatasetTransform(lambda ds: chi2_two_sample(
-            ds, cfg["group_col"], cfg["cell_col"],
-            cfg["group_a"], cfg["group_b"],
-            scale=int(cfg.get("scale", 1_000_000)),
-            max_cells=int(cfg.get("max_cells", 100_000))))
-
-    def make_rolling_distinct(cfg: dict):
-        from .stages.intervals import rolling_distinct_count
-
-        for req in ("entity_col", "time_col", "window"):
-            if cfg.get(req) is None:
-                raise ConfigError(f"rolling_distinct: {req} is required")
-        return DatasetTransform(lambda ds: rolling_distinct_count(
-            ds, cfg["entity_col"], cfg["time_col"], int(cfg["window"]),
-            out_time=str(cfg.get("out_time", "t")),
-            out_count=str(cfg.get("out_count", "n_active")),
-            max_times=int(cfg.get("max_times", 5_000_000)),
-            n_buckets=cfg.get("n_buckets", "auto")))
 
     def make_k_anonymize(cfg: dict):
         from .stages.privacy import k_anonymize
@@ -726,549 +677,14 @@ def _register_builtins() -> None:
             n_buckets=cfg.get("n_buckets", "auto"),
             mode=str(cfg.get("mode", "join"))))
 
-    def make_dp_release(cfg: dict):
-        from .stages.privacy import dp_count_release
-
-        for req in ("keys", "epsilon", "seed"):
-            if req not in cfg:
-                raise ConfigError(f"dp_release: {req} is required")
-        sup = cfg.get("suppress_below")
-        return DatasetTransform(lambda ds: dp_count_release(
-            ds, [str(k) for k in cfg["keys"]],
-            epsilon=float(cfg["epsilon"]), seed=int(cfg["seed"]),
-            count_name=str(cfg.get("count_name", "n")),
-            suppress_below=None if sup is None else int(sup),
-            strategy=str(cfg.get("strategy", "shuffle"))))
-
-    def make_hopping_window(cfg: dict):
-        from .stages.resample import hopping_window_agg
-
-        for req in ("ts_col", "size_us", "slide_us"):
-            if req not in cfg:
-                raise ConfigError(f"hopping_window: {req} is required")
-        return DatasetTransform(lambda ds: hopping_window_agg(
-            ds, str(cfg["ts_col"]), size_us=int(cfg["size_us"]),
-            slide_us=int(cfg["slide_us"]),
-            keys=[str(k) for k in cfg.get("keys", [])],
-            count_name=str(cfg.get("count_name", "n")),
-            sum_cols=cfg.get("sum_cols"),
-            window_name=str(cfg.get("window_name", "window_start")),
-            strategy=str(cfg.get("strategy", "tree"))))
-
-    def make_overlap_pairs(cfg: dict):
-        from .stages.intervals import overlap_pair_count
-
-        for req in ("key", "start_col", "end_col"):
-            if req not in cfg:
-                raise ConfigError(f"overlap_pairs: {req} is required")
-        return DatasetTransform(lambda ds: overlap_pair_count(
-            ds, str(cfg["key"]), str(cfg["start_col"]),
-            str(cfg["end_col"]),
-            count_name=str(cfg.get("count_name", "n_overlap_pairs")),
-            n_name=str(cfg.get("n_name", "n_intervals"))))
-
-    def make_gini(cfg: dict):
-        from .stages.corpusstats import grouped_gini
-
-        for req in ("key", "value_col"):
-            if req not in cfg:
-                raise ConfigError(f"gini: {req} is required")
-        return DatasetTransform(lambda ds: grouped_gini(
-            ds, str(cfg["key"]), str(cfg["value_col"])))
-
-    def make_budget_by(cfg: dict):
-        from .stages.mixing import select_budget_by
-
-        for req in ("key", "value_col", "id_col", "budget"):
-            if req not in cfg:
-                raise ConfigError(f"budget_by: {req} is required")
-        return DatasetTransform(lambda ds: select_budget_by(
-            ds, str(cfg["key"]), str(cfg["value_col"]),
-            str(cfg["id_col"]), budget=int(cfg["budget"]),
-            order_col=cfg.get("order_col")))
-
-    def make_fuzzy_lookup(cfg: dict):
-        from .stages.fuzzy import fuzzy_lookup
-
-        if not cfg.get("column") or not cfg.get("candidates"):
-            raise ConfigError(
-                "fuzzy_lookup: column and candidates are required")
-        cands = [str(c) for c in cfg["candidates"]]
-        return DatasetTransform(lambda ds: fuzzy_lookup(
-            ds, cands, cfg["column"],
-            max_dist=int(cfg.get("max_dist", 2)),
-            out_prefix=cfg.get("out_prefix", "fuzzy_")))
-
-    def make_top_share(cfg: dict):
-        from .stages.mixing import select_top_share_by
-
-        need = ("key", "value_col", "id_col", "share_num", "share_den")
-        if any(cfg.get(k) is None for k in need):
-            raise ConfigError(
-                "top_share: key, value_col, id_col, share_num and "
-                "share_den are required")
-        return DatasetTransform(lambda ds: select_top_share_by(
-            ds, cfg["key"], cfg["value_col"], cfg["id_col"],
-            share_num=int(cfg["share_num"]),
-            share_den=int(cfg["share_den"]),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_vocab_growth(cfg: dict):
-        from .stages.corpusstats import vocab_growth
-
-        return DatasetTransform(lambda ds: vocab_growth(
-            ds, text_col=cfg.get("text_col", "text"),
-            id_col=cfg.get("id_col", "doc_id"),
-            bucket_size=int(cfg.get("bucket_size", 100)),
-            ngram=int(cfg.get("ngram", 1))))
-
     def make_transform(cfg: dict):
         from .functions.ottl import compile_statements
 
-        stmts = cfg.get("statements")
-        if not stmts:
-            raise ConfigError("transform: statements is required")
-        fn = compile_statements([str(x) for x in stmts],
+        _require("transform", cfg, "statements")
+        fn = compile_statements([str(x) for x in cfg["statements"]],
                                 map_col=cfg.get("map_col", "attrs"))
         return DatasetTransform(lambda ds: ds.map_batches(
             fn, batch_format="pyarrow"))
-
-    def make_epoch_order(cfg: dict):
-        from .stages.mixing import epoch_order
-
-        for req in ("id_col", "epoch", "n_shards"):
-            if cfg.get(req) is None:
-                raise ConfigError(f"epoch_order: {req} is required")
-        return DatasetTransform(lambda ds: epoch_order(
-            ds, cfg["id_col"], epoch=int(cfg["epoch"]),
-            n_shards=int(cfg["n_shards"]),
-            hash_mode=cfg.get("hash_mode", "xx64")))
-
-    def make_range_lookup(cfg: dict):
-        from .stages.enrich import range_lookup
-
-        for req in ("column", "breaks", "labels"):
-            if not cfg.get(req):
-                raise ConfigError(f"range_lookup: {req} is required")
-        return DatasetTransform(lambda ds: range_lookup(
-            ds, cfg["column"], list(cfg["breaks"]), list(cfg["labels"]),
-            out_col=cfg.get("out")))
-
-    def make_mode_agg(cfg: dict):
-        from .stages.aggregate import grouped_mode
-
-        if not cfg.get("key") or not cfg.get("value_col"):
-            raise ConfigError("mode_agg: key and value_col are required")
-        return DatasetTransform(lambda ds: grouped_mode(
-            ds, cfg["key"], cfg["value_col"],
-            out_name=cfg.get("out", "mode"),
-            count_name=cfg.get("count_name", "mode_n"),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_string_agg(cfg: dict):
-        from .stages.aggregate import grouped_string_agg
-
-        if not cfg.get("key") or not cfg.get("order_by") \
-                or not cfg.get("value_col"):
-            raise ConfigError(
-                "string_agg: key, order_by and value_col are required")
-        return DatasetTransform(lambda ds: grouped_string_agg(
-            ds, cfg["key"], list(cfg["order_by"]), cfg["value_col"],
-            sep=cfg.get("sep", ","), out_name=cfg.get("out", "agg"),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_zorder(cfg: dict):
-        from .stages.layout import zorder_sort
-
-        for req in ("x_col", "y_col", "tie_break"):
-            if not cfg.get(req):
-                raise ConfigError(f"zorder: {req} is required")
-        return DatasetTransform(lambda ds: zorder_sort(
-            lambda: ds, cfg["x_col"], cfg["y_col"],
-            tie_break=cfg["tie_break"],
-            code_col=cfg.get("code_col", "zcode"),
-            rank_col=cfg.get("rank_col", "zrank"),
-            persist=cfg.get("persist", "none")))
-
-    def make_skyline(cfg: dict):
-        from .stages.skyline import skyline_2d
-
-        for req in ("x_col", "y_col"):
-            if not cfg.get(req):
-                raise ConfigError(f"skyline: {req} is required")
-        return DatasetTransform(lambda ds: skyline_2d(
-            lambda: ds, cfg["x_col"], cfg["y_col"],
-            persist=cfg.get("persist", "none")))
-
-    def make_resample(cfg: dict):
-        from .stages.resample import resample_asof
-
-        for req in ("key", "ts_col", "every_us", "value_cols"):
-            if not cfg.get(req):
-                raise ConfigError(f"resample: {req} is required")
-        return DatasetTransform(lambda ds: resample_asof(
-            lambda: ds, cfg["key"], cfg["ts_col"], int(cfg["every_us"]),
-            [str(c) for c in cfg["value_cols"]],
-            how=cfg.get("how", "left"),
-            max_points_per_key=int(cfg.get("max_points_per_key",
-                                           1_000_000)),
-            grid_name=cfg.get("grid_name", "grid_ts")))
-
-    def make_dup_stats(cfg: dict):
-        from .stages.subdedup import duplication_stats
-
-        return DatasetTransform(lambda ds: duplication_stats(
-            ds, text_col=cfg.get("text_col", "text"),
-            id_col=cfg.get("id_col", "doc_id"),
-            window=int(cfg.get("window", 50)),
-            stride=int(cfg.get("stride", 1)),
-            min_count=int(cfg.get("min_count", 2))))
-
-    def make_bpe(cfg: dict):
-        from .stages.bpe import bpe_tokenize
-
-        return DatasetTransform(lambda ds: bpe_tokenize(
-            lambda: ds, text_col=cfg.get("text_col", "text"),
-            id_col=cfg.get("id_col", "doc_id"),
-            num_merges=int(cfg.get("num_merges", 1000)),
-            max_word_types=int(cfg.get("max_word_types", 2_000_000)),
-            persist=cfg.get("persist", "none")))
-
-    def make_merge_intervals(cfg: dict):
-        from .stages.intervals import merge_intervals
-
-        for req in ("key", "start_col", "end_col"):
-            if not cfg.get(req):
-                raise ConfigError(
-                    f"merge_intervals: {req} is required")
-        return DatasetTransform(lambda ds: merge_intervals(
-            ds, cfg["key"], cfg["start_col"], cfg["end_col"],
-            min_gap=int(cfg.get("min_gap", 0)),
-            n_buckets=cfg.get("n_buckets", "auto"),
-            prereduce=bool(cfg.get("prereduce", True)),
-            out_start=cfg.get("out_start", "merged_start"),
-            out_end=cfg.get("out_end", "merged_end"),
-            count_name=cfg.get("count_name", "n_intervals")))
-
-    def make_service_graph(cfg: dict):
-        from .stages.spanops import service_graph
-
-        return DatasetTransform(lambda ds: service_graph(
-            ds, n_buckets=int(cfg.get("n_buckets", 64))))
-
-    def make_rollup(cfg: dict):
-        from .stages.rollup import rollup_agg
-
-        if not cfg.get("keys"):
-            raise ConfigError("rollup: keys list is required")
-        sets = ([tuple(int(i) for i in s) for s in cfg["sets"]]
-                if cfg.get("sets") is not None else None)
-        return DatasetTransform(lambda ds: rollup_agg(
-            ds, [str(k) for k in cfg["keys"]],
-            count_name=cfg.get("count_name"),
-            sum_cols=cfg.get("sum_cols"), min_cols=cfg.get("min_cols"),
-            max_cols=cfg.get("max_cols"), sets=sets,
-            grouping_id_name=cfg.get("grouping_id_name", "grouping_id"),
-            strategy=cfg.get("strategy", "tree")))
-
-    def make_funnel(cfg: dict):
-        from .stages.funnel import funnel
-
-        for req in ("key", "order_col", "step_col", "steps"):
-            if not cfg.get(req):
-                raise ConfigError(f"funnel: {req} is required")
-        return DatasetTransform(lambda ds: funnel(
-            ds, cfg["key"], cfg["order_col"], cfg["step_col"],
-            [str(s) for s in cfg["steps"]],
-            out_prefix=cfg.get("out_prefix", "ts_"),
-            completed_name=cfg.get("completed_name", "steps_completed"),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_sample(cfg: dict):
-        from .stages.sampling import sample_bottom_k
-
-        if not cfg.get("k") or not cfg.get("id_col"):
-            raise ConfigError("sample: k and id_col are required")
-        return DatasetTransform(lambda ds: sample_bottom_k(
-            ds, int(cfg["k"]), cfg["id_col"],
-            hash_mode=cfg.get("hash_mode", "xx64"),
-            keep_rank=bool(cfg.get("keep_rank", False))))
-
-    def make_dedup_index(cfg: dict):
-        from .stages.seenindex import dedup_against_index
-
-        if not cfg.get("path"):
-            raise ConfigError("dedup_index: path is required")
-        return DatasetTransform(lambda ds: dedup_against_index(
-            ds, cfg["path"], text_col=cfg.get("text_col", "text"),
-            id_col=cfg.get("id_col", "doc_id"),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_sample_weighted(cfg: dict):
-        from .stages.sampling import sample_weighted_k
-
-        if not cfg.get("k") or not cfg.get("id_col") \
-                or not cfg.get("weight_col"):
-            raise ConfigError(
-                "sample_weighted: k, id_col and weight_col are required")
-        return DatasetTransform(lambda ds: sample_weighted_k(
-            ds, int(cfg["k"]), cfg["id_col"], cfg["weight_col"],
-            hash_mode=cfg.get("hash_mode", "xx64"),
-            keep_rank=bool(cfg.get("keep_rank", False))))
-
-    def make_sample_by(cfg: dict):
-        from .stages.sampling import sample_bottom_k_by
-
-        if not cfg.get("k") or not cfg.get("id_col") or not cfg.get("by"):
-            raise ConfigError("sample_by: k, id_col and by are required")
-        return DatasetTransform(lambda ds: sample_bottom_k_by(
-            ds, int(cfg["k"]), cfg["id_col"], cfg["by"],
-            hash_mode=cfg.get("hash_mode", "xx64"),
-            keep_rank=bool(cfg.get("keep_rank", False))))
-
-    def make_quantize(cfg: dict):
-        from .stages.embeddings import quantize_embeddings
-
-        return DatasetTransform(lambda ds: quantize_embeddings(
-            ds, vec_col=cfg.get("vec_col", "embedding"),
-            keep_vec=bool(cfg.get("keep_vec", False))))
-
-    def make_frequent_terms(cfg: dict):
-        from .stages.corpusstats import frequent_terms
-
-        if not cfg.get("num") or not cfg.get("den"):
-            raise ConfigError(
-                "frequent_terms: rational threshold num and den required")
-        return DatasetTransform(lambda ds: frequent_terms(
-            lambda: ds, int(cfg["num"]), int(cfg["den"]),
-            text_col=cfg.get("text_col", "text"),
-            persist=cfg.get("persist", "none")))
-
-    def make_heavy_hitters(cfg: dict):
-        from .stages.sketch import heavy_hitters
-
-        if not cfg.get("col") or not cfg.get("k"):
-            raise ConfigError("heavy_hitters: col and k are required")
-        return DatasetTransform(lambda ds: heavy_hitters(
-            lambda: ds, cfg["col"], int(cfg["k"]),
-            capacity=int(cfg["capacity"]) if cfg.get("capacity") else None,
-            count_name=cfg.get("count_name", "n"),
-            persist=cfg.get("persist", "none")))
-
-    def make_apdex(cfg: dict):
-        from .stages.spanops import apdex
-
-        if not cfg.get("t_us"):
-            raise ConfigError("apdex: t_us (satisfied threshold) is "
-                              "required")
-        return DatasetTransform(lambda ds: apdex(
-            ds, int(cfg["t_us"]), key=cfg.get("key", "service"),
-            duration_col=cfg.get("duration", "duration_us")))
-
-    def make_head_sample(cfg: dict):
-        from .stages.spanops import head_sample
-
-        if "permille" not in cfg:
-            raise ConfigError("head_sample: permille is required")
-        return DatasetTransform(lambda ds: head_sample(
-            ds, int(cfg["permille"]),
-            trace_col=cfg.get("trace_col", "trace_id")))
-
-    def make_delta_to_rate(cfg: dict):
-        from .stages.temporal import delta_to_rate
-
-        for req in ("key", "order_by", "value", "ts"):
-            if not cfg.get(req):
-                raise ConfigError(f"delta_to_rate: {req} is required")
-        return DatasetTransform(lambda ds: delta_to_rate(
-            ds, cfg["key"], cfg["order_by"], cfg["value"], cfg["ts"],
-            scale=int(cfg.get("scale", 1_000_000)),
-            out_col=cfg.get("out", "rate_scaled")))
-
-    def make_t_closeness(cfg: dict):
-        from .stages.privacy import t_closeness
-
-        for req in ("group", "sensitive"):
-            if not cfg.get(req):
-                raise ConfigError(f"t_closeness: {req} is required")
-        return DatasetTransform(lambda ds: t_closeness(
-            ds, cfg["group"], cfg["sensitive"],
-            max_grid=int(cfg.get("max_grid", 10_000))))
-
-    def make_hysteresis(cfg: dict):
-        from .stages.metricsops import hysteresis_alerts
-
-        for req in ("key", "order_by", "value"):
-            if not cfg.get(req):
-                raise ConfigError(f"hysteresis_alerts: {req} is required")
-        if "high" not in cfg or "low" not in cfg:
-            raise ConfigError("hysteresis_alerts: high and low are required")
-        order = cfg["order_by"]
-        if isinstance(order, str):
-            order = [order]
-        return DatasetTransform(lambda ds: hysteresis_alerts(
-            ds, cfg["key"], list(order), cfg["value"],
-            high=int(cfg["high"]), low=int(cfg["low"])))
-
-    def make_oov_stats(cfg: dict):
-        from .stages.corpusstats import TOKEN_SPLIT_RE, oov_stats
-
-        ids = cfg.get("id_cols", "doc_id")
-        return DatasetTransform(lambda ds: oov_stats(
-            lambda: ds, text_col=cfg.get("text_col", "text"),
-            id_cols=ids, min_count=int(cfg.get("min_count", 2)),
-            max_vocab=int(cfg.get("max_vocab", 2_000_000)),
-            split_pattern=cfg.get("split_pattern", TOKEN_SPLIT_RE),
-            persist=cfg.get("persist", "none")))
-
-    def make_repetition(cfg: dict):
-        import pyarrow as pa
-
-        from .functions.text import repetition_stats
-
-        text_col = cfg.get("text_col", "text")
-        id_col = cfg.get("id_col", "doc_id")
-
-        def fn(t):
-            return pa.table({id_col: t.column(id_col),
-                             **repetition_stats(t.column(text_col))})
-
-        return fn
-
-    def make_minmax_scale(cfg: dict):
-        from .stages.normalize import minmax_scale
-
-        if not cfg.get("column"):
-            raise ConfigError("minmax_scale: column is required")
-        return DatasetTransform(lambda ds: minmax_scale(
-            lambda: ds, cfg["column"], key=cfg.get("key"),
-            scale=int(cfg.get("scale", 1_000_000)),
-            out_col=cfg.get("out_col"),
-            max_groups=int(cfg.get("max_groups", 1_000_000)),
-            persist=cfg.get("persist", "none")))
-
-    def make_concurrency(cfg: dict):
-        from .stages.intervals import concurrency_profile
-
-        for req in ("key", "start_col", "end_col"):
-            if not cfg.get(req):
-                raise ConfigError(f"concurrency: {req} is required")
-        return DatasetTransform(lambda ds: concurrency_profile(
-            lambda: ds, cfg["key"], cfg["start_col"], cfg["end_col"],
-            persist=cfg.get("persist", "none")))
-
-    def make_cusum(cfg: dict):
-        from .stages.metricsops import cusum_scores
-
-        for req in ("key", "order_by", "value_col"):
-            if not cfg.get(req):
-                raise ConfigError(f"cusum: {req} is required")
-        if "target" not in cfg:
-            raise ConfigError("cusum: target is required")
-        return DatasetTransform(lambda ds: cusum_scores(
-            ds, cfg["key"], list(cfg["order_by"]), cfg["value_col"],
-            target=int(cfg["target"]), drift=int(cfg.get("drift", 0)),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_trend(cfg: dict):
-        from .stages.metricsops import grouped_trend
-
-        for req in ("key", "x_col", "y_col"):
-            if not cfg.get(req):
-                raise ConfigError(f"trend: {req} is required")
-        return DatasetTransform(lambda ds: grouped_trend(
-            ds, cfg["key"], cfg["x_col"], cfg["y_col"],
-            scale=int(cfg.get("scale", 1_000_000)),
-            max_groups=int(cfg.get("max_groups", 1_000_000))))
-
-    def make_count_distinct(cfg: dict):
-        from .stages.aggregate import grouped_count_distinct
-
-        if not cfg.get("keys") or not cfg.get("distinct_col"):
-            raise ConfigError(
-                "count_distinct: keys and distinct_col are required")
-        return DatasetTransform(lambda ds: grouped_count_distinct(
-            ds, list(cfg["keys"]), cfg["distinct_col"],
-            out_name=cfg.get("out_name", "n_distinct"),
-            final_strategy=cfg.get("final_strategy", "tree")))
-
-    def make_token_budget(cfg: dict):
-        from .stages.mixing import select_token_budget
-
-        for req in ("score_col", "token_col"):
-            if not cfg.get(req):
-                raise ConfigError(f"token_budget: {req} is required")
-        if "budget" not in cfg:
-            raise ConfigError("token_budget: budget is required")
-        return DatasetTransform(lambda ds: select_token_budget(
-            lambda: ds, cfg["score_col"], cfg["token_col"],
-            int(cfg["budget"]), id_col=cfg.get("id_col", "doc_id"),
-            persist=cfg.get("persist", "none")))
-
-    def make_cohort(cfg: dict):
-        from .stages.cohort import cohort_retention
-
-        return DatasetTransform(lambda ds: cohort_retention(
-            ds, user_col=cfg.get("user_col", "user_id"),
-            ts_col=cfg.get("ts_col", "ts"),
-            period=cfg.get("period", "week"),
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_mad_outliers(cfg: dict):
-        from .stages.normalize import mad_outliers
-
-        if not cfg.get("column"):
-            raise ConfigError("mad_outliers: column is required")
-        return DatasetTransform(lambda ds: mad_outliers(
-            lambda: ds, cfg["column"], key=cfg.get("key"),
-            k=int(cfg.get("k", 3)),
-            flag_col=cfg.get("flag_col"),
-            max_groups=int(cfg.get("max_groups", 1_000_000)),
-            persist=cfg.get("persist", "none")))
-
-    def make_pagerank(cfg: dict):
-        from .stages.graph import pagerank
-
-        for req in ("src", "dst"):
-            if not cfg.get(req):
-                raise ConfigError(f"pagerank: {req} is required")
-        return DatasetTransform(lambda ds: pagerank(
-            lambda: ds, cfg["src"], cfg["dst"],
-            damping=float(cfg.get("damping", 0.85)),
-            iterations=int(cfg.get("iterations", 20)),
-            max_nodes=int(cfg.get("max_nodes", 5_000_000)),
-            persist=cfg.get("persist", "memory"),
-            tol=float(cfg.get("tol", 0.0)),
-            rank_col=cfg.get("rank_col", "rank"),
-            weight_col=cfg.get("weight_col"),
-            personalize=cfg.get("personalize")))
-
-    def make_agg_delta(cfg: dict):
-        import ray.data as _rd
-
-        from .stages.incragg import apply_agg_delta
-
-        if not cfg.get("keys") or not cfg.get("base_path"):
-            raise ConfigError("agg_delta: keys and base_path (the "
-                              "materialized view parquet) are required")
-        return DatasetTransform(lambda ds: apply_agg_delta(
-            _rd.read_parquet(cfg["base_path"]),
-            ds, [str(k) for k in cfg["keys"]],
-            count_name=cfg.get("count_name", "n"),
-            sum_cols=dict(cfg.get("sum_cols") or {}),
-            op_col=cfg.get("op_col", "op"),
-            strategy=cfg.get("strategy", "tree")))
-
-    def make_pair_cosine(cfg: dict):
-        from .stages.graph import cooccurrence_cosine
-
-        for req in ("group", "item"):
-            if not cfg.get(req):
-                raise ConfigError(f"pair_cosine: {req} is required")
-        return DatasetTransform(lambda ds: cooccurrence_cosine(
-            lambda: ds, cfg["group"], cfg["item"],
-            min_support=int(cfg.get("min_support", 1)),
-            max_items=int(cfg.get("max_items", 5_000_000))))
 
     def make_log_templates(cfg: dict):
         from .stages.templates import DEFAULT_MASK_RULES, mine_templates
@@ -1286,103 +702,35 @@ def _register_builtins() -> None:
             ds, cfg.get("text", "text"), rules=rules,
             strategy=cfg.get("strategy", "bucket")))
 
-    def make_assoc_rules(cfg: dict):
-        from .stages.graph import association_rules
+    def make_repetition(cfg: dict):
+        import pyarrow as pa
 
-        for req in ("group", "item"):
-            if not cfg.get(req):
-                raise ConfigError(f"assoc_rules: {req} is required")
-        return DatasetTransform(lambda ds: association_rules(
-            lambda: ds, cfg["group"], cfg["item"],
-            min_support=int(cfg.get("min_support", 1)),
-            scale=int(cfg.get("scale", 1_000_000)),
-            max_items=int(cfg.get("max_items", 5_000_000))))
+        from .functions.text import repetition_stats
 
-    def make_late_arrivals(cfg: dict):
-        from .stages.temporal import late_arrivals
+        text_col = cfg.get("text_col", "text")
+        id_col = cfg.get("id_col", "doc_id")
 
-        for req in ("key", "arrival", "ts"):
-            if not cfg.get(req):
-                raise ConfigError(f"late_arrivals: {req} is required")
-        arrival = cfg["arrival"]
-        if isinstance(arrival, str):
-            arrival = [arrival]
-        return DatasetTransform(lambda ds: late_arrivals(
-            ds, cfg["key"], list(arrival), cfg["ts"],
-            allowed_lateness=int(cfg.get("allowed_lateness", 0))))
+        def fn(t):
+            return pa.table({id_col: t.column(id_col),
+                             **repetition_stats(t.column(text_col))})
 
-    def make_cardinality_cap(cfg: dict):
-        from .stages.cardinality import cardinality_cap
+        return fn
 
-        for req in ("group", "series"):
-            if not cfg.get(req):
-                raise ConfigError(f"cardinality_cap: {req} is required")
-        if "overflow_value" not in cfg:
-            raise ConfigError("cardinality_cap: overflow_value is required")
-        return DatasetTransform(lambda ds: cardinality_cap(
-            ds, cfg["group"], cfg["series"], int(cfg.get("k", 2000)),
-            overflow_value=cfg["overflow_value"],
+    def make_agg_delta(cfg: dict):
+        import ray.data as _rd
+
+        from .stages.incragg import apply_agg_delta
+
+        if not cfg.get("keys") or not cfg.get("base_path"):
+            raise ConfigError("agg_delta: keys and base_path (the "
+                              "materialized view parquet) are required")
+        return DatasetTransform(lambda ds: apply_agg_delta(
+            _rd.read_parquet(cfg["base_path"]),
+            ds, [str(k) for k in cfg["keys"]],
             count_name=cfg.get("count_name", "n"),
-            sum_cols=dict(cfg.get("sum_cols") or {}) or None))
-
-    def make_bfs(cfg: dict):
-        from .stages.graph import bfs_layers
-
-        for req in ("src", "dst", "seeds"):
-            if not cfg.get(req):
-                raise ConfigError(f"bfs: {req} is required")
-        return DatasetTransform(lambda ds: bfs_layers(
-            lambda: ds, cfg["src"], cfg["dst"],
-            seeds=list(cfg["seeds"]),
-            max_depth=int(cfg.get("max_depth", 10)),
-            directed=bool(cfg.get("directed", False)),
-            max_nodes=int(cfg.get("max_nodes", 5_000_000))))
-
-    def make_robust_scale(cfg: dict):
-        from .stages.normalize import robust_scale
-
-        if not cfg.get("column"):
-            raise ConfigError("robust_scale: column is required")
-        return DatasetTransform(lambda ds: robust_scale(
-            lambda: ds, cfg["column"], key=cfg.get("key"),
-            scale=int(cfg.get("scale", 1_000_000)),
-            out_col=cfg.get("out_col"),
-            max_groups=int(cfg.get("max_groups", 1_000_000)),
-            persist=cfg.get("persist", "none")))
-
-    def make_sigma_outliers(cfg: dict):
-        from .stages.normalize import sigma_outliers
-
-        if not cfg.get("column"):
-            raise ConfigError("sigma_outliers: column is required")
-        return DatasetTransform(lambda ds: sigma_outliers(
-            lambda: ds, cfg["column"], key=cfg.get("key"),
-            k=int(cfg.get("k", 3)),
-            flag_col=cfg.get("flag_col"),
-            max_groups=int(cfg.get("max_groups", 1_000_000)),
-            persist=cfg.get("persist", "none")))
-
-    def make_pivot(cfg: dict):
-        from .stages.reshape import pivot
-
-        for req in ("keys", "name_col", "value_col", "names"):
-            if not cfg.get(req):
-                raise ConfigError(f"pivot: {req} is required")
-        return DatasetTransform(lambda ds: pivot(
-            ds, list(cfg["keys"]), cfg["name_col"], cfg["value_col"],
-            names=[str(n) for n in cfg["names"]],
-            strict=bool(cfg.get("strict", True)),
-            strategy=cfg.get("strategy", "shuffle")))
-
-    def make_unpivot(cfg: dict):
-        from .stages.reshape import unpivot
-
-        if not cfg.get("keys") or not cfg.get("value_cols"):
-            raise ConfigError("unpivot: keys and value_cols are required")
-        return DatasetTransform(lambda ds: unpivot(
-            ds, list(cfg["keys"]), list(cfg["value_cols"]),
-            name_col=cfg.get("name_col", "name"),
-            value_col=cfg.get("value_col", "value")))
+            sum_cols=dict(cfg.get("sum_cols") or {}),
+            op_col=cfg.get("op_col", "op"),
+            strategy=cfg.get("strategy", "tree")))
 
     def make_semdedup(cfg: dict):
         import ray.data
@@ -1421,8 +769,7 @@ def _register_builtins() -> None:
     def make_split(cfg: dict):
         from .stages.sampling import assign_split
 
-        if not cfg.get("key") or not cfg.get("fractions"):
-            raise ConfigError("split: key and fractions are required")
+        _require("split", cfg, "key", "fractions")
         return DatasetTransform(lambda ds: assign_split(
             ds, cfg["key"],
             {str(k): float(v) for k, v in cfg["fractions"].items()},
@@ -1433,8 +780,7 @@ def _register_builtins() -> None:
     def make_validate(cfg: dict):
         from .stages.validate import validate_rules
 
-        if not cfg.get("rules") or not cfg.get("id_col"):
-            raise ConfigError("validate: rules and id_col are required")
+        _require("validate", cfg, "rules", "id_col")
         rules = {str(k): tuple(v) for k, v in cfg["rules"].items()}
         return DatasetTransform(lambda ds: validate_rules(
             ds, rules, id_col=cfg["id_col"],
@@ -1445,251 +791,42 @@ def _register_builtins() -> None:
 
         from .stages.profile import profile_table
 
-        if not cfg.get("columns"):
-            raise ConfigError("profile: columns list is required")
+        _require("profile", cfg, "columns")
         return DatasetTransform(lambda ds: ray.data.from_arrow(
             profile_table(ds, [str(c) for c in cfg["columns"]])))
-
-    def make_tail_budget(cfg: dict):
-        from .stages.packing import tail_budget
-
-        for req in ("key", "order_by", "weight"):
-            if not cfg.get(req):
-                raise ConfigError(f"tail_budget: {req} is required")
-        if "budget" not in cfg:
-            raise ConfigError("tail_budget: budget is required")
-        order = cfg["order_by"]
-        if isinstance(order, str):
-            order = [order]
-        return DatasetTransform(lambda ds: tail_budget(
-            ds, cfg["key"], list(order), cfg["weight"],
-            int(cfg["budget"]), out_col=cfg.get("out", "suffix_w")))
-
-    def make_slo_burn(cfg: dict):
-        from .stages.metricsops import slo_burn
-
-        for req in ("key", "ts", "err"):
-            if not cfg.get(req):
-                raise ConfigError(f"slo_burn: {req} is required")
-        for req in ("short_us", "long_us", "err_permille"):
-            if req not in cfg:
-                raise ConfigError(f"slo_burn: {req} is required")
-        ids = cfg.get("id_cols")
-        if isinstance(ids, str):
-            ids = [ids]
-        return DatasetTransform(lambda ds: slo_burn(
-            ds, cfg["key"], cfg["ts"], cfg["err"],
-            int(cfg["short_us"]), int(cfg["long_us"]),
-            int(cfg["err_permille"]),
-            id_cols=list(ids) if ids else None))
-
-    def make_exphist_downscale(cfg: dict):
-        from .stages.metricsops import exphist_downscale
-
-        if not cfg.get("keys"):
-            raise ConfigError("exphist_downscale: keys is required")
-        if "shift" not in cfg:
-            raise ConfigError("exphist_downscale: shift is required")
-        keys = cfg["keys"]
-        if isinstance(keys, str):
-            keys = [keys]
-        return DatasetTransform(lambda ds: exphist_downscale(
-            ds, list(keys), int(cfg["shift"])))
-
-    def make_exphist_quantile(cfg: dict):
-        from .stages.metricsops import exphist_quantile
-
-        if not cfg.get("key"):
-            raise ConfigError("exphist_quantile: key is required")
-        if "q_permille" not in cfg:
-            raise ConfigError("exphist_quantile: q_permille is required")
-        return DatasetTransform(lambda ds: exphist_quantile(
-            ds, cfg["key"], int(cfg["q_permille"])))
-
-    def make_binary_eval(cfg: dict):
-        from .stages.agreement import binary_eval
-
-        for req in ("keys", "pred", "label"):
-            if not cfg.get(req):
-                raise ConfigError(f"binary_eval: {req} is required")
-        keys = cfg["keys"]
-        if isinstance(keys, str):
-            keys = [keys]
-        return DatasetTransform(lambda ds: binary_eval(
-            ds, list(keys), cfg["pred"], cfg["label"],
-            strategy=cfg.get("strategy", "shuffle")))
-
-    def make_grouped_auc(cfg: dict):
-        from .stages.agreement import grouped_auc
-
-        for req in ("key", "score", "label"):
-            if not cfg.get(req):
-                raise ConfigError(f"auc: {req} is required")
-        return DatasetTransform(lambda ds: grouped_auc(
-            ds, cfg["key"], cfg["score"], cfg["label"]))
 
     def make_rater_kappa(cfg: dict):
         import ray.data
 
         from .stages.agreement import rater_agreement
 
-        for req in ("key", "a", "b"):
-            if not cfg.get(req):
-                raise ConfigError(f"rater_kappa: {req} is required")
+        _require("rater_kappa", cfg, "key", "a", "b")
         return DatasetTransform(lambda ds: ray.data.from_arrow(
             rater_agreement(
                 ds, cfg["key"], cfg["a"], cfg["b"],
                 max_classes=int(cfg.get("max_classes", 16)),
                 max_groups=int(cfg.get("max_groups", 10_000)))))
 
-    def make_gini_impurity(cfg: dict):
-        from .stages.agreement import gini_impurity
-
-        for req in ("key", "cat"):
-            if not cfg.get(req):
-                raise ConfigError(f"gini_impurity: {req} is required")
-        return DatasetTransform(lambda ds: gini_impurity(
-            ds, cfg["key"], cfg["cat"]))
-
-    def make_edit_pairs(cfg: dict):
-        from .stages.fuzzy import edit_distance_pairs
-
-        for req in ("id", "text"):
-            if not cfg.get(req):
-                raise ConfigError(f"edit_pairs: {req} is required")
-        if "max_dist" not in cfg:
-            raise ConfigError("edit_pairs: max_dist is required")
-        return DatasetTransform(lambda ds: edit_distance_pairs(
-            ds, cfg["id"], cfg["text"], int(cfg["max_dist"]),
-            block_col=cfg.get("block"),
-            max_len=int(cfg.get("max_len", 512)),
-            max_block_pairs=int(cfg.get("max_block_pairs", 20_000_000))))
-
-    register("parse", Factory("processor", make_parse))
-    register("tail_budget", Factory("processor", make_tail_budget))
-    register("slo_burn", Factory("processor", make_slo_burn))
-    register("exphist_downscale",
-             Factory("processor", make_exphist_downscale))
-    register("exphist_quantile",
-             Factory("processor", make_exphist_quantile))
-    register("binary_eval", Factory("processor", make_binary_eval))
-    register("auc", Factory("processor", make_grouped_auc))
-    register("rater_kappa", Factory("processor", make_rater_kappa))
-    register("gini_impurity", Factory("processor", make_gini_impurity))
-    register("edit_pairs", Factory("processor", make_edit_pairs))
-    register("validate", Factory("processor", make_validate))
-    register("profile", Factory("processor", make_profile))
-    register("split", Factory("processor", make_split))
-    register("pca", Factory("processor", make_pca))
-    register("repetition", Factory("processor", make_repetition))
-    register("minmax_scale", Factory("processor", make_minmax_scale))
-    register("pivot", Factory("processor", make_pivot))
-    register("unpivot", Factory("processor", make_unpivot))
-    register("semdedup", Factory("processor", make_semdedup))
-    register("window", Factory("processor", make_window))
-    register("latest_by", Factory("processor", make_latest_by))
-    register("cont_quantiles", Factory("processor", make_cont_quantiles))
-    register("extract_explode", Factory("processor", make_extract_explode))
-    register("mode_agg", Factory("processor", make_mode_agg))
-    register("range_lookup", Factory("processor", make_range_lookup))
-    register("label_encode", Factory("processor", make_label_encode))
-    register("epoch_order", Factory("processor", make_epoch_order))
-    register("transform", Factory("processor", make_transform))
-    register("fuzzy_lookup", Factory("processor", make_fuzzy_lookup))
-    register("k_anonymize", Factory("processor", make_k_anonymize))
-    register("dp_release", Factory("processor", make_dp_release))
-    register("hopping_window", Factory("processor", make_hopping_window))
-    register("budget_by", Factory("processor", make_budget_by))
-    register("overlap_pairs", Factory("processor", make_overlap_pairs))
-    register("gini", Factory("processor", make_gini))
-    register("top_share", Factory("processor", make_top_share))
-    register("vocab_growth", Factory("processor", make_vocab_growth))
-    register("string_agg", Factory("processor", make_string_agg))
-    register("zorder", Factory("processor", make_zorder))
-    register("skyline", Factory("processor", make_skyline))
-    register("throttle", Factory("processor", make_throttle))
-    register("dedupe_consecutive",
-             Factory("processor", make_dedupe_consecutive))
-    register("scd2", Factory("processor", make_scd2))
-    register("feature_hash", Factory("processor", make_feature_hash))
-    register("target_encode", Factory("processor", make_target_encode))
-    register("checksum", Factory("processor", make_checksum))
-    register("weighted_quantiles",
-             Factory("processor", make_weighted_quantiles))
-    register("ks_drift", Factory("processor", make_ks_drift))
-    register("chi2_drift", Factory("processor", make_chi2_drift))
-    register("rolling_distinct",
-             Factory("processor", make_rolling_distinct))
-    register("km", Factory("processor", make_km))
-    register("lag_xcorr", Factory("processor", make_lag_xcorr))
-    register("log_dedup", Factory("processor", make_log_dedup))
-    register("weighted_median",
-             Factory("processor", make_weighted_median))
-    register("apportion", Factory("processor", make_apportion))
-    register("ohlc", Factory("processor", make_ohlc))
-    register("l_diversity", Factory("processor", make_l_diversity))
-    register("hist_quantile", Factory("processor", make_hist_quantile))
-    register("sentence_stats",
-             Factory("processor", make_sentence_stats))
-    register("grid_densify", Factory("processor", make_grid_densify))
-    register("decayed_count", Factory("processor", make_decayed_count))
-    register("quota_sample", Factory("processor", make_quota_sample))
-    register("moments", Factory("processor", make_moments))
-    register("rollup", Factory("processor", make_rollup))
-    register("resample", Factory("processor", make_resample))
-    register("dup_stats", Factory("processor", make_dup_stats))
-    register("service_graph", Factory("processor", make_service_graph))
-    register("merge_intervals", Factory("processor", make_merge_intervals))
-    register("bpe", Factory("processor", make_bpe))
-    register("robust_scale", Factory("processor", make_robust_scale))
-    register("sigma_outliers", Factory("processor", make_sigma_outliers))
-    register("pagerank", Factory("processor", make_pagerank))
-    register("pair_cosine", Factory("processor", make_pair_cosine))
-    register("assoc_rules", Factory("processor", make_assoc_rules))
-    register("log_templates", Factory("processor", make_log_templates))
-    register("cardinality_cap", Factory("processor", make_cardinality_cap))
-    register("late_arrivals", Factory("processor", make_late_arrivals))
-    register("oov_stats", Factory("processor", make_oov_stats))
-    register("hysteresis_alerts", Factory("processor", make_hysteresis))
-    register("t_closeness", Factory("processor", make_t_closeness))
-    register("apdex", Factory("processor", make_apdex))
-    register("head_sample", Factory("processor", make_head_sample))
-    register("delta_to_rate", Factory("processor", make_delta_to_rate))
-    register("bfs", Factory("processor", make_bfs))
-    register("agg_delta", Factory("processor", make_agg_delta))
-    register("mad_outliers", Factory("processor", make_mad_outliers))
-    register("cohort", Factory("processor", make_cohort))
-    register("concurrency", Factory("processor", make_concurrency))
-    register("cusum", Factory("processor", make_cusum))
-    register("trend", Factory("processor", make_trend))
-    register("count_distinct", Factory("processor", make_count_distinct))
-    register("token_budget", Factory("processor", make_token_budget))
-    register("sample_weighted", Factory("processor", make_sample_weighted))
-    register("dedup_index", Factory("processor", make_dedup_index))
-    register("funnel", Factory("processor", make_funnel))
-    register("sample", Factory("processor", make_sample))
-    register("sample_by", Factory("processor", make_sample_by))
-    register("quantize", Factory("processor", make_quantize))
-    register("frequent_terms", Factory("processor", make_frequent_terms))
-    register("heavy_hitters", Factory("processor", make_heavy_hitters))
-    register("mix", Factory("processor", make_mix))
-    register("global_sort", Factory("processor", make_global_sort))
-    register("contamination", Factory("processor", make_contamination))
-    register("tfidf", Factory("processor", make_tfidf))
-    register("time_bucket", Factory("processor", make_time_bucket))
-    register("count_agg", Factory("processor", make_count_agg))
-    register("enrich", Factory("processor", lambda cfg: EnrichStage(cfg.get("refs"))))
-    register("redact", Factory("processor", make_redact))
-    register("score", Factory("processor", make_score))
-    register("route", Factory("connector", make_route))
-    register("filter", Factory("processor", make_filter))
-    register("parquet_sink", Factory("exporter", lambda cfg: cfg))
-    register("jsonl_sink", Factory("exporter", lambda cfg: cfg))
-    register("ipc_sink", Factory("exporter", lambda cfg: cfg))
-    register("csv_sink", Factory("exporter", lambda cfg: cfg))
-    register("orc_sink", Factory("exporter", lambda cfg: cfg))
-    register("prom_sink", Factory("exporter", lambda cfg: cfg))
-    register("debug", Factory("exporter", lambda cfg: cfg))
+    for name, make in {
+            "parse": make_parse, "route": make_route, "filter": make_filter,
+            "log_templates": make_log_templates, "validate": make_validate,
+            "mix": make_mix, "split": make_split, "window": make_window,
+            "cont_quantiles": make_cont_quantiles,
+            "weighted_quantiles": make_weighted_quantiles,
+            "extract_explode": make_extract_explode,
+            "hist_quantile": make_hist_quantile, "pca": make_pca,
+            "ks_drift": make_ks_drift, "semdedup": make_semdedup,
+            "agg_delta": make_agg_delta, "rater_kappa": make_rater_kappa,
+            "profile": make_profile, "k_anonymize": make_k_anonymize,
+            "time_bucket": make_time_bucket,
+            "sentence_stats": make_sentence_stats,
+            "repetition": make_repetition, "transform": make_transform,
+            "redact": make_redact, "score": make_score,
+            "enrich": lambda cfg: EnrichStage(cfg.get("refs")),
+    }.items():
+        register(name, Factory(make))
+    for name in STAGES:
+        register(name, _derived(name))
 
 
 _register_builtins()
@@ -1745,15 +882,19 @@ class PipelineConfig:
     def validate(self) -> None:
         """Validate() semantics (confmap/validation.go): every pipeline
         reference must name a configured component of a known type."""
-        for kind, section in (("receivers", self.receivers),
-                              ("processors", self.processors),
-                              ("exporters", self.exporters)):
+        for kind, section, known in (
+                ("receivers", self.receivers, RECEIVERS),
+                ("processors", self.processors, _REGISTRY),
+                ("exporters", self.exporters, EXPORTERS)):
             for name in self.pipeline.get(kind, []):
                 if name not in section:
                     raise ConfigError(f"pipeline references unconfigured "
                                       f"{kind[:-1]} {name!r}")
                 type_name = name.split("/")[0]
-                get_factory(type_name)
+                if type_name not in known:
+                    raise ConfigError(
+                        f"unknown {kind[:-1]} type: {type_name!r} "
+                        f"(known: {sorted(known)})")
         if not self.pipeline.get("receivers") or not self.pipeline.get("exporters"):
             raise ConfigError("pipeline needs at least one receiver and one exporter")
 

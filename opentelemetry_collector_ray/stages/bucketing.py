@@ -113,9 +113,10 @@ def multi_key_change(t, cols):
     """Row-change mask over a table SORTED by ``cols`` (first row True)
     — the multi-column sibling of :func:`key_segments`, shared by the
     OHLC / count-distinct / l-diversity bucket passes. Raises on null
-    key cells: numpy converts null numerics to NaN and ``NaN != NaN``
-    would silently start a new group per null row, unlike SQL GROUP BY
-    (and unlike Arrow group_by) which collapse nulls into one group."""
+    and float NaN key cells: numpy converts null numerics to NaN and
+    ``NaN != NaN`` would silently start a new group per such row, unlike
+    SQL GROUP BY (and unlike Arrow group_by) which collapse them into one
+    group."""
     import pyarrow as pa  # noqa: F401  (kept local: cheap, avoids cycle)
 
     n = t.num_rows
@@ -130,6 +131,11 @@ def multi_key_change(t, cols):
                 "groups nulls together, the vectorized mask would "
                 "not; fill or drop them upstream")
         a = col.to_numpy(zero_copy_only=False)
+        if a.dtype.kind == "f" and np.isnan(a).any():
+            raise ValueError(
+                f"multi_key_change: key column {k!r} has NaN — SQL and "
+                "Arrow group NaNs together, NaN != NaN would not; fill "
+                "or drop them upstream")
         if n > 1:
             mask[1:] |= a[1:] != a[:-1]
     return mask

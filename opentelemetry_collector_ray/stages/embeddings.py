@@ -80,9 +80,10 @@ def dequantize_batch(t: pa.Table, code_col: str = "q8",
 
 
 def quantize_embeddings(ds: ray.data.Dataset, vec_col: str = "embedding",
-                        **kw) -> ray.data.Dataset:
+                        keep_vec: bool = False, **kw) -> ray.data.Dataset:
     return ds.map_batches(
-        lambda t: quantize_batch(t, vec_col=vec_col, **kw),
+        lambda t: quantize_batch(t, vec_col=vec_col, keep_vec=keep_vec,
+                                 **kw),
         batch_format="pyarrow")
 
 

@@ -782,9 +782,13 @@ def hist_quantile_linear(hist: ray.data.Dataset, keys: list[str],
             cum = np.cumsum(c)
             tot = int(cum[-1])
             tots[gi] = tot
-            if q_permille * tot > 2**62:
+            # the search compares cum*1000 (q_permille < 1000 bounds the
+            # rank side), so 1000*N is the product that must fit int64
+            if 1000 * tot > 2**62:
+                key = {k: t.column(k)[s].as_py() for k in keys}
                 raise ValueError(
-                    "hist_quantile_linear: q_permille*N overflows")
+                    f"hist_quantile_linear: 1000*N overflows int64 "
+                    f"(N={tot} at key {key})")
             rank1000 = q_permille * tot      # rank ×1000
             pos = int(np.searchsorted(cum * 1000, rank1000, side="left"))
             bidx = int(bk[s + pos])

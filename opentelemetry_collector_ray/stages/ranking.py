@@ -160,7 +160,7 @@ class Bm25Stage(_TfStage):
         })
 
 
-def score_tfidf_int(make_ds, query_terms, scale: int = 1000,
+def score_tfidf_int(make_ds, query_terms: list[str], scale: int = 1000,
                     text_col: str = "text", id_col: str = "doc_id",
                     persist: str = "none") -> ray.data.Dataset:
     """Integer-exact reciprocal-df tf-idf: ``score = Σ_t tf(doc,t) ·

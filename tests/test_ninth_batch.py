@@ -223,6 +223,30 @@ class TestHistQuantileLinear:
         with pytest.raises(ValueError, match="q_permille"):
             hist_quantile_linear(self._hist([]), ["k"], [5], 0)
 
+    def test_rank_scale_overflow_raises(self, ray_session):
+        from opentelemetry_collector_ray.stages.metricsops import (
+            hist_quantile_linear)
+
+        # N above 2^63/1000: q_permille*N fits int64 for p1 but the
+        # cumulative counts ×1000 it is searched against do not (Ray
+        # re-raises the task's ValueError wrapped)
+        big = 5 * 10**15
+        rows = [{"k": "k", "bucket": 0, "n": big},
+                {"k": "k", "bucket": 1, "n": big}]
+        with pytest.raises(Exception, match="1000\\*N overflows"):
+            hist_quantile_linear(self._hist(rows), ["k"], [100, 200],
+                                 1).to_pandas()
+
+
+def test_multi_key_change_rejects_nan_keys():
+    from opentelemetry_collector_ray.stages.bucketing import (
+        multi_key_change)
+
+    t = pa.table({"g": ["a", "a", "a"], "x": [1.0, np.nan, np.nan]})
+    with pytest.raises(ValueError, match="'x' has NaN"):
+        multi_key_change(t, ["g", "x"])
+    assert multi_key_change(t, ["g"]).tolist() == [True, False, False]
+
 
 class TestGroupedMoments:
     def test_matches_numpy(self, ray_session):
