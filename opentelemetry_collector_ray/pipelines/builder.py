@@ -16,6 +16,7 @@ import ray.data
 
 from ..config import DatasetTransform, PipelineConfig, get_factory
 from ..sinks.parquet_sink import DebugSink, write_routed
+from ..sources.parquet import read_turns
 from ..state.manifest import ManifestStore, PartitionTask, run_resumable
 from ..stages.parse import ParseStage
 
@@ -51,8 +52,8 @@ def build_dataset(cfg: PipelineConfig, paths: list[str] | None = None,
         rtype = name.split("/")[0]
         rpaths = paths if paths is not None else rcfg["paths"]
         if rtype == "parquet":
-            datasets.append(ray.data.read_parquet(
-                rpaths, columns=rcfg.get("columns")))
+            # same block rule as the flagship's read
+            datasets.append(read_turns(rpaths, columns=rcfg.get("columns")))
         elif rtype == "csv":
             # delimited-text receiver: Arrow's C++ CSV reader per file
             # block, column pruning after parse

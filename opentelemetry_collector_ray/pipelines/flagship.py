@@ -7,7 +7,7 @@ Dataset composition. The streaming executor supplies the per-stage queues
 limiter (SURVEY.md §2.2 memorylimiter row, §4.2).
 
 Stage map:
-  read_parquet            ← otlpreceiver        (sources/parquet.py)
+  read_turns              ← otlpreceiver        (sources/parquet.py)
   ParseStage              ← transform processor (stages/parse.py)
   EnrichStage actor pool  ← attributes/resource processors (stages/enrich.py)
   RouteStage              ← routing connector   (stages/route.py)
@@ -52,8 +52,10 @@ def build_routed(turns: ray.data.Dataset, *, parse_rules=DEFAULT_PARSE_RULES,
 
 def build_aggregate(routed: ray.data.Dataset, *, bucket_unit: str = "hour",
                     keys: list[str] = AGG_KEYS) -> ray.data.Dataset:
-    """Routed rows → per (route, role, tool, time-bucket) counts, two-phase
-    (partial per batch, Sum merge after the hash shuffle of partials)."""
+    """Routed rows → per (route, role, tool, time-bucket) counts, two-phase:
+    a partial count per batch, then ONE combine task over all partials
+    (``grouped_count`` strategy="tree" — the plan's only all-to-all
+    operator is the ``repartition(1)`` in front of that task)."""
     with_bucket = routed.map_batches(
         lambda t: t.append_column("bucket", pc.floor_temporal(t.column("ts"),
                                                               unit=bucket_unit)),

@@ -228,7 +228,9 @@ def write_prom_text(ds: ray.data.Dataset, out_dir: str, *,
                     compression: str = "none") -> int:
     """Render sample rows back to Prometheus text exposition pages —
     the write side of :func:`read_prom_text` (one page per block,
-    atomic rename; optional # HELP header). ``labels_col`` holds the
+    atomic rename). With ``help_text``, each page carries one
+    ``# HELP <metric> <help_text>`` line per distinct metric name, just
+    before that name's first sample. ``labels_col`` holds the
     raw ``k="v",...`` body ('' → no braces); values/timestamps are
     cast to string verbatim, so integer lanes round-trip exactly.
     ``compression="gzip"`` writes ``.txt.gz`` pages (scrape payloads
@@ -272,8 +274,16 @@ def write_prom_text(ds: ray.data.Dataset, out_dir: str, *,
                 line = pc.if_else(
                     pc.equal(ts_s, ""), line,
                     pc.binary_join_element_wise(line, " ", ts_s, ""))
-            head = [f"# HELP {help_text}", ""] if help_text else []
-            blob = "\n".join(head + line.to_pylist()) + "\n"
+            lines = line.to_pylist()
+            if help_text:
+                seen, paged = set(), []
+                for name, ln in zip(metric.to_pylist(), lines):
+                    if name not in seen:
+                        seen.add(name)
+                        paged.append(f"# HELP {name} {help_text}")
+                    paged.append(ln)
+                lines = paged
+            blob = "\n".join(lines) + "\n"
             suffix = ".txt.gz" if compression == "gzip" else ".txt"
             name = f"metrics-{uuid.uuid4().hex[:12]}{suffix}"
             tmp = os.path.join(out_dir, f".{name}.tmp")

@@ -25,6 +25,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..functions.groupsafe import group_aggregate
+from .treereduce import combine_all
 
 
 class PartialCountStage:
@@ -128,11 +129,12 @@ def grouped_agg(ds: Dataset, keys: list[str], count_name: str | None = None,
                 sum_cols: dict[str, str] | None = None,
                 min_cols: dict[str, str] | None = None,
                 max_cols: dict[str, str] | None = None,
-                strategy: str = "tree", fanin: int = 16,
+                strategy: str = "tree",
                 n_buckets: int | str = "auto") -> Dataset:
     """General two-phase grouped aggregate (count/sum/min/max).
 
-    strategy="tree": map-only reduce — requires the distinct key set to fit
+    strategy="tree": per-batch partials, then ONE combine task over all of
+    them (no sort, no hash shuffle) — requires the distinct key set to fit
     one task (bounded roll-up keys). strategy="shuffle": Ray hash
     groupby over the partials — for unbounded keys (e.g. conv_id at 10^12
     scale); the partials bound the shuffle to ≤ |keys in batch| rows per
@@ -177,26 +179,22 @@ def grouped_agg(ds: Dataset, keys: list[str], count_name: str | None = None,
             else:
                 aggs.append(Sum(c, alias_name=c))
         return partial.groupby(keys).aggregate(*aggs)
-    partial = ds.map_batches(stage, batch_format="pyarrow")
-    lvl1 = partial.repartition(fanin).map_batches(
-        combine, batch_format="pyarrow", batch_size=None)
-    return lvl1.repartition(1).map_batches(
-        combine, batch_format="pyarrow", batch_size=None)
+    return combine_all(ds.map_batches(stage, batch_format="pyarrow"),
+                       combine)
 
 
 def grouped_count(ds: Dataset, keys: list[str], count_name: str = "n_turns",
                   sum_cols: dict[str, str] | None = None,
-                  strategy: str = "tree", fanin: int = 16,
+                  strategy: str = "tree",
                   n_buckets: int | str = "auto") -> Dataset:
     """Two-phase grouped count/sum.
 
-    strategy="tree" (default): per-batch partials → coalesce (repartition,
-    no sort) → combine → single final combine. Map-only; nothing is ever
-    sorted or hash-shuffled. Correct whenever the DISTINCT KEY SET fits one
-    task (true for bounded roll-up keys like route×role×tool×time-bucket —
-    the north-star aggregate; a 10^12-turn input still reduces to
-    |keys| rows before the final step, and each intermediate block holds at
-    most |keys| rows after its combine).
+    strategy="tree" (default): per-batch partials → coalesce into one
+    block (``repartition(1)``, no sort) → one combine task. Nothing is
+    ever sorted or hash-shuffled. Correct whenever the DISTINCT KEY SET
+    fits one task (true for bounded roll-up keys like
+    route×role×tool×time-bucket — the north-star aggregate): the final
+    task reads at most |keys| partial rows per input block.
 
     strategy="shuffle": fall back to Ray's hash-partitioned
     groupby().aggregate(Sum) for unbounded key cardinality (e.g. grouping
@@ -219,11 +217,7 @@ def grouped_count(ds: Dataset, keys: list[str], count_name: str = "n_turns",
     if strategy == "shuffle":
         aggs = [Sum(c, alias_name=c) for c in value_cols]
         return partial.groupby(keys).aggregate(*aggs)
-    combine = CombineStage(keys, value_cols)
-    lvl1 = partial.repartition(fanin).map_batches(
-        combine, batch_format="pyarrow", batch_size=None)
-    return lvl1.repartition(1).map_batches(
-        combine, batch_format="pyarrow", batch_size=None)
+    return combine_all(partial, CombineStage(keys, value_cols))
 
 
 def add_time_bucket(batch: pa.Table, ts_col: str = "ts", unit: str = "hour",
@@ -231,24 +225,18 @@ def add_time_bucket(batch: pa.Table, ts_col: str = "ts", unit: str = "hour",
     return batch.append_column(out, pc.floor_temporal(batch.column(ts_col), unit=unit))
 
 
-def count_distinct(ds: Dataset, cols: list[str], out_name: str = "n_distinct",
-                   fanin: int = 16) -> Dataset:
+def count_distinct(ds: Dataset, cols: list[str],
+                   out_name: str = "n_distinct") -> Dataset:
     """Exact distinct count, two-phase: per-batch distinct key rows (the
-    mergeable 'sketch' for exact distinct) → tree-merged distinct → count.
+    mergeable 'sketch' for exact distinct) → one merge task → count.
     Shuffle-free; requires the distinct set to fit one task (else use the
     grouped shuffle path or an approximate sketch)."""
     def distinct(batch: pa.Table) -> pa.Table:
         return group_aggregate(batch, cols, [])
 
     partial = ds.select_columns(cols).map_batches(distinct, batch_format="pyarrow")
-    merged = partial.repartition(fanin).map_batches(
-        distinct, batch_format="pyarrow", batch_size=None)
-    final = merged.repartition(1).map_batches(
-        lambda t: pa.table({out_name: pa.array(
-            [group_aggregate(t, cols, []).num_rows],
-            pa.int64())}),
-        batch_format="pyarrow", batch_size=None)
-    return final
+    return combine_all(partial, lambda t: pa.table({out_name: pa.array(
+        [distinct(t).num_rows], pa.int64())}))
 
 
 def grouped_count_distinct(ds: Dataset, keys: list[str],
@@ -353,10 +341,10 @@ class VectorSumStage:
         })
 
 
-def vector_mean_by(ds: Dataset, key: str, vec_col: str = "embedding",
-                   fanin: int = 8) -> Dataset:
-    """Element-wise mean vector per key (embedding centroids), two-phase
-    partial-sum tree reduce."""
+def vector_mean_by(ds: Dataset, key: str,
+                   vec_col: str = "embedding") -> Dataset:
+    """Element-wise mean vector per key (embedding centroids), two-phase:
+    per-batch partial sums, then one combine task."""
     import numpy as np
 
     partial = ds.select_columns([key, vec_col]).map_batches(
@@ -379,9 +367,7 @@ def vector_mean_by(ds: Dataset, key: str, vec_col: str = "embedding",
                          "vec_sum": pa.array(list(sums), pa.list_(pa.float64())),
                          "n": pa.array(counts)})
 
-    merged = partial.repartition(fanin).map_batches(
-        combine, batch_format="pyarrow", batch_size=None).repartition(1) \
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
+    merged = combine_all(partial, combine)
 
     def to_mean(batch: pa.Table) -> pa.Table:
         col = batch.column("vec_sum").combine_chunks()
@@ -492,7 +478,7 @@ def exact_global_quantiles(ds: Dataset, col: str, qs: tuple[float, ...],
     # but its final task holds the WHOLE distinct-value table — so the
     # cardinality guard must fire BEFORE that task exists (review
     # finding: a post-hoc count would OOM first). One cheap HLL pass
-    # (map-only, ~1.6% error, fanin+1 tiny rows moved) screens the
+    # (map-only, ~1.6% error, one tiny row per block moved) screens the
     # domain; the exact count still runs below for the boundary band.
     from .sketch import approx_distinct
 

@@ -1,8 +1,10 @@
 """Proportional quota allocation (Hamilton / largest-remainder
 apportionment) — the "give each category its fair share of a fixed
 budget" primitive behind sampling quotas, shard budgets and traffic
-splits (the batch analog of weighted fan-out ratios in the reference's
-routing configuration, ``connector/routingconnector/README.md``).
+splits (the batch analog of weighted fan-out ratios in routing
+configurations; the routing connector lives in
+opentelemetry-collector-contrib, ``connector/routingconnector``, not in
+the core collector).
 
 Exact integers end to end: ``base = seats·n // total`` plus one extra
 seat to the ``seats - Σbase`` largest remainders (ties broken by key

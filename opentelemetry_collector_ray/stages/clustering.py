@@ -33,6 +33,7 @@ import ray.data
 
 from .bucketing import persisted_factory
 from .similarity import _normalize, _stack
+from .treereduce import combine_all
 
 __all__ = ["kmeans_fit", "kmeans_assign", "semantic_dedup", "pca_fit",
            "pca_transform"]
@@ -100,8 +101,8 @@ def kmeans_fit(make_ds, k: int = 64, iters: int = 10, seed: int = 42,
             partials, batch_format="pyarrow")
 
         def combine(t: pa.Table) -> pa.Table:
-            # tree combiner: ≤ k rows out per call (bounded-key reduce —
-            # no sort exchange; same shape as grouped_agg strategy="tree")
+            # one combine task: ≤ k rows out (bounded-key reduce — no
+            # sort exchange; same shape as grouped_agg strategy="tree")
             if not t.num_rows:
                 return t
             cl = t.column("cluster").to_numpy(zero_copy_only=False)
@@ -118,10 +119,7 @@ def kmeans_fit(make_ds, k: int = 64, iters: int = 10, seed: int = 42,
                 "vsum": _pack_f64(np.add.reduceat(s_s, starts, axis=0)),
                 "n": pa.array(np.add.reduceat(n_s, starts))})
 
-        pdf = part.repartition(16).map_batches(
-            combine, batch_size=None, batch_format="pyarrow"
-        ).repartition(1).map_batches(
-            combine, batch_size=None, batch_format="pyarrow").to_pandas()
+        pdf = combine_all(part, combine).to_pandas()
         new = cent.copy()
         cl = pdf["cluster"].to_numpy()
         sums = np.frombuffer(b"".join(pdf["vsum"]), np.float64
@@ -240,11 +238,8 @@ def pca_fit(make_ds, n_components: int = 16, vec_col: str = "embedding",
                          "s1": _pack_f64(s1[None, :]),
                          "s2": _pack_f64(s2[None, :])})
 
-    pdf = make_ds().select_columns([vec_col]).map_batches(
-        partials, batch_format="pyarrow").repartition(16).map_batches(
-        combine, batch_size=None, batch_format="pyarrow").repartition(
-        1).map_batches(combine, batch_size=None,
-                       batch_format="pyarrow").to_pandas()
+    pdf = combine_all(make_ds().select_columns([vec_col]).map_batches(
+        partials, batch_format="pyarrow"), combine).to_pandas()
     if not len(pdf) or int(pdf["n"].iloc[0]) < 2:
         raise ValueError("pca_fit: need at least 2 rows")
     n = int(pdf["n"].iloc[0])

@@ -38,7 +38,6 @@ def apply_agg_delta(base_agg: ray.data.Dataset,
                     sum_cols: dict[str, str] | None = None,
                     op_col: str = "op",
                     strategy: str = "tree",
-                    fanin: int = 16,
                     n_buckets: int | str = "auto") -> ray.data.Dataset:
     """Maintain a count/sum aggregate under a row-level changelog.
 
@@ -101,7 +100,7 @@ def apply_agg_delta(base_agg: ray.data.Dataset,
     new_state = grouped_agg(
         merged, keys,
         sum_cols={c: c for c in (count_name, *sum_cols)},
-        strategy=strategy, fanin=fanin, n_buckets=n_buckets)
+        strategy=strategy, n_buckets=n_buckets)
 
     def finalize(t: pa.Table) -> pa.Table:
         n = t.column(count_name)

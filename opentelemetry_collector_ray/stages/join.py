@@ -190,11 +190,11 @@ def _composite_bucket(t: pa.Table, keys: list[str], nb: int) -> np.ndarray:
 
 
 def build_key_bloom(ds: ray.data.Dataset, keys: list[str],
-                    m_bits: int = 1 << 23, n_hashes: int = 5,
-                    fanin: int = 8) -> np.ndarray:
+                    m_bits: int = 1 << 23,
+                    n_hashes: int = 5) -> np.ndarray:
     """Bloom filter over a dataset's (composite) key — packed bit array
     (``m_bits / 8`` uint8 bytes). Mergeable: per-batch bit arrays OR
-    together (tree reduce, no shuffle). ~1 MB at the default 2^23 bits
+    together (one merge task, no shuffle). ~1 MB at the default 2^23 bits
     ≈ 1% false positives for 10^6 distinct keys with 5 hashes — sized
     to broadcast."""
     if m_bits % 8 or m_bits <= 0:
@@ -225,7 +225,7 @@ def build_key_bloom(ds: ray.data.Dataset, keys: list[str],
 
     parts = ds.select_columns(keys).map_batches(
         partial, batch_format="pyarrow")
-    row = tree_reduce_single(parts, merge, fanin=fanin)
+    row = tree_reduce_single(parts, merge)
     if row is None:
         # empty key side: the all-zero bloom (drops every probe —
         # exactly what an inner/semi join against nothing should do)

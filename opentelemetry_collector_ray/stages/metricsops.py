@@ -30,6 +30,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from .aggregate import grouped_count
+from .treereduce import combine_all
 
 
 def exp_bucket_index(vals: np.ndarray, scale: int = 0) -> np.ndarray:
@@ -634,8 +635,8 @@ def _multi_key_change(t: pa.Table, keys: list[str]) -> np.ndarray:
 
 
 def grouped_ohlc(ds: ray.data.Dataset, keys: list[str],
-                 order_cols: list[str], value_col: str, *,
-                 fanin: int = 16) -> ray.data.Dataset:
+                 order_cols: list[str],
+                 value_col: str) -> ray.data.Dataset:
     """Per-key OHLC candle — the classic gauge downsample every metrics
     backend materializes (the Gauge last-sample semantic of
     ``pdata/pmetric/metric_type.go:11-17`` extended to the full candle):
@@ -645,10 +646,10 @@ def grouped_ohlc(ds: ray.data.Dataset, keys: list[str],
     Two-phase mergeable aggregate: per-batch partials (ONE Arrow sort +
     segment head/tail per 64k batch — each partial carries the order
     tuple of its open/close candidate, which is what makes first/last
-    mergeable) → tree combine. Map-only; requires the distinct key set
-    to fit one task (bounded roll-up keys, e.g. day×type), same
-    precondition as ``grouped_agg(strategy="tree")``. ``value_col``
-    must be integer (cents-style lanes) so min/max/count stay exact."""
+    mergeable) → one combine task. No sort exchange; requires the
+    distinct key set to fit one task (bounded roll-up keys, e.g.
+    day×type), same precondition as ``grouped_agg(strategy="tree")``.
+    ``value_col`` must be integer (cents-style lanes) so min/max/count stay exact."""
     ocols = list(order_cols)
     sort_spec = [(k, "ascending") for k in keys] \
         + [(c, "ascending") for c in ocols]
@@ -721,12 +722,8 @@ def grouped_ohlc(ds: ray.data.Dataset, keys: list[str],
     sel = ds.select_columns(list(keys) + ocols + [value_col])
     part = sel.map_batches(partial, batch_format="pyarrow",
                            batch_size=65536)
-    lvl1 = part.repartition(fanin).map_batches(
-        combine, batch_format="pyarrow", batch_size=None)
-    fin = lvl1.repartition(1).map_batches(
-        combine, batch_format="pyarrow", batch_size=None)
-    return fin.map_batches(lambda t: t.drop_columns(drop),
-                           batch_format="pyarrow")
+    return combine_all(part, combine).map_batches(
+        lambda t: t.drop_columns(drop), batch_format="pyarrow")
 
 
 def hist_quantile_linear(hist: ray.data.Dataset, keys: list[str],

@@ -62,7 +62,7 @@ def rollup_agg(ds: Dataset, keys: list[str],
                max_cols: dict[str, str] | None = None,
                sets: list[tuple[int, ...]] | None = None,
                grouping_id_name: str = "grouping_id",
-               strategy: str = "tree", fanin: int = 16,
+               strategy: str = "tree",
                n_buckets: int | str = "auto") -> Dataset:
     """``GROUP BY ROLLUP(*keys)`` (default) or explicit ``GROUPING
     SETS`` given as tuples of key INDICES (``sets=[(0, 1), (0,), ()]``
@@ -111,7 +111,7 @@ def rollup_agg(ds: Dataset, keys: list[str],
 
     fine = grouped_agg(ds, keys, count_name=count_name, sum_cols=sum_cols,
                        min_cols=min_cols, max_cols=max_cols,
-                       strategy=strategy, fanin=fanin, n_buckets=n_buckets)
+                       strategy=strategy, n_buckets=n_buckets)
 
     value_cols = ([count_name] if count_name else []) + \
         list(sum_cols or {}) + list(min_cols or {}) + list(max_cols or {})

@@ -5,7 +5,7 @@ stages/spanops.grouped_exact_quantiles).
 
 The mergeable-sketch pattern for unbounded-cardinality aggregates at
 10^12-row scale: each batch reduces to ONE bounded-size summary,
-summaries merge associatively (tree reduce, no shuffle), and the final
+summaries merge associatively in one task (no shuffle), and the final
 estimate reads one summary. HLL per Flajolet et al. 2007 with the
 small-range linear-counting correction; KLL per Karnin-Lang-Liberty 2016
 (levelled compactors, weight 2^level, ~1.65/k rank error).
@@ -80,11 +80,10 @@ def _merge_regs(t: pa.Table) -> pa.Table:
     return pa.table({"regs": pa.array([merged.tobytes()], pa.binary())})
 
 
-def approx_distinct(ds: ray.data.Dataset, col: str, p: int = 12,
-                    fanin: int = 8) -> float:
+def approx_distinct(ds: ray.data.Dataset, col: str, p: int = 12) -> float:
     """Approximate COUNT(DISTINCT col): per-batch HLL registers →
-    element-wise-max tree merge → estimate. Relative error ≈ 1.04/√(2^p)
-    (~1.6% at p=12); the whole exchange moves fanin+1 rows of 2^p bytes."""
+    one element-wise-max merge → estimate. Relative error ≈ 1.04/√(2^p)
+    (~1.6% at p=12); the exchange moves one row of 2^p bytes per block."""
     from .treereduce import tree_reduce_single
 
     # project only when the schema is already known: select_columns on a
@@ -95,7 +94,7 @@ def approx_distinct(ds: ray.data.Dataset, col: str, p: int = 12,
     if sch is not None and col in sch.base_schema.names:
         ds = ds.select_columns([col])
     partial = ds.map_batches(HllPartial(col, p), batch_format="pyarrow")
-    row = tree_reduce_single(partial, _merge_regs, fanin=fanin)
+    row = tree_reduce_single(partial, _merge_regs)
     if row is None:  # empty stream has 0 distinct values
         return 0.0
     return _estimate(np.frombuffer(row["regs"], dtype=np.uint8))
@@ -287,15 +286,15 @@ def _merge_kll(t: pa.Table) -> pa.Table:
 
 def approx_quantiles(ds: ray.data.Dataset, col: str,
                      qs: tuple[float, ...] = (0.5, 0.95, 0.99),
-                     k: int = 200, fanin: int = 8) -> dict[str, float]:
+                     k: int = 200) -> dict[str, float]:
     """Approximate quantiles of an unbounded numeric column: per-batch KLL
-    partials → tree merge (fanin+1 sketch rows move, never the data) →
-    driver reads ONE sketch. Rank error ≈ 1.65/k (~0.8% at k=200)."""
+    partials → one merge (one sketch row per block moves, never the
+    data) → driver reads ONE sketch. Rank error ≈ 1.65/k (~0.8% at k=200)."""
     from .treereduce import tree_reduce_single
 
     partial = ds.select_columns([col]).map_batches(
         KllPartial(col, k), batch_format="pyarrow")
-    row = tree_reduce_single(partial, _merge_kll, fanin=fanin)
+    row = tree_reduce_single(partial, _merge_kll)
     if row is None:  # empty stream: no quantiles to read
         return {f"p{int(round(q * 100))}": float("nan") for q in qs}
     s = KllSketch.from_bytes(row["kll"])
@@ -416,23 +415,23 @@ def _merge_cms(t: pa.Table) -> pa.Table:
 
 
 def cms_build(ds: ray.data.Dataset, col: str, width: int = 4096,
-              depth: int = 4, fanin: int = 8) -> np.ndarray:
+              depth: int = 4) -> np.ndarray:
     """Count-Min frequency sketch of a column: per-batch (depth×width)
-    count matrices → element-wise-sum tree merge (counts are linear, so
+    count matrices → one element-wise-sum merge (counts are linear, so
     the merged sketch EQUALS the single-pass sketch bit-for-bit — no
     layout sensitivity). Returns the (depth, width) int64 matrix.
 
     Point-estimate guarantees: est ≥ true always (one-sided);
     est ≤ true + εN with probability ≥ 1-δ for ε = e/width,
-    δ = e^-depth. The whole exchange moves fanin+1 rows of
-    depth×width×8 bytes."""
+    δ = e^-depth. The exchange moves one row of depth×width×8 bytes per
+    block."""
     if width < 2 or depth < 1:
         raise ValueError("cms_build: need width >= 2 and depth >= 1")
     from .treereduce import tree_reduce_single
 
     partial = ds.select_columns([col]).map_batches(
         CmsPartial(col, width, depth), batch_format="pyarrow")
-    row = tree_reduce_single(partial, _merge_cms, fanin=fanin)
+    row = tree_reduce_single(partial, _merge_cms)
     if row is None:  # empty stream: the all-zero sketch
         return np.zeros((depth, width), np.int64)
     return np.frombuffer(row["cms"], dtype=np.int64).reshape(depth, width)
@@ -531,15 +530,15 @@ def _mg_merge(capacity: int):
 
 
 def heavy_hitters(make_ds, col: str, k: int, *, capacity: int | None = None,
-                  count_name: str = "n", persist: str = "none",
-                  fanin: int = 8) -> ray.data.Dataset:
+                  count_name: str = "n",
+                  persist: str = "none") -> ray.data.Dataset:
     """EXACT frequent items: every value whose frequency exceeds n/k
     (strictly; n = non-null rows, SQL ``HAVING count(*)*k > n``), found
     without ever shuffling the raw column.
 
     Pass 1: per-batch exact value_counts compressed to ``capacity``
-    (default 2k) -> associative merge-then-compress tree (the whole
-    exchange moves fanin+1 summaries of <= capacity+1 skinny rows).
+    (default 2k) -> one associative merge-then-compress task (the
+    exchange moves one summary of <= capacity+1 skinny rows per block).
     The merged summary's undercount is bounded by n/(capacity+1), so
     with capacity >= k it contains every above-threshold value
     (validated loudly). Pass 2: exact tree recount of only the
@@ -549,6 +548,7 @@ def heavy_hitters(make_ds, col: str, k: int, *, capacity: int | None = None,
     (two passes; see ``bucketing.persisted_factory`` for ``persist=``)."""
     from .aggregate import grouped_count
     from .bucketing import persisted_factory
+    from .treereduce import combine_all
 
     if k < 2:
         raise ValueError("heavy_hitters: need k >= 2")
@@ -560,12 +560,9 @@ def heavy_hitters(make_ds, col: str, k: int, *, capacity: int | None = None,
             "must not exceed the n/k threshold)")
     make_ds = persisted_factory(make_ds, persist)
 
-    summary = make_ds().select_columns([col]).map_batches(
-        MgPartial(col, capacity), batch_format="pyarrow") \
-        .repartition(fanin).map_batches(
-            _mg_merge(capacity), batch_format="pyarrow", batch_size=None) \
-        .repartition(1).map_batches(
-            _mg_merge(capacity), batch_format="pyarrow", batch_size=None)
+    summary = combine_all(make_ds().select_columns([col]).map_batches(
+        MgPartial(col, capacity), batch_format="pyarrow"),
+        _mg_merge(capacity))
     # <= capacity+1 skinny rows — bounded; pull as ARROW to keep the
     # value column's exact type for is_in and the empty-path schema
     # (materialize first: to_arrow_refs on a lazy dataset re-executes
@@ -589,7 +586,7 @@ def heavy_hitters(make_ds, col: str, k: int, *, capacity: int | None = None,
     counted = grouped_count(
         make_ds().select_columns([col]).map_batches(
             keep_cands, batch_format="pyarrow"),
-        [col], count_name=count_name, strategy="tree", fanin=fanin)
+        [col], count_name=count_name, strategy="tree")
 
     def threshold(t: pa.Table) -> pa.Table:
         ok = pc.greater(pc.multiply_checked(

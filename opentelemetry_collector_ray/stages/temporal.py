@@ -61,13 +61,13 @@ def cumulative_to_delta(ds: ray.data.Dataset, key: str, order_col: str,
     value — the series start resets, matching cumulative semantics).
 
     ``resets="otel"`` applies the cumulativetodelta processor's
-    counter-RESET rule (reference
-    ``processor/cumulativetodeltaprocessor`` semantics / the OTLP sum
-    monotonic contract): when a cumulative value DROPS below its
-    predecessor the counter restarted, so the delta is the new value
-    itself rather than a negative difference. ``reset_col`` (optional)
-    additionally emits a 0/1 lane marking the reset points — the
-    restart-frequency audit. ``resets="diff"`` (default) keeps the
+    counter-RESET rule (opentelemetry-collector-contrib's
+    ``processor/cumulativetodeltaprocessor``, not a core-collector
+    component; also the OTLP sum monotonic contract): when a cumulative
+    value DROPS below its predecessor the counter restarted, so the delta
+    is the new value itself rather than a negative difference.
+    ``reset_col`` (optional) additionally emits a 0/1 lane marking the
+    reset points — the restart-frequency audit. ``resets="diff"`` (default) keeps the
     plain ordered difference."""
     if resets not in ("diff", "otel"):
         raise ValueError(f"cumulative_to_delta: unknown resets={resets!r}")

@@ -165,3 +165,38 @@ def test_severity_number_mapping():
          "bogus", None])])
     assert severity_number(col).to_pylist() == \
         [1, 5, 9, 13, 13, 17, 21, 0, 0]
+
+
+def test_write_prom_text_help_header_per_metric(ray_session, tmp_path):
+    """``# HELP <metric> <text>``, once per distinct metric name in a
+    page, just before that name's first sample; the samples read back
+    exactly as written."""
+    import os
+
+    import ray.data
+
+    from opentelemetry_collector_ray.sources.textlog import (
+        read_prom_text, write_prom_text)
+
+    t = pa.table({
+        "metric": ["req_total", "req_total", "mem_bytes", "req_total"],
+        "labels": ['code="200"', 'code="500"', "", 'code="404"'],
+        "value": pa.array([7, 1, 4096, 2], pa.int64()),
+        "ts_ms": pa.array([10, None, 12, 13], pa.int64())})
+    out = tmp_path / "prom"
+    assert write_prom_text(ray.data.from_arrow(t), str(out),
+                           help_text="from the test") == 4
+    (page,) = [out / f for f in os.listdir(out)]
+    lines = page.read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("#")] == [
+        "# HELP req_total from the test", "# HELP mem_bytes from the test"]
+    assert lines[0] == "# HELP req_total from the test"
+    assert lines[lines.index("# HELP mem_bytes from the test") + 1] \
+        == "mem_bytes 4096 12"
+    back = read_prom_text([str(page)]).take_all()
+    assert [(r["metric"], r["labels"], r["value"], r["ts_ms"])
+            for r in back] == [
+        ("req_total", 'code="200"', "7", 10),
+        ("req_total", 'code="500"', "1", None),
+        ("mem_bytes", "", "4096", 12),
+        ("req_total", 'code="404"', "2", 13)]
