@@ -153,14 +153,12 @@ service:
 
 def _q_conv_stats(sf_dir: str):
     """Unbounded-key grouped aggregate (per-conversation stats) — exercises
-    the hash-shuffle strategy with per-batch partials (skew-neutralizing)."""
+    the bucket strategy with per-batch partials (skew-neutralizing)."""
     from opentelemetry_collector_ray.stages.aggregate import grouped_agg
 
     turns = _turns(sf_dir).select_columns(["conv_id", "ts"])
-    # "bucket" measured 2× over "shuffle" here (int-bucket exchange beats
-    # the string-key sort-groupby). Trade-off: a pathologically hot
-    # conversation lands wholly in one bucket task — deployments with
-    # skewed conv_ids should pass strategy="shuffle" (salted partials).
+    # per-batch partials, then an int-bucket exchange: a hot conversation
+    # sends at most one partial row per batch to its bucket task.
     return grouped_agg(turns, ["conv_id"], count_name="n_turns",
                        min_cols={"first_ts": "ts"}, max_cols={"last_ts": "ts"},
                        strategy="bucket")
@@ -1588,7 +1586,7 @@ def _q_events_gap_stats(sf_dir: str):
                        sum_cols={"sum_gap_us": "gap_us"},
                        min_cols={"min_gap_us": "gap_us"},
                        max_cols={"max_gap_us": "gap_us"},
-                       strategy="shuffle")
+                       strategy="bucket")
 
 
 def _q_events_twa(sf_dir: str):
@@ -1622,7 +1620,7 @@ def _q_events_twa(sf_dir: str):
 
     agg = grouped_agg(ds.map_batches(weighted, batch_format="pyarrow"),
                       ["user_id"], sum_cols={"w": "w", "dt": "dt"},
-                      strategy="shuffle")
+                      strategy="bucket")
 
     def finish(t: pa.Table) -> pa.Table:
         w = t.column("w").to_numpy(zero_copy_only=False)
@@ -2009,7 +2007,7 @@ def _q_events_peak_rate(sf_dir: str):
         "user_id", ["ts"], {"w1h": ("rolling_count", 3_600_000_000)})
     return grouped_agg(ds.select_columns(["user_id", "w1h"]),
                        ["user_id"], max_cols={"peak_1h": "w1h"},
-                       strategy="shuffle")
+                       strategy="bucket")
 
 
 def _q_docs_hybrid_rank(sf_dir: str):
@@ -2078,7 +2076,7 @@ def _q_events_user_hhi(sf_dir: str):
 
     counts = grouped_count(
         _read_co(sf_dir, "events", ["user_id", "event_type"], floor=8),
-        ["user_id", "event_type"], count_name="_n", strategy="shuffle")
+        ["user_id", "event_type"], count_name="_n", strategy="bucket")
 
     def hhi(t: pa.Table) -> pa.Table:
         t = t.sort_by([("user_id", "ascending")])
@@ -2158,9 +2156,9 @@ def _q_docs_corpus_summary(sf_dir: str):
             lambda t, c=col: t.drop_null(), batch_format="pyarrow")
 
     n_langs = grouped_count(_nonnull("lang"), ["lang"],
-                            count_name="_n", strategy="shuffle").count()
+                            count_name="_n", strategy="bucket").count()
     n_unique = grouped_count(_nonnull("text"), ["text"],
-                             count_name="_n", strategy="shuffle").count()
+                             count_name="_n", strategy="bucket").count()
     import ray.data
 
     return ray.data.from_arrow(pa.table({
@@ -2454,7 +2452,7 @@ def _q_docs_top_terms_per_lang(sf_dir: str):
     counts = grouped_count(
         _read_co(sf_dir, "documents", ["lang", "text"],
                  floor=8).map_batches(explode, batch_format="pyarrow"),
-        ["lang", "term"], count_name="n", strategy="shuffle")
+        ["lang", "term"], count_name="n", strategy="bucket")
     return grouped_topk(counts, "lang", "n", k=5, tiebreak="term",
                         rank_name="rk")
 
@@ -3289,7 +3287,7 @@ def _q_events_topk_per_type(sf_dir: str):
 
     counts = grouped_count(
         _read_co(sf_dir, "events", ["event_type", "user_id"], floor=8),
-        ["event_type", "user_id"], count_name="n", strategy="shuffle")
+        ["event_type", "user_id"], count_name="n", strategy="bucket")
     return grouped_topk(counts, "event_type", "n", k=3,
                         tiebreak="user_id")
 
@@ -4247,7 +4245,7 @@ def _q_tpch_q4(sf_dir: str):
 
     dedup = grouped_agg(j.map_batches(late, batch_format="pyarrow"),
                         ["l_orderkey", "o_orderpriority"],
-                        count_name="_n", strategy="shuffle")
+                        count_name="_n", strategy="bucket")
     return grouped_count(dedup, ["o_orderpriority"],
                          count_name="order_count", strategy="tree")
 
@@ -4367,8 +4365,7 @@ def _q_events_hopping_dau(sf_dir: str):
     ds = _read_co(sf_dir, "events", ["ts", "user_id"],
                   floor=8).map_batches(expand, batch_format="pyarrow")
     return grouped_count_distinct(ds, ["window_start"], "user_id",
-                                  out_name="active_users",
-                                  final_strategy="shuffle")
+                                  out_name="active_users")
 
 
 def _q_docs_source_gini(sf_dir: str):
@@ -4397,7 +4394,7 @@ def _q_events_user_growth(sf_dir: str):
 
     ev = _read_co(sf_dir, "events", ["user_id", "ts"], floor=8)
     first = grouped_agg(ev, ["user_id"], min_cols={"_first": "ts"},
-                        strategy="shuffle")
+                        strategy="bucket")
 
     def to_day(t: pa.Table) -> pa.Table:
         day = pc.strftime(pc.floor_temporal(
@@ -4475,7 +4472,7 @@ def _q_tpch_q13(sf_dir: str):
                                         "1-URGENT"))
         .select(["o_custkey"]), batch_format="pyarrow")
     per_cust = grouped_count(orders, ["o_custkey"],
-                             count_name="_n", strategy="shuffle")
+                             count_name="_n", strategy="bucket")
     cust = _read_co(sf_dir, "customer", ["c_custkey"], floor=4)
     j = shuffle_hash_join(cust, per_cust, key="c_custkey",
                           right_key="o_custkey", how="left")
@@ -4516,8 +4513,7 @@ def _q_tpch_q16(sf_dir: str):
     ok = shuffle_hash_join(j, bad, key="l_suppkey",
                            right_key="s_suppkey", how="anti")
     return grouped_count_distinct(ok, ["p_brand", "p_type", "p_size"],
-                                  "l_suppkey", out_name="supplier_cnt",
-                                  final_strategy="shuffle")
+                                  "l_suppkey", out_name="supplier_cnt")
 
 
 def _q_tpch_q17(sf_dir: str):
@@ -4548,7 +4544,7 @@ def _q_tpch_q17(sf_dir: str):
     stats = grouped_count(sliced.select_columns(["l_partkey", "qty_c"]),
                           ["l_partkey"], count_name="_n",
                           sum_cols={"_sum_qty": "qty_c"},
-                          strategy="shuffle")
+                          strategy="bucket")
     j = shuffle_hash_join(sliced, stats, key="l_partkey", how="inner")
 
     def keep(t: pa.Table) -> pa.Table:
@@ -4719,7 +4715,7 @@ def _q_tpch_q2(sf_dir: str):
                            right_key="s_suppkey")
     mins = grouped_agg(pairs.select_columns(["l_partkey", "bal_c"]),
                        ["l_partkey"], min_cols={"_min_c": "bal_c"},
-                       strategy="shuffle")
+                       strategy="bucket")
     j = shuffle_hash_join(pairs, mins, key="l_partkey", how="inner")
 
     def finish(t: pa.Table) -> pa.Table:
@@ -4947,7 +4943,7 @@ def _q_tpch_q11(sf_dir: str):
     li = broadcast_join(li, supp, key="l_suppkey", right_key="s_suppkey")
     vals = grouped_agg(li.select_columns(["l_partkey", "qty_c"]),
                        ["l_partkey"], sum_cols={"value_cents": "qty_c"},
-                       strategy="shuffle").materialize()
+                       strategy="bucket").materialize()
     total = int(vals.sum("value_cents") or 0)
     n_parts = int(vals.count())
     return vals.map_batches(
@@ -4984,7 +4980,7 @@ def _q_tpch_q15(sf_dir: str):
         prep, batch_format="pyarrow")
     rev = grouped_agg(li, ["l_suppkey"],
                       sum_cols={"total_revenue_cents": "cents"},
-                      strategy="shuffle").materialize()
+                      strategy="bucket").materialize()
     best = int(rev.max("total_revenue_cents"))
     top = rev.map_batches(
         lambda t: t.filter(pc.equal(t.column("total_revenue_cents"),
@@ -5082,7 +5078,7 @@ def _q_tpch_q20(sf_dir: str):
                        t.column("total_c"))))
         .select(["l_suppkey"]), batch_format="pyarrow")
     supps = grouped_count(excess, ["l_suppkey"], count_name="_n",
-                          strategy="shuffle")
+                          strategy="bucket")
     names = _side_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     return broadcast_join(supps, names, key="l_suppkey",
                           right_key="s_suppkey").map_batches(
@@ -5150,7 +5146,7 @@ def _q_tpch_q21(sf_dir: str):
                                  bucket_fn=per_order)
     counts = grouped_agg(partials, ["l_suppkey"],
                          sum_cols={"numwait": "numwait_part"},
-                         strategy="shuffle")
+                         strategy="bucket")
     names = _side_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     return broadcast_join(counts, names, key="l_suppkey",
                           right_key="s_suppkey").map_batches(
@@ -5782,7 +5778,7 @@ def _q_events_survival(sf_dir: str):
 
     subj = grouped_agg(ev.map_batches(prep, batch_format="pyarrow"),
                        ["user_id"], min_cols={"t0": "_ts", "tp": "_tp"},
-                       max_cols={"tl": "_ts"}, strategy="shuffle")
+                       max_cols={"tl": "_ts"}, strategy="bucket")
 
     def to_subject(t: pa.Table) -> pa.Table:
         end = pc.coalesce(t.column("tp"), t.column("tl"))
@@ -6859,7 +6855,7 @@ def _q_events_seasonal_outliers(sf_dir: str):
         return grouped_count(
             _read_co(sf_dir, "events", ["ts"], floor=8)
             .map_batches(prep, batch_format="pyarrow"),
-            ["day", "dh"], count_name="c", strategy="shuffle")
+            ["day", "dh"], count_name="c", strategy="bucket")
 
     return sigma_outliers(make, "c", key="dh", k=1,
                           flag_col="is_anomaly", persist="memory")
@@ -6909,7 +6905,7 @@ def _q_parts_kcore(sf_dir: str):
     pairs = grouped_count(make(), ["src", "dst"], count_name="_m",
                           strategy="bucket")
     pdeg = grouped_count(pairs.select_columns(["src"]), ["src"],
-                         count_name="n", strategy="shuffle").to_pandas()
+                         count_name="n", strategy="bucket").to_pandas()
     k = int(np.median(pdeg["n"].to_numpy()))
     return kcore(make, "src", "dst", k=k)
 
@@ -7271,7 +7267,7 @@ def _q_events_series_staleness(sf_dir: str):
     agg = grouped_agg(pre, ["user_id"], count_name="n_points",
                       min_cols={"first_us": "ts_us"},
                       max_cols={"last_us": "ts_us"},
-                      strategy="shuffle").materialize()
+                      strategy="bucket").materialize()
     import pyarrow.compute as _pc
     wm = agg.max("last_us")
 
@@ -7493,7 +7489,7 @@ def _q_events_burstiness(sf_dir: str):
     cells = grouped_count(
         _read_co(sf_dir, "events", ["user_id", "ts"], floor=8)
         .map_batches(prep, batch_format="pyarrow"),
-        ["user_id", "hr"], count_name="_c", strategy="shuffle")
+        ["user_id", "hr"], count_name="_c", strategy="bucket")
 
     def square(t: pa.Table) -> pa.Table:
         c = t.column("_c")
@@ -7503,7 +7499,7 @@ def _q_events_burstiness(sf_dir: str):
     g = grouped_count(cells.map_batches(square, batch_format="pyarrow"),
                       ["user_id"], count_name="w",
                       sum_cols={"s": "_c", "q": "_c2"},
-                      strategy="shuffle")
+                      strategy="bucket")
 
     def lanes(t: pa.Table) -> pa.Table:
         w = t.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7807,8 +7803,7 @@ def _q_parts_degree_hist(sf_dir: str):
     ds = _read_co(sf_dir, "lineitem", ["l_partkey", "l_suppkey"],
                   floor=8)
     deg = grouped_count_distinct(ds, ["l_partkey"], "l_suppkey",
-                                 out_name="degree",
-                                 final_strategy="bucket")
+                                 out_name="degree")
     return grouped_count(deg, ["degree"], count_name="n_parts",
                          strategy="tree")
 
@@ -8581,8 +8576,7 @@ def _q_events_ab_lift(sf_dir: str):
         pre.map_batches(
             lambda t: t.filter(pc.equal(t.column("is_conv"), 1)),
             batch_format="pyarrow"),
-        ["variant"], "user_id", out_name="n_conv_users",
-        final_strategy="bucket")
+        ["variant"], "user_id", out_name="n_conv_users")
     # LEFT join + zero-fill: a variant with zero conversions has no
     # conv_users row, but the oracle's COUNT(DISTINCT CASE...) still
     # emits it with 0 (review finding — inner join dropped the row)

@@ -231,7 +231,7 @@ EXPORTERS = frozenset({"parquet_sink", "jsonl_sink", "ipc_sink", "csv_sink",
 STAGES: dict[str, tuple[str, str]] = {
     "count_agg": ("aggregate:grouped_count", "keys count_name strategy"),
     "count_distinct": ("aggregate:grouped_count_distinct",
-                       "keys distinct_col out_name final_strategy"),
+                       "keys distinct_col out_name"),
     "mode_agg": ("aggregate:grouped_mode",
                  "key value_col out=out_name count_name n_buckets"),
     "string_agg": ("aggregate:grouped_string_agg",
@@ -592,7 +592,7 @@ def _register_builtins() -> None:
         return DatasetTransform(lambda ds: grouped_cont_quantiles(
             ds, cfg["key"], cfg["value"], qs=qs,
             n_buckets=cfg.get("n_buckets", 64),
-            count_strategy=cfg.get("count_strategy", "shuffle")))
+            count_strategy=cfg.get("count_strategy", "bucket")))
 
     def make_weighted_quantiles(cfg: dict):
         from .stages.spanops import grouped_weighted_quantiles

@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 _NULL_TAG = "___gs_isnull_"
+_NAN_TAG = "___gs_isnan_"
 
 
 def _first_valid_scalar(col: pa.ChunkedArray | pa.Array) -> pa.Scalar:
@@ -40,21 +41,40 @@ def _first_valid_scalar(col: pa.ChunkedArray | pa.Array) -> pa.Scalar:
     return dn[0] if isinstance(dn, pa.Array) else dn.chunk(0)[0]
 
 
+def _has_nan(col: pa.ChunkedArray) -> bool:
+    return pa.types.is_floating(col.type) and bool(
+        pc.any(pc.is_nan(col)).as_py())
+
+
 def group_aggregate(t: pa.Table, keys: list[str],
                     aggs: list, use_threads: bool = False) -> pa.Table:
     """``t.group_by(keys).aggregate(aggs)`` with SQL null semantics
     guaranteed: one group per distinct key tuple, nulls equal nulls.
 
+    NaN key cells get the same treatment: Arrow hashes float keys by bit
+    pattern, so NaNs with different sign or payload bits land in
+    separate groups, while SQL (DuckDB) has ONE NaN group. Every NaN is
+    recoded as ``(0, is_nan=True)`` and restored after the aggregate.
+
     Output columns carry pyarrow's generated names (``<col>_<fn>`` /
     ``count_all``) plus the key columns, same as the raw call — callers
     select by name, so this is a drop-in swap.
     """
+    nan_keys = [k for k in keys if _has_nan(t.column(k))]
     null_keys = [k for k in keys
-                 if len(keys) > 1 and t.column(k).null_count > 0]
-    if not null_keys:
+                 if (len(keys) > 1 or nan_keys)
+                 and t.column(k).null_count > 0]
+    if not null_keys and not nan_keys:
         return t.group_by(keys, use_threads=use_threads).aggregate(aggs)
     work = t
     group_cols = list(keys)
+    for k in nan_keys:
+        col = work.column(k)
+        is_nan = pc.fill_null(pc.is_nan(col), False)
+        work = work.set_column(work.schema.get_field_index(k), k,
+                               pc.if_else(is_nan, pa.scalar(0, col.type), col))
+        work = work.append_column(_NAN_TAG + k, is_nan)
+        group_cols.append(_NAN_TAG + k)
     all_null: dict[str, pa.DataType] = {}
     for k in null_keys:
         col = work.column(k)
@@ -80,6 +100,13 @@ def group_aggregate(t: pa.Table, keys: list[str],
         col = g.column(k)
         restored = pc.if_else(g.column(tag),
                               pa.scalar(None, col.type), col)
+        g = g.set_column(g.schema.get_field_index(k), k, restored)
+        g = g.drop_columns([tag])
+    for k in nan_keys:
+        tag = _NAN_TAG + k
+        col = g.column(k)
+        restored = pc.if_else(g.column(tag),
+                              pa.scalar(float("nan"), col.type), col)
         g = g.set_column(g.schema.get_field_index(k), k, restored)
         g = g.drop_columns([tag])
     return g

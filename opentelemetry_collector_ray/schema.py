@@ -96,7 +96,7 @@ def check_unique_turn_ids(ds) -> int:
 
     counts = grouped_count(ds.select_columns(["conv_id", "turn_idx"]),
                            ["conv_id", "turn_idx"], count_name="n",
-                           strategy="shuffle")
+                           strategy="bucket")
     import pyarrow.compute as pc2
 
     dups = counts.map_batches(

@@ -8,11 +8,12 @@ aggregate is per ``(conv_id, role, tool, time-bucket)`` turn counts.
 Scale design (SURVEY.md §4.3): a bare ``groupby().aggregate()`` shuffles
 every row. Here each batch is first reduced with a vectorized
 ``pyarrow.Table.group_by`` (the combiner — one output row per distinct key
-per batch), and only the partials go through Ray's hash shuffle, then a
-final ``groupby().aggregate(Sum)`` merges them. This is the two-phase
-partial/final discipline; it also neutralizes hot-key skew for counts
-(a hot conv_id contributes ≤1 row per batch to the shuffle — the salting
-degenerate case where the batch index acts as the salt).
+per batch), and only the partials move. Two ways to merge them:
+``strategy="tree"`` folds every partial in ONE task (bounded roll-up
+keys); ``strategy="bucket"`` hash-buckets the partials by the first key
+and merges each bucket in one task (unbounded keys). Either way a hot key
+contributes ≤1 row per batch to the merge — the salting degenerate case
+where the batch index acts as the salt.
 """
 
 from __future__ import annotations
@@ -135,50 +136,31 @@ def grouped_agg(ds: Dataset, keys: list[str], count_name: str | None = None,
 
     strategy="tree": per-batch partials, then ONE combine task over all of
     them (no sort, no hash shuffle) — requires the distinct key set to fit
-    one task (bounded roll-up keys). strategy="shuffle": Ray hash
-    groupby over the partials — for unbounded keys (e.g. conv_id at 10^12
-    scale); the partials bound the shuffle to ≤ |keys in batch| rows per
-    block, which also neutralizes hot-key skew for these mergeable
-    aggregates (a hot key contributes one partial row per batch, so the
-    per-key reduce input is #blocks, not #rows — batch-index-as-salt).
-    strategy="bucket": hash-bucket the raw rows by keys[0] and run ONE
-    Arrow group_by per bucket — exact (a key tuple's rows share keys[0],
-    hence a bucket) and measured ~2× over "shuffle" at 2M rows/30k keys:
-    Ray's sort-based groupby on STRING partial keys costs more than
-    exchanging the raw skinny rows by int bucket. Prefer it when the
-    grouped columns are already narrow; prefer "shuffle" when the
-    pre-exchange reduction is large (wide rows, few keys per batch) or the
-    key distribution is SKEWED — bucket places ALL raw rows of a hot key
-    in one task, while shuffle's per-batch partials bound a hot key to one
-    row per 64k-row batch (batch-index-as-salt).
-    """
-    stage = PartialAggStage(keys, count_name, sum_cols, min_cols, max_cols)
-    if strategy == "bucket":
-        from .bucketing import bucketed_map_groups
+    one task (bounded roll-up keys).
 
-        return bucketed_map_groups(ds, keys[0], stage, n_buckets=n_buckets)
+    strategy="bucket": for unbounded keys (e.g. conv_id at 10^12 scale).
+    Each 64k-row batch first reduces to one partial row per distinct key
+    (projected to the key and aggregate columns), then the partials are
+    hash-bucketed by keys[0] and ONE Arrow group_by per bucket merges them
+    — exact, since a key tuple's partials share keys[0], hence a bucket.
+    A hot key sends at most one row per batch into the exchange (the
+    batch index acts as the salt), and the exchange sorts an int bucket
+    id, never the string keys themselves.
+    """
+    if strategy not in ("tree", "bucket"):
+        raise ValueError(f"unknown aggregate strategy {strategy!r}: "
+                         "use \"tree\" or \"bucket\"")
+    stage = PartialAggStage(keys, count_name, sum_cols, min_cols, max_cols)
     combine = CombineStage(keys, stage.out_cols,
                            min_cols=tuple(min_cols or {}),
                            max_cols=tuple(max_cols or {}))
-    if strategy == "shuffle":
-        # Unbounded keys: stronger per-task reduction BEFORE the exchange is
-        # the lever — combine over 64k-row batches (not raw blocks) so each
-        # partial covers many blocks' worth of keys, then one hash-partition
-        # groupby over the reduced rows. Measured on 2M rows / 30k convs at
-        # 32 CPUs: 6.5s (block-sized partials) → 3.4s (64k partials). Hot
-        # keys are neutralized by the partials (≤1 row per key per batch
-        # reaches the exchange — batch-index-as-salt).
+    if strategy == "bucket":
+        from .bucketing import bucketed_map_groups
+
         partial = ds.map_batches(stage, batch_format="pyarrow",
                                  batch_size=65536)
-        aggs = []
-        for c in stage.out_cols:
-            if min_cols and c in min_cols:
-                aggs.append(Min(c, alias_name=c))
-            elif max_cols and c in max_cols:
-                aggs.append(Max(c, alias_name=c))
-            else:
-                aggs.append(Sum(c, alias_name=c))
-        return partial.groupby(keys).aggregate(*aggs)
+        return bucketed_map_groups(partial, keys[0], combine,
+                                   n_buckets=n_buckets)
     return combine_all(ds.map_batches(stage, batch_format="pyarrow"),
                        combine)
 
@@ -196,27 +178,20 @@ def grouped_count(ds: Dataset, keys: list[str], count_name: str = "n_turns",
     route×role×tool×time-bucket — the north-star aggregate): the final
     task reads at most |keys| partial rows per input block.
 
-    strategy="shuffle": fall back to Ray's hash-partitioned
-    groupby().aggregate(Sum) for unbounded key cardinality (e.g. grouping
-    by conv_id itself); partials still shrink the shuffle to ≤|keys per
-    batch| rows per block. strategy="bucket": int-bucket exchange of the
-    raw rows + one Arrow group_by per bucket (see grouped_agg) — the
-    result stays DISTRIBUTED (per-bucket exact counts), unlike "tree"
+    strategy="bucket": the count/sum subset of :func:`grouped_agg`'s
+    bucket path — per-batch partials, one int-bucket exchange, one Arrow
+    group_by per bucket. The result stays DISTRIBUTED, unlike "tree"
     whose final combine holds the whole key set in one task.
     """
-    if strategy == "bucket":
-        # count+sum is the count_name/sum_cols subset of grouped_agg
+    if strategy != "tree":
         return grouped_agg(ds, keys, count_name=count_name,
-                           sum_cols=sum_cols, strategy="bucket",
+                           sum_cols=sum_cols, strategy=strategy,
                            n_buckets=n_buckets)
     value_cols = [count_name] + list(sum_cols or {})
     partial = ds.map_batches(
         PartialCountStage(keys, count_name=count_name, sum_cols=sum_cols),
         batch_format="pyarrow",
     )
-    if strategy == "shuffle":
-        aggs = [Sum(c, alias_name=c) for c in value_cols]
-        return partial.groupby(keys).aggregate(*aggs)
     return combine_all(partial, CombineStage(keys, value_cols))
 
 
@@ -229,8 +204,8 @@ def count_distinct(ds: Dataset, cols: list[str],
                    out_name: str = "n_distinct") -> Dataset:
     """Exact distinct count, two-phase: per-batch distinct key rows (the
     mergeable 'sketch' for exact distinct) → one merge task → count.
-    Shuffle-free; requires the distinct set to fit one task (else use the
-    grouped shuffle path or an approximate sketch)."""
+    Shuffle-free; requires the distinct set to fit one task (else use
+    the bucket strategy or an approximate sketch)."""
     def distinct(batch: pa.Table) -> pa.Table:
         return group_aggregate(batch, cols, [])
 
@@ -242,76 +217,31 @@ def count_distinct(ds: Dataset, cols: list[str],
 def grouped_count_distinct(ds: Dataset, keys: list[str],
                            distinct_col: str,
                            out_name: str = "n_distinct",
-                           final_strategy: str = "tree",
                            n_buckets: int | str = "auto") -> Dataset:
-    """EXACT per-key COUNT(DISTINCT distinct_col) — two chained
-    two-phase counts: phase 1 reduces the corpus to its distinct
-    (keys, distinct_col) rows (shuffle strategy — the (key, value)
-    domain is unbounded and skew-neutralized by the per-batch
-    partials), phase 2 counts those rows per key
-    (``final_strategy="tree"`` for bounded roll-up keys — the default
-    use; pass ``"shuffle"`` for unbounded keys). Nothing ever holds a
-    key's raw rows in one task; only distinct pairs flow.
+    """EXACT per-key COUNT(DISTINCT distinct_col). Each 64k-row batch
+    first reduces to its distinct (keys, distinct_col) rows, then ONE
+    hash-bucket exchange on ``keys[0]`` brings every key's pairs to one
+    task, where two Arrow group_bys dedupe the pairs and count them per
+    key. Only distinct pairs flow; null keys form one group (SQL GROUP
+    BY), null values are not counted (SQL COUNT(DISTINCT)). ONE key's
+    whole distinct-value set must fit its bucket task."""
+    from .bucketing import bucketed_map_groups
 
-    ``final_strategy="bucket"`` replaces BOTH chained sort aggregates
-    with per-batch Arrow pre-dedupe + ONE hash-bucket exchange on
-    ``keys[0]`` and a single vectorized distinct-count pass per bucket
-    — the weighted-median lesson applied to count-distinct: a
-    near-unique (key, value) composite pays full sort-exchange freight
-    twice on the default path (measured 10.2 s → 0.4 s on the sf0.1
-    part–supplier degree query, and 23.1 s → 0.6 s on a 4M-row /
-    100k-key synthetic with a 20% hot key — the sort freight
-    dominates even under skew). The REAL bucket-path limit is memory
-    shape, not speed: ONE key's whole distinct-value set must fit its
-    bucket task (the default path bounds a hot key to one partial row
-    per batch per value instead) — keep the default when a single key
-    may carry hundreds of millions of distinct values."""
-    def drop_nulls(t: pa.Table) -> pa.Table:
-        # SQL COUNT(DISTINCT) ignores NULLs; Arrow group_by would count
-        # the null group as a distinct value (review finding)
-        return t.filter(pc.is_valid(t.column(distinct_col)))
+    cols = keys + [distinct_col]
 
-    pre = ds.select_columns(keys + [distinct_col]).map_batches(
-        drop_nulls, batch_format="pyarrow")
-    if final_strategy == "bucket":
-        from .bucketing import bucketed_map_groups
+    def batch_distinct(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t.column(distinct_col)))
+        return group_aggregate(t, cols, [])
 
-        from .bucketing import multi_key_change
+    def per_bucket(t: pa.Table) -> pa.Table:
+        g = group_aggregate(group_aggregate(t, cols, []), keys,
+                            [([], "count_all")])
+        return pa.table({**{k: g.column(k) for k in keys},
+                         out_name: g.column("count_all")})
 
-        def batch_distinct(t: pa.Table) -> pa.Table:
-            for k in keys:
-                if t.column(k).null_count:
-                    raise ValueError(
-                        f"grouped_count_distinct(bucket): key column "
-                        f"{k!r} has nulls — SQL groups nulls together, "
-                        "the vectorized mask would not; use the "
-                        "default strategy or fill them upstream")
-            return t.group_by(keys + [distinct_col]).aggregate([])
-
-        def per_bucket(t: pa.Table) -> pa.Table:
-            t = t.sort_by([(k, "ascending") for k in
-                           keys + [distinct_col]])
-            # distinct_col is null-free here (drop_nulls upstream)
-            mask = multi_key_change(t, keys + [distinct_col])
-            kmask = multi_key_change(t, keys)
-            starts = np.flatnonzero(kmask)
-            counts = np.add.reduceat(mask.astype(np.int64), starts) \
-                if len(starts) else np.empty(0, np.int64)
-            heads = t.take(pa.array(starts.astype(np.int64)))
-            return pa.table(
-                {**{k: heads.column(k) for k in keys},
-                 out_name: pa.array(counts)})
-
-        dd = pre.map_batches(batch_distinct, batch_format="pyarrow",
-                             batch_size=65536)
-        return bucketed_map_groups(dd, keys[0], per_bucket,
-                                   n_buckets=n_buckets)
-    dd = grouped_count(pre, keys + [distinct_col], count_name="_dc",
-                       strategy="shuffle")
-    # phase 2 groups by `keys` only — the extra _dc column is ignored
-    # by PartialCountStage, no projection pass needed
-    return grouped_count(dd, keys, count_name=out_name,
-                         strategy=final_strategy)
+    dd = ds.select_columns(cols).map_batches(
+        batch_distinct, batch_format="pyarrow", batch_size=65536)
+    return bucketed_map_groups(dd, keys[0], per_bucket, n_buckets=n_buckets)
 
 
 class VectorSumStage:
@@ -445,7 +375,7 @@ def exact_global_quantile(ds: Dataset, col: str, q: float,
     the per-key quantile ops agrees only at some q, e.g. 0.5).
 
     Scale shape: the 10^12-row input reduces to one count per DISTINCT
-    VALUE (shuffle-strategy grouped count — mergeable, skew-neutral);
+    VALUE (tree-strategy grouped count, behind an HLL screen);
     only that value-count table (bounded by the value domain, not the row
     count) reaches the driver. The two-pass global-threshold pattern:
     call this, then filter with the returned scalar broadcast into the
@@ -518,7 +448,7 @@ def grouped_mode(ds: Dataset, key: str, value_col: str,
     """EXACT per-key mode (most frequent ``value_col``) with the SQL-
     mirrorable deterministic tie-break: highest count, then SMALLEST
     value. Two phases: the corpus first reduces to its distinct
-    (key, value, n) rows (shuffle grouped count — unbounded-key safe,
+    (key, value, n) rows (bucket grouped count — unbounded-key safe,
     skew-neutralized by per-batch partials), then one vectorized
     argmax per hash bucket of the count table picks each key's winner.
     Nulls in ``value_col`` are ignored (SQL aggregate convention)."""
@@ -530,7 +460,7 @@ def grouped_mode(ds: Dataset, key: str, value_col: str,
     counts = grouped_count(
         ds.select_columns([key, value_col]).map_batches(
             drop_nulls, batch_format="pyarrow"),
-        [key, value_col], count_name="_n", strategy="shuffle")
+        [key, value_col], count_name="_n", strategy="bucket")
 
     def pick(t: pa.Table) -> pa.Table:
         # ascending (key, -n, value): each key's first row is its mode
@@ -584,7 +514,7 @@ def grouped_trimmed(ds: Dataset, key: str, value_col: str,
     counts = grouped_count(
         ds.select_columns([key, value_col]).map_batches(
             check, batch_format="pyarrow"),
-        [key, value_col], count_name="_c", strategy="shuffle")
+        [key, value_col], count_name="_c", strategy="bucket")
 
     def trim(t: pa.Table) -> pa.Table:
         e = pa.array([], pa.int64())

@@ -159,7 +159,7 @@ def rater_agreement(ds: ray.data.Dataset, group_key: str, a_col: str,
 
 
 def binary_eval(ds: ray.data.Dataset, keys: list[str], pred_col: str,
-                label_col: str, *, strategy: str = "shuffle",
+                label_col: str, *, strategy: str = "bucket",
                 n_buckets: int | str = "auto") -> ray.data.Dataset:
     """Per-``keys`` binary-classifier evaluation as exact integer lanes
     — the confusion matrix plus truncating-permille precision / recall /
@@ -178,7 +178,7 @@ def binary_eval(ds: ray.data.Dataset, keys: list[str], pred_col: str,
 
     Scale shape: four indicator lanes reduce through ONE two-phase
     ``grouped_agg`` (partials per batch, so keys may be unbounded with
-    strategy="shuffle"); the permille arithmetic is one vectorized pass
+    strategy="bucket"); the permille arithmetic is one vectorized pass
     over the skinny per-key table. Nothing wide ever shuffles."""
     import numpy as np
 
@@ -348,7 +348,7 @@ def gini_impurity(ds: ray.data.Dataset, key: str, cat_col: str,
     Scale shape: the corpus reduces to the (key, cat) count table via
     per-batch partials + ONE bucket exchange on ``key`` (keys and
     categories both unbounded — a key's distinct cats land in one
-    bucket task, bounded by the shuffle partials); the Σn_c² fold is a
+    bucket task, bounded by the per-batch partials); the Σn_c² fold is a
     segment reduce over that skinny table."""
     import numpy as np
 
@@ -357,7 +357,7 @@ def gini_impurity(ds: ray.data.Dataset, key: str, cat_col: str,
 
     counts = grouped_count(ds.select_columns([key, cat_col]),
                            [key, cat_col], count_name="_c",
-                           strategy="shuffle")
+                           strategy="bucket")
 
     def fold(t: pa.Table) -> pa.Table:
         kt = t.column(key).type
@@ -411,7 +411,7 @@ def multiclass_eval(ds: ray.data.Dataset, pred_col: str, label_col: str,
     labeled = ds.map_batches(prep, batch_format="pyarrow")
     counts = grouped_count(labeled, [pred_col, label_col],
                            count_name="_n",
-                           strategy="shuffle").materialize()
+                           strategy="bucket").materialize()
     n_cells = counts.count()
     if n_cells > int(max_classes) ** 2:
         raise ValueError(

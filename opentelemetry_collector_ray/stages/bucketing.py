@@ -112,7 +112,7 @@ def persisted_factory(make_ds, persist: str = "none"):
 def multi_key_change(t, cols):
     """Row-change mask over a table SORTED by ``cols`` (first row True)
     — the multi-column sibling of :func:`key_segments`, shared by the
-    OHLC / count-distinct / l-diversity bucket passes. Raises on null
+    OHLC / l-diversity bucket passes. Raises on null
     and float NaN key cells: numpy converts null numerics to NaN and
     ``NaN != NaN`` would silently start a new group per such row, unlike
     SQL GROUP BY (and unlike Arrow group_by) which collapse them into one

@@ -223,14 +223,13 @@ def log_dedup(ds: ray.data.Dataset, match_cols: list[str],
     compactor.
 
     One grouped aggregate keyed on (window, match...).
-    ``strategy="bucket"`` (default) exchanges the raw skinny rows by
-    window hash and runs one Arrow group_by per bucket — near-unique
-    string match keys make the shuffle strategy's sort exchange pay
-    full freight on the composite (measured 18 s vs 0.3 s at sf0.1
-    on 2M rows, the weighted-median lesson); a bucket task holds at
-    most its windows' rows, so skew is bounded by window size. Pass
-    ``"shuffle"`` only for a pathological single-window corpus,
-    ``"tree"`` when the distinct (window, match) set is known-bounded.
+    ``strategy="bucket"`` (default) reduces each batch to its partial
+    rows, exchanges them by window hash and merges them with one Arrow
+    group_by per bucket — near-unique string match keys would make a
+    Ray sort exchange pay full freight on the composite (measured 18 s
+    vs 0.3 s at sf0.1 on 2M rows, the weighted-median lesson); a hot
+    duplicate sends at most one partial row per batch. Pass ``"tree"``
+    when the distinct (window, match) set is known-bounded.
     Returns
     ``(window_start, *match_cols, count_name, first_ts, last_ts)``."""
     from .aggregate import grouped_agg

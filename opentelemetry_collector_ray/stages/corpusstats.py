@@ -419,7 +419,7 @@ def vocab_growth(ds: ray.data.Dataset, text_col: str = "text",
     non-empty bucket.
 
     Scale shape: tokens explode inside ``map_batches`` (whole-column
-    kernels), the per-term min rides the shuffle-strategy grouped
+    kernels), the per-term min rides the bucket-strategy grouped
     aggregate (unbounded term keys — per-batch partials bound the
     exchange to ≤ |distinct terms per batch| rows), and the final
     per-bucket count is a bounded tree roll-up. Nothing lands on the
@@ -457,7 +457,7 @@ def vocab_growth(ds: ray.data.Dataset, text_col: str = "text",
 
     births = grouped_agg(
         ds.map_batches(explode, batch_format="pyarrow"), ["term"],
-        min_cols={"first_doc": "_id"}, strategy="shuffle")
+        min_cols={"first_doc": "_id"}, strategy="bucket")
 
     def to_bucket(t: pa.Table) -> pa.Table:
         fd = t.column("first_doc").combine_chunks().to_numpy(

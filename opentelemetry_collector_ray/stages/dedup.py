@@ -29,25 +29,21 @@ from ..functions.hashing import hash64, hash64_ints
 # ---------------------------------------------------------------- exact
 
 class _PartialDedup:
-    """Per-batch: two independent 64-bit content hashes + min id per
-    distinct (h1, h2). Only fixed-width hash rows enter the shuffle — the
-    text itself never moves."""
+    """Per-batch: two independent 64-bit content hashes next to the id.
+    Only fixed-width hash rows enter the exchange — the text itself never
+    moves."""
 
     def __init__(self, text_col: str, id_col: str):
         self.text_col, self.id_col = text_col, id_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        h1 = hash64(t.column(self.text_col), seed=0)
-        h2 = hash64(t.column(self.text_col), seed=1)
-        small = pa.table({
-            "_h1": pa.array(h1.astype(np.int64)),
-            "_h2": pa.array(h2.astype(np.int64)),
+        return pa.table({
+            "_h1": pa.array(hash64(t.column(self.text_col), seed=0)
+                            .astype(np.int64)),
+            "_h2": pa.array(hash64(t.column(self.text_col), seed=1)
+                            .astype(np.int64)),
             self.id_col: t.column(self.id_col),
         })
-        g = small.group_by(["_h1", "_h2"], use_threads=False).aggregate(
-            [(self.id_col, "min")])
-        return pa.table({"_h1": g.column("_h1"), "_h2": g.column("_h2"),
-                         self.id_col: g.column(f"{self.id_col}_min")})
 
 
 def exact_dedup(ds: ray.data.Dataset, text_col: str = "text",
@@ -56,15 +52,16 @@ def exact_dedup(ds: ray.data.Dataset, text_col: str = "text",
 
     Identity key = a PAIR of independent 64-bit content hashes (collision
     needs both to collide: ~2^-128 — cryptographic-grade distinctness
-    without shipping text through the shuffle). Per-batch partials reduce
-    duplicates before the hash groupby; only (h1, h2, id) rows shuffle.
+    without shipping text through the exchange). The per-(h1, h2) min id
+    is the bucket-strategy ``grouped_agg``: per-batch partials reduce
+    duplicates before the exchange; only (h1, h2, id) rows move.
     """
-    from ray.data.aggregate import Min
+    from .aggregate import grouped_agg
 
-    partial = ds.select_columns([id_col, text_col]).map_batches(
+    hashed = ds.select_columns([id_col, text_col]).map_batches(
         _PartialDedup(text_col, id_col), batch_format="pyarrow")
-    kept = partial.groupby(["_h1", "_h2"]).aggregate(
-        Min(id_col, alias_name=id_col))
+    kept = grouped_agg(hashed, ["_h1", "_h2"], min_cols={id_col: id_col},
+                       strategy="bucket")
     return kept.select_columns([id_col])
 
 

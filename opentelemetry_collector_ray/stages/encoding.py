@@ -8,7 +8,7 @@ puts hot rows first; ``order="lexical"`` sorts values. Exactly the SQL
 ``row_number() OVER (ORDER BY count(*) DESC, v) - 1`` mapping, so the
 ids sit behind the DuckDB hash gate.
 
-Scale shape: one shuffle grouped count reduces the corpus to its
+Scale shape: one bucket grouped count reduces the corpus to its
 distinct values (per-batch partials — unbounded keys safe), a loud
 ``max_categories`` count-before-pull guards the broadcast, the mapping
 ships via ``ray.put`` once, and the encode pass is one ``pc.index_in``
@@ -49,7 +49,7 @@ def label_encode(make_ds, col: str, out_col: str | None = None,
     counts = grouped_count(
         f().select_columns([col]).map_batches(drop_nulls,
                                               batch_format="pyarrow"),
-        [col], count_name="_n", strategy="shuffle").materialize()
+        [col], count_name="_n", strategy="bucket").materialize()
     n_cat = counts.count()
     if n_cat > int(max_categories):
         raise ValueError(
@@ -165,7 +165,7 @@ def target_encode(ds: ray.data.Dataset, cat_col: str, target_col: str,
     parts = grouped_agg(
         ds.select_columns([cat_col, target_col]), [cat_col],
         count_name="n", sum_cols={"s": target_col},
-        strategy="shuffle").materialize()
+        strategy="bucket").materialize()
     pdf = parts.to_pandas()
     # Ray's to_pandas drops ALL columns on a fully-empty dataset
     empty_in = len(pdf) == 0 or "n" not in pdf.columns

@@ -226,7 +226,7 @@ def pagerank(make_edges, src: str, dst: str, *, damping: float = 0.85,
     # ---- out-degree vector (driver, O(nodes)) -----------------------
     deg_pdf = grouped_agg(wedges, ["_s"],
                           sum_cols={"_n": "_w"},
-                          strategy="shuffle").to_pandas()
+                          strategy="bucket").to_pandas()
     outdeg = np.zeros(n_nodes)  # float: weighted graphs sum doubles
     outdeg[deg_pdf["_s"].to_numpy()] = deg_pdf["_n"].to_numpy()
     dangling = np.flatnonzero(outdeg == 0)
@@ -273,7 +273,7 @@ def pagerank(make_edges, src: str, dst: str, *, damping: float = 0.85,
             # n_nodes is known and guarded: below 1M the whole
             # contribution vector fits one task, so the map-only tree
             # combine replaces the per-iteration sort exchange
-            strat = "tree" if n_nodes <= 1_000_000 else "shuffle"
+            strat = "tree" if n_nodes <= 1_000_000 else "bucket"
             cpdf = grouped_agg(wedges.map_batches(
                 contrib, batch_format="pyarrow"), ["_d"],
                 sum_cols={"_c": "_c"}, strategy=strat).to_pandas()
@@ -361,9 +361,9 @@ def _broadcast_item_degrees(dedup: ray.data.Dataset, item_col: str,
     """Per-item DISTINCT-group degree table, broadcast once: from a
     materialized distinct (group, item) membership, count groups per
     item and ``ray.put`` the (items, counts) pair. Items are bounded
-    (``max_items``) so the map-only tree combine applies — the
-    shuffle-strategy exchange on these skinny partials measured 3.4 s
-    of a 4.1 s total at sf0.1. The tree's final combine holds the
+    (``max_items``) so the map-only tree combine applies — no exchange
+    at all (a Ray sort exchange on these skinny partials measured 3.4 s
+    of a 4.1 s total at sf0.1). The tree's final combine holds the
     WHOLE distinct item set in one task, so a cheap HLL screen fires
     loudly BEFORE that task can exist (the guard must bound the step,
     not run after it — review finding, same class as the
@@ -602,7 +602,7 @@ def triangle_count(edges: ray.data.Dataset, a: str = "a", b: str = "b",
     out = grouped_count(tri.map_batches(corners,
                                         batch_format="pyarrow"),
                         ["node"], count_name="n_triangles",
-                        strategy="shuffle").materialize()
+                        strategy="bucket").materialize()
     if out.count() == 0:
         # a triangle-free graph must still honor the promised schema
         # (Ray loses it through an empty exchange)
@@ -778,7 +778,7 @@ def kcore(make_edges, src: str, dst: str, *, k: int,
                 return pa.table({"_n": pa.array(uniq),
                                  "_c": pa.array(cnt.astype(np.int64))})
 
-            strat = "tree" if n_nodes <= 1_000_000 else "shuffle"
+            strat = "tree" if n_nodes <= 1_000_000 else "bucket"
             dpdf = grouped_agg(pairs.map_batches(
                 degrees, batch_format="pyarrow"), ["_n"],
                 sum_cols={"_c": "_c"}, strategy=strat).to_pandas()

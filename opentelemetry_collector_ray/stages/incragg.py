@@ -15,8 +15,8 @@ that contract loudly.
 Scale shape: the changelog reduces to ≤ |keys per batch| signed
 partial rows inside ``map_batches`` before anything moves; the old
 state rows ARE partials already, so the union feeds the standard
-two-phase grouped aggregate (tree for bounded keys, shuffle/bucket
-for unbounded). Nothing rescans the base facts; the exchange carries
+two-phase grouped aggregate (tree for bounded keys, bucket for
+unbounded). Nothing rescans the base facts; the exchange carries
 only aggregate-shaped rows.
 """
 

@@ -127,7 +127,7 @@ def grouped_trend(ds, key: str, x_col: str, y_col: str,
     ``r2_scaled = trunc(scale · num² / (den_x · den_y))`` (null when
     either variance is zero — num² ≥ 0 and den_x·den_y > 0 otherwise,
     so plain truncating division needs no sign handling). One mergeable-partials pass (n, Σx,
-    Σy, Σxy, Σx², shuffle strategy — skew-neutral), then exact Python
+    Σy, Σxy, Σx², bucket strategy — skew-neutral), then exact Python
     ints over the per-key table (``max_groups``-guarded); int64 partial
     overflow is guarded from the non-wrapping min/max/count lanes the
     same way ``sigma_outliers`` does.
@@ -176,7 +176,7 @@ def grouped_trend(ds, key: str, x_col: str, y_col: str,
                                "_syy": "_yy"},
                      min_cols={"_mnx": "_x", "_mny": "_y"},
                      max_cols={"_mxx": "_x", "_mxy": "_y"},
-                     strategy="shuffle").materialize()
+                     strategy="bucket").materialize()
     n_groups = gt.count()
     if n_groups > int(max_groups):
         raise ValueError(

@@ -335,7 +335,7 @@ def fair_quota(ds: ray.data.Dataset, tenant_col: str, capacity: int, *,
     ``alloc``. Ties in demand order by tenant for a total order.
 
     Scale shape: the raw rows reduce once to per-tenant demand counts
-    (shuffle-partial grouped count, tenants unbounded); only that
+    (bucket-strategy grouped count, tenants unbounded); only that
     skinny table — ``count()``-guarded by ``max_tenants`` BEFORE the
     pull — reaches the driver for the closed-form threshold, and the
     result IS the small table (no second pass over the data)."""
@@ -347,7 +347,7 @@ def fair_quota(ds: ray.data.Dataset, tenant_col: str, capacity: int, *,
         raise ValueError("fair_quota: capacity must be >= 0")
     demands = grouped_count(ds.select_columns([tenant_col]),
                             [tenant_col], count_name="demand",
-                            strategy="shuffle").materialize()
+                            strategy="bucket").materialize()
     n = demands.count()
     if n > int(max_tenants):
         raise ValueError(

@@ -3,7 +3,7 @@ normalization (global or per-key).
 
 The canonical broadcast-statistics shape: pass 1 reduces the corpus to
 one (min, max) row per key (mergeable partials — hot keys are
-batch-salted by ``grouped_agg``'s shuffle strategy); the key→(min, max)
+batch-salted by ``grouped_agg``'s bucket strategy); the key→(min, max)
 table is guarded by ``max_groups`` (count BEFORE driver pull, loud
 failure like ``exact_global_quantile``) and broadcast via ``ray.put``;
 pass 2 rescales every batch with ONE ``pc.index_in`` probe + numpy
@@ -58,7 +58,7 @@ def minmax_scale(make_ds, col: str, key: str | None = None,
     else:
         stats = grouped_agg(make_ds().select_columns([key, col]), [key],
                             min_cols={"_min": col}, max_cols={"_max": col},
-                            strategy="shuffle").materialize()
+                            strategy="bucket").materialize()
         n_groups = stats.count()
         if n_groups > int(max_groups):
             raise ValueError(
@@ -185,7 +185,7 @@ def sigma_outliers(make_ds, col: str, key: str | None = None,
         gt = grouped_agg(pre, [key], count_name="_n",
                          sum_cols={"_s1": col, "_s2": "_sq"},
                          min_cols={"_mn": col}, max_cols={"_mx": col},
-                         strategy="shuffle").materialize()
+                         strategy="bucket").materialize()
         n_groups = gt.count()
         if n_groups > int(max_groups):
             raise ValueError(
@@ -729,7 +729,7 @@ def quantile_map(ds: ray.data.Dataset, slice_col: str, value_col: str,
     Emits the mapping table ``(slice_col, value_col, mapped)`` for
     every slice ≠ ``ref_slice`` with ≥ 2 rows — apply it to the raw
     rows with a broadcast join. Scale shape: the corpus reduces ONCE
-    to the (slice, value) count table (shuffle partials, domain- not
+    to the (slice, value) count table (bucket partials, domain- not
     row-bounded, ``count()``-guarded by ``max_table`` BEFORE the
     pull); the mapping itself is one driver-side vectorized pass over
     that skinny table — raw rows never move."""
@@ -739,7 +739,7 @@ def quantile_map(ds: ray.data.Dataset, slice_col: str, value_col: str,
 
     vc = grouped_count(ds.select_columns([slice_col, value_col]),
                        [slice_col, value_col], count_name="_c",
-                       strategy="shuffle").materialize()
+                       strategy="bucket").materialize()
     nt = vc.count()
     if nt > int(max_table):
         raise ValueError(

@@ -11,7 +11,7 @@ surviving group must contain at least ``l`` DISTINCT sensitive values,
 so a group that is large but homogeneous (everyone in it has the same
 diagnosis) is still suppressed.
 
-Scale shape: group sizes come from the shuffle-partial grouped count
+Scale shape: group sizes come from the bucket-strategy grouped count
 (unbounded quasi-identifier domains — per-batch partials bound the
 exchange, batch-index-as-salt neutralizes hot groups), l-diversity from
 the exact two-phase ``grouped_count_distinct``; the two per-group tables
@@ -84,14 +84,13 @@ def k_anonymize(ds: ray.data.Dataset, quasi_cols: list[str], k: int, *,
 
     checked = ds.map_batches(check_nulls, batch_format="pyarrow")
     groups = grouped_count(checked.select_columns(quasi), quasi,
-                           count_name="_gn", strategy="shuffle")
+                           count_name="_gn", strategy="bucket")
     ok = groups.map_batches(
         lambda t: t.filter(pc.greater_equal(t.column("_gn"), k)),
         batch_format="pyarrow")
     if sensitive_col is not None:
         div = grouped_count_distinct(checked, quasi, sensitive_col,
-                                     out_name="_gl",
-                                     final_strategy="shuffle")
+                                     out_name="_gl")
         div_ok = div.map_batches(
             lambda t: t.filter(pc.greater_equal(t.column("_gl"), l)),
             batch_format="pyarrow")
@@ -151,7 +150,7 @@ def t_closeness(ds: ray.data.Dataset, group_col: str, sensitive_col: str,
     ``sensitive_col`` must be integer (band/bucket it first — cents,
     deciles; the value domain is the grid and is ``count()``-guarded by
     ``max_grid`` BEFORE the driver pull). Groups are unbounded: the
-    (group, value) count rows ride one shuffle-partial grouped count,
+    (group, value) count rows ride one bucket-strategy grouped count,
     then one hash-bucket exchange by group; inside a bucket every
     group's cum-curve evaluates at once on a dense (groups × grid)
     scatter + axis cumsum — no Python per group. Magnitude is guarded
@@ -179,13 +178,13 @@ def t_closeness(ds: ray.data.Dataset, group_col: str, sensitive_col: str,
     checked = ds.select_columns([group_col, sensitive_col]).map_batches(
         check, batch_format="pyarrow")
     gv = grouped_count(checked, [group_col, sensitive_col],
-                       count_name="_c", strategy="shuffle").materialize()
+                       count_name="_c", strategy="bucket").materialize()
     # corpus grid: global per-value counts — bounded by the (banded)
     # value domain, guarded BEFORE the pull
     grid_ds = grouped_count(
         gv.select_columns([sensitive_col, "_c"]),
         [sensitive_col], count_name="_n", sum_cols={"_ca": "_c"},
-        strategy="shuffle").materialize()
+        strategy="bucket").materialize()
     m = grid_ds.count()
     if m > int(max_grid):
         raise ValueError(
@@ -269,7 +268,7 @@ def dp_count_release(ds: ray.data.Dataset, keys: list[str], *,
                      epsilon: float, seed: int,
                      count_name: str = "n",
                      suppress_below: int | None = None,
-                     strategy: str = "shuffle"
+                     strategy: str = "bucket"
                      ) -> ray.data.Dataset:
     """ε-differentially-private group-count release (Dwork et al. 2006
     Laplace mechanism): exact per-key counts get Laplace(1/ε) noise —
@@ -290,7 +289,7 @@ def dp_count_release(ds: ray.data.Dataset, keys: list[str], *,
     ε-additively — rotate data, not seeds.
 
     Scale shape: the exact counts come from the two-phase partials
-    (unbounded keys, ``strategy="shuffle"``); noise is one vectorized
+    (unbounded keys, ``strategy="bucket"``); noise is one vectorized
     map over the skinny count rows. Output: keys + noisy ``count_name``
     (int64)."""
     from .aggregate import grouped_count

@@ -466,7 +466,7 @@ def rrf_fuse(rankings: list, id_col: str = "doc_id",
     for ds in rankings[1:]:
         u = u.union(ds.map_batches(contrib, batch_format="pyarrow"))
     fused = grouped_agg(u, [id_col], sum_cols={"rrf": "_rrf"},
-                        strategy="shuffle")
+                        strategy="bucket")
     out = fused.sort(["rrf", id_col], descending=[True, False])
     return out.limit(int(topk)) if topk else out
 
@@ -508,9 +508,9 @@ def eval_ranking(results: ray.data.Dataset, qrels: ray.data.Dataset, *,
                              how="semi")
     per_q = grouped_agg(hits, [query_col], count_name="hits_at_k",
                         min_cols={"_first_rank": rank_col},
-                        strategy="shuffle")
+                        strategy="bucket")
     n_rel = grouped_count(qrels, [query_col], count_name="n_rel",
-                          strategy="shuffle")
+                          strategy="bucket")
     j = shuffle_hash_join(n_rel, per_q, key=query_col, how="left")
 
     def finish(t: pa.Table) -> pa.Table:

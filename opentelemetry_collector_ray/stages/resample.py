@@ -52,7 +52,7 @@ def hopping_window_agg(ds: ray.data.Dataset, ts_col: str, *,
     only per-batch partial rows. ``strategy="tree"`` needs the distinct
     (window × keys) set to fit one task (true for time-bounded windows
     × bounded keys — 10 years of 15-min slides is ~350k windows);
-    ``strategy="shuffle"`` for unbounded group keys. Timestamp inputs
+    ``strategy="bucket"`` for unbounded group keys. Timestamp inputs
     are unit-normalized to MICROSECONDS (``size_us``/``slide_us`` are
     always microseconds); the window column is then timestamp[us],
     else the integer input type. Negative/epoch-preceding timestamps
@@ -157,7 +157,7 @@ def resample_asof(ds_factory, key: str, ts_col: str, every_us: int,
     bounds = grouped_agg(
         ds_factory().map_batches(to_us, batch_format="pyarrow"), [key],
         min_cols={"_lo": "_ts_us"}, max_cols={"_hi": "_ts_us"},
-        strategy="shuffle")
+        strategy="bucket")
 
     def explode(t: pa.Table) -> pa.Table:
         lo = t.column("_lo").to_numpy(zero_copy_only=False)
@@ -243,7 +243,7 @@ def lagged_xcorr_parts(ds: ray.data.Dataset, bucket_col: str,
 
     counts = grouped_agg(
         ds.map_batches(lanes, batch_format="pyarrow"), ["_b"],
-        sum_cols={"ca": "_ca", "cb": "_cb"}, strategy="shuffle")
+        sum_cols={"ca": "_ca", "cb": "_cb"}, strategy="bucket")
     pdf = counts.to_pandas()
     if not len(pdf):
         raise ValueError("lagged_xcorr_parts: no rows in either group")

@@ -34,7 +34,7 @@ __all__ = ["pivot", "unpivot"]
 
 def pivot(ds: ray.data.Dataset, keys: list[str], name_col: str,
           value_col: str, names: list[str], strict: bool = True,
-          strategy: str = "shuffle",
+          strategy: str = "bucket",
           n_buckets: int | str = "auto") -> ray.data.Dataset:
     """Long→wide: one output row per ``keys`` tuple, one int64 SUM column
     per entry of ``names`` (absent (key, name) pairs sum to 0)."""

@@ -75,8 +75,8 @@ def rollup_agg(ds: Dataset, keys: list[str],
     columns, and ``grouping_id_name`` (int64 GROUPING_ID bitmask, key 0
     = MSB). Requires the finest-level distinct key set to fit one task
     — the same contract as ``grouped_agg(strategy="tree")``; pass
-    ``strategy="bucket"|"shuffle"`` only to change how the fine pass
-    exchanges, the rollup derivation itself is always one small task.
+    ``strategy="bucket"`` only to change how the fine pass exchanges,
+    the rollup derivation itself is always one small task.
 
     Known SQL deviation: over a fully EMPTY input this returns zero
     rows, while ANSI ``GROUPING SETS(())`` yields one grand-total row

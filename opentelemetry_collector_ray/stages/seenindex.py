@@ -69,7 +69,7 @@ def build_seen_index(ds: ray.data.Dataset, path: str,
         lambda t: pa.table(fingerprint_batch(t, text_col, n_shards)),
         batch_format="pyarrow")
     uniq = grouped_count(fp, ["shard", "h1", "h2"], count_name="_n",
-                         strategy="shuffle")
+                         strategy="bucket")
     uniq.map_batches(lambda t: t.drop_columns(["_n"]),
                      batch_format="pyarrow").write_parquet(
         path, partition_cols=["shard"])
@@ -190,7 +190,7 @@ def compact_seen_index(path: str, n_shards: int | None = None) -> int:
 
     uniq = grouped_count(ds.map_batches(reshard, batch_format="pyarrow"),
                          ["shard", "h1", "h2"], count_name="_n",
-                         strategy="shuffle")
+                         strategy="bucket")
     tmp = path.rstrip("/") + ".compacting"
     old = path.rstrip("/") + ".old"
     for d in (tmp, old):

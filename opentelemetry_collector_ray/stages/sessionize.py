@@ -166,7 +166,7 @@ def longest_run(ds: ray.data.Dataset, key: str, ordinal_col: str,
     ``(key, n_ordinals, longest_run)``.
 
     Scale shape: dedupe via per-batch partials + ONE bucket exchange
-    (``grouped_count`` shuffle partials bound a hot key's traffic to
+    (``grouped_count`` bucket partials bound a hot key's traffic to
     one row per batch per ordinal), then per bucket the classic
     island id ``ordinal − rank`` is pure segment arithmetic on the
     sorted table — islands are runs of constant id, their lengths one
@@ -178,7 +178,7 @@ def longest_run(ds: ray.data.Dataset, key: str, ordinal_col: str,
 
     distinct = grouped_count(ds.select_columns([key, ordinal_col]),
                              [key, ordinal_col], count_name="_n",
-                             strategy="shuffle")
+                             strategy="bucket")
 
     def fold(t: pa.Table) -> pa.Table:
         kt = t.column(key).type

@@ -14,7 +14,7 @@ All three follow the engine's standard scale shapes:
   hash groupby (the conv_stats shape).
 - ``grouped_exact_quantiles``: EXACT percentiles for a bounded integer
   domain at any data scale — value-count histogram per (key, value) via
-  the shuffle-strategy grouped count (so a 10^12-row input reduces to
+  the bucket-strategy grouped count (so a 10^12-row input reduces to
   |keys|×|distinct values| rows), then the rank r = floor((n-1)·q) element
   is read off the cumulative counts per key. This is the pmetric Summary
   quantile analog with exact (not sketched) results; for unbounded/float
@@ -153,7 +153,7 @@ def trace_stats(spans: ray.data.Dataset, n_buckets: int | str = 64,
 def grouped_exact_quantiles(ds: ray.data.Dataset, key: str, value_col: str,
                             qs: tuple[float, ...] = (0.5, 0.95, 0.99),
                             n_buckets: int | str = 64,
-                            count_strategy: str = "shuffle"
+                            count_strategy: str = "bucket"
                             ) -> ray.data.Dataset:
     """Exact per-key quantiles of a bounded integer VALUE domain (keys may
     be unbounded: the per-key work runs on the bucket idiom, one
@@ -165,7 +165,7 @@ def grouped_exact_quantiles(ds: ray.data.Dataset, key: str, value_col: str,
     identical to row_number()-based selection on the sorted column.
 
     Scale shape: the 10^12-row input first reduces to |keys|×|distinct
-    values| count rows (shuffle-strategy grouped count), then ONE Arrow
+    values| count rows (bucket-strategy grouped count), then ONE Arrow
     sort + cumulative-count searchsorted per BUCKET reads the ranks off —
     cum is strictly increasing (counts ≥ 1), so a single global
     searchsorted answers every key's quantile at once.
@@ -177,14 +177,13 @@ def grouped_exact_quantiles(ds: ray.data.Dataset, key: str, value_col: str,
             "grouped_exact_quantiles: key 'n' collides with the count "
             "output column — rename the key upstream")
 
-    # count_strategy="shuffle" (default) is the unbounded-key-safe
+    # count_strategy="bucket" (default) is the unbounded-key-safe
     # choice; callers whose distinct (key, value) table fits one task
     # (bounded keys x bounded value domain, e.g. the broadcast-stats
-    # operators) pass "tree" — map-only, measured ~5x cheaper than the
-    # sort exchange at 1M rows / 250k distinct. Because tree's final
-    # combine holds the WHOLE distinct table, a cheap HLL screen over
-    # the (key, value) pairs fires loudly BEFORE that task can exist
-    # (never a worker OOM for an out-of-contract unbounded key).
+    # operators) pass "tree" — map-only, no exchange at all. Because
+    # tree's final combine holds the WHOLE distinct table, a cheap HLL
+    # screen over the (key, value) pairs fires loudly BEFORE that task
+    # can exist (never a worker OOM for an out-of-contract unbounded key).
     if count_strategy == "tree":
         from .sketch import approx_distinct
 
@@ -201,7 +200,7 @@ def grouped_exact_quantiles(ds: ray.data.Dataset, key: str, value_col: str,
                 f"grouped_exact_quantiles: ~{int(est):,} distinct "
                 f"({key}, {value_col}) pairs (HLL estimate) — too large "
                 "for count_strategy='tree' (whole table in one task); "
-                "use the default count_strategy='shuffle'")
+                "use the default count_strategy='bucket'")
     counts = grouped_count(ds.select_columns([key, value_col]),
                            [key, value_col], count_name="_n",
                            strategy=count_strategy)
@@ -235,7 +234,7 @@ def grouped_cont_quantiles(ds: ray.data.Dataset, key: str,
                            value_col: str,
                            qs: tuple[tuple[int, int], ...] = ((1, 2),),
                            n_buckets: int | str = 64,
-                           count_strategy: str = "shuffle"
+                           count_strategy: str = "bucket"
                            ) -> ray.data.Dataset:
     """Exact per-key CONTINUOUS (interpolated) quantiles of an integer
     value — SQL ``quantile_cont`` / ``percentile_cont`` semantics with
@@ -325,9 +324,9 @@ def grouped_weighted_median(ds: ray.data.Dataset, key: str,
     continuous value column makes the distinct (key, value) table as
     big as the input — so this takes ONE bucket exchange of per-batch
     Arrow-prereduced partials (hot keys bounded to one partial row per
-    batch per value; measured 10×+ over a shuffle-strategy grouped
-    aggregate at sf0.01, whose sort exchange pays full freight on the
-    near-unique composite key), then one sort + segment cumsum per
+    batch per value; measured 10×+ over a Ray sort-exchange grouped
+    aggregate at sf0.01, which pays full freight on the near-unique
+    composite key), then one sort + segment cumsum per
     hash bucket answers every key at once. Returns
     ``(key, tot_w, wmedian)``."""
     from .bucketing import bucketed_map_groups, key_segments

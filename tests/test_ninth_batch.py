@@ -288,7 +288,7 @@ class TestGroupedMoments:
 
 
 class TestBucketCountDistinct:
-    def test_bucket_path_matches_default(self, ray_session):
+    def test_bucket_path_matches_pandas(self, ray_session):
         from opentelemetry_collector_ray.stages.aggregate import (
             grouped_count_distinct)
 
@@ -297,14 +297,13 @@ class TestBucketCountDistinct:
             "k": rng.choice([f"k{i}" for i in range(40)], 5000),
             "v": pa.array(rng.integers(0, 200, 5000), pa.int64())})
         ds = ray.data.from_arrow(t).repartition(9)
-        a = grouped_count_distinct(ds, ["k"], "v", out_name="d") \
+        got = grouped_count_distinct(ds, ["k"], "v", out_name="d") \
             .to_pandas().sort_values("k").reset_index(drop=True)
-        b = grouped_count_distinct(ds, ["k"], "v", out_name="d",
-                                   final_strategy="bucket") \
-            .to_pandas().sort_values("k").reset_index(drop=True)
+        want = t.to_pandas().groupby("k")["v"].nunique() \
+            .rename("d").reset_index()
         import pandas as pd
 
-        pd.testing.assert_frame_equal(a, b, check_dtype=False)
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
     def test_bucket_path_ignores_nulls(self, ray_session):
         from opentelemetry_collector_ray.stages.aggregate import (
@@ -313,8 +312,7 @@ class TestBucketCountDistinct:
         t = pa.table({"k": ["a", "a", "a"],
                       "v": pa.array([7, None, None], pa.int64())})
         out = grouped_count_distinct(
-            ray.data.from_arrow(t), ["k"], "v", out_name="d",
-            final_strategy="bucket").to_pandas()
+            ray.data.from_arrow(t), ["k"], "v", out_name="d").to_pandas()
         assert out.iloc[0]["d"] == 1
 
 
@@ -463,15 +461,20 @@ class TestReviewRegressions:
         assert prom_label(pa.array(out["labels"].tolist()),
                           "msg").to_pylist()[0] == "a}b"
 
-    def test_count_distinct_bucket_null_key_rejected(self, ray_session):
+    def test_count_distinct_null_key_is_one_group(self, ray_session):
+        import duckdb
+
         from opentelemetry_collector_ray.stages.aggregate import (
             grouped_count_distinct)
 
-        t = pa.table({"k": pa.array([1, None], pa.int64()),
-                      "v": pa.array([1, 2], pa.int64())})
-        with pytest.raises(Exception, match="null"):
-            grouped_count_distinct(ray.data.from_arrow(t), ["k"], "v",
-                                   final_strategy="bucket").to_pandas()
+        t = pa.table({"k": pa.array([1, None, None, None, 1], pa.int64()),
+                      "v": pa.array([1, 2, 3, 2, None], pa.int64())})
+        got = grouped_count_distinct(
+            ray.data.from_arrow(t).repartition(2), ["k"], "v").take_all()
+        want = duckdb.sql("SELECT k, count(DISTINCT v) AS n_distinct "
+                          "FROM t GROUP BY k").fetchall()
+        assert sorted(((r["k"], r["n_distinct"]) for r in got),
+                      key=repr) == sorted(want, key=repr)
 
     def test_apportion_zero_total_raises(self, ray_session):
         from opentelemetry_collector_ray.stages.allocate import apportion

@@ -1,7 +1,7 @@
 """Graph/topology semantics (SURVEY.md §2.7, reference
 service/internal/graph/graph_test.go): multi-receiver fan-in union,
 forward-connector identity, fan-out branch equivalence to single-pass
-partitioned write, grouped_agg tree==shuffle equivalence."""
+partitioned write, grouped_agg tree==bucket equivalence."""
 
 import pandas as pd
 import pyarrow as pa
@@ -62,19 +62,31 @@ def test_fanout_branches_equal_partitioned_write(ray_session, tmp_path):
     assert single_pass == branches
 
 
-def test_grouped_agg_tree_equals_shuffle(ray_session):
+def test_grouped_agg_tree_equals_bucket(ray_session):
+    # whole-second timestamps: min/max must keep timestamp[us] on both
+    # paths (a sort-exchange aggregate once narrowed them to [s])
+    import pyarrow.compute as pc
+    import ray
     import ray.data
 
     from opentelemetry_collector_ray.stages.aggregate import grouped_agg
     from opentelemetry_collector_ray.synth import synth_turns
 
-    ds = ray.data.from_arrow(synth_turns(sf=0.1)).repartition(5)
+    t = synth_turns(sf=0.1)
+    ts = pc.cast(pc.floor_temporal(t.column("ts"), unit="second"),
+                 pa.timestamp("us"))
+    t = t.set_column(t.schema.get_field_index("ts"), "ts", ts)
+    ds = ray.data.from_arrow(t).repartition(5)
     kw = dict(count_name="n", min_cols={"first": "ts"}, max_cols={"last": "ts"})
-    tree = grouped_agg(ds, ["role"], strategy="tree", **kw).to_pandas()
-    shuf = grouped_agg(ds, ["role"], strategy="shuffle", **kw).to_pandas()
-    tree = tree.sort_values("role").reset_index(drop=True)
-    shuf = shuf.sort_values("role").reset_index(drop=True)[tree.columns]
-    pd.testing.assert_frame_equal(tree, shuf, check_dtype=False)
+
+    def run(strategy: str) -> pa.Table:
+        out = grouped_agg(ds, ["role"], strategy=strategy, **kw)
+        return pa.concat_tables(ray.get(out.to_arrow_refs())).sort_by("role")
+
+    tree, bucket = run("tree"), run("bucket")
+    assert tree.schema.field("first").type == pa.timestamp("us")
+    assert tree.schema == bucket.schema
+    assert tree.equals(bucket)
 
 
 def test_config_driven_spans_pipeline(ray_session, tmp_path):
