@@ -1102,12 +1102,11 @@ def _q_docs_above_lang_median(sf_dir: str):
     table then broadcasts into a pass-2 filter join — the input text
     is scanned twice but never shuffled. Oracle = per-lang
     quantile_disc(0.5) join in DuckDB (same floor((n-1)q) rank rule)."""
-    import ray
-
     from opentelemetry_collector_ray.functions.text import token_count
     from opentelemetry_collector_ray.stages.join import broadcast_join
     from opentelemetry_collector_ray.stages.spanops import (
         grouped_exact_quantiles)
+    from opentelemetry_collector_ray.stages.treereduce import collect
 
     def toks():
         def f(t: pa.Table) -> pa.Table:
@@ -1122,9 +1121,8 @@ def _q_docs_above_lang_median(sf_dir: str):
 
     meds = grouped_exact_quantiles(toks(), "lang", "n_tokens", qs=(0.5,),
                                    count_strategy="tree")
-    parts = [t for t in ray.get(
-        meds.select_columns(["lang", "p50"]).to_arrow_refs())
-        if t.num_rows]  # empty exchange blocks carry an empty schema
+    # empty exchange blocks carry an empty schema
+    parts = collect(meds.select_columns(["lang", "p50"]))
     med_tbl = pa.concat_tables(parts) if parts else pa.table(
         {"lang": pa.array([], pa.string()),
          "p50": pa.array([], pa.int64())})
@@ -2799,12 +2797,11 @@ def _q_docs_term_cms(sf_dir: str):
     are then probed against the sketch. Rows-only (CMS is approximate
     by design — est >= exact one-sided, within eN w.h.p.; both
     properties pytest-enforced)."""
-    import ray
-
     from opentelemetry_collector_ray.stages.corpusstats import (
         _tokens_with_rows, frequent_terms)
     from opentelemetry_collector_ray.stages.sketch import (
         cms_build, cms_query)
+    from opentelemetry_collector_ray.stages.treereduce import collect
 
     def toks(t: pa.Table) -> pa.Table:
         flat, _ = _tokens_with_rows(t.column("text"))
@@ -2818,7 +2815,7 @@ def _q_docs_term_cms(sf_dir: str):
     exact = frequent_terms(
         lambda: _read_co(sf_dir, "documents", ["text"], floor=8),
         num=1, den=200)
-    parts = [t for t in ray.get(exact.to_arrow_refs()) if t.num_rows]
+    parts = collect(exact)
     hh = pa.concat_tables(parts).sort_by([("term", "ascending")]) \
         if parts else pa.table({"term": pa.array([], pa.string()),
                                 "n": pa.array([], pa.int64())})
@@ -3919,19 +3916,16 @@ def _q_profiles_wire_top_functions(sf_dir: str):
     encoded ProfilesData blob (sources/otlp_profiles.py) → decode → per-
     function rollup from the decoded form. Must equal the analytic
     profiles_top_functions — same oracle SQL checks both."""
-    import ray
-
     from opentelemetry_collector_ray.sources.otlp_profiles import (
         decode_profiles_request, decoded_top_functions,
         encode_profiles_request)
     from opentelemetry_collector_ray.sources.profiles import (
         build_function_table, encode_samples)
+    from opentelemetry_collector_ray.stages.treereduce import collect
 
     frames = _profile_frames(sf_dir)
     ftab = build_function_table(frames)
-    samples = pa.concat_tables(
-        [t for t in ray.get(encode_samples(frames, ftab).to_arrow_refs())
-         if t.num_rows])
+    samples = pa.concat_tables(collect(encode_samples(frames, ftab)))
     blob = encode_profiles_request(ftab, samples)
     return decoded_top_functions(decode_profiles_request(blob))
 

@@ -145,8 +145,10 @@ def build_dataset(cfg: PipelineConfig, paths: list[str] | None = None,
         # with null-fill, mismatched TYPES still fail loudly
         from ..stages.snapshot import union_by_name
 
-        schemas = [tuple(zip(d.schema().names, d.schema().types))
-                   for d in datasets]
+        # receivers are reads: Ray knows a bare read's schema, and a
+        # derived one probes its own first block, never the processors
+        schemas = [tuple(zip(s.names, s.types))
+                   for s in (d.schema() for d in datasets)]
         if all(s == schemas[0] for s in schemas[1:]):
             for other in datasets[1:]:
                 ds = ds.union(other)
@@ -171,19 +173,47 @@ def build_dataset(cfg: PipelineConfig, paths: list[str] | None = None,
     return ds
 
 
+def _has_route(cfg: PipelineConfig, ds: ray.data.Dataset,
+               ) -> tuple[bool, ray.data.Dataset]:
+    """``(ds has a route column, dataset to write)``, decided as
+    :func:`run_exporters` says: ``ds.schema()`` on a lazy plan would run
+    the plan under ``limit(1)`` before the real write."""
+    procs = cfg.pipeline.get("processors") or []
+    if procs and procs[-1].split("/")[0] == "route":
+        return True, ds
+    sch = ds.schema(fetch_if_missing=False)
+    if sch is None:
+        ds = ds.materialize()
+        sch = ds.schema()  # materialized: reads the stored blocks
+    return sch is not None and "route" in sch.names, ds
+
+
 def run_exporters(cfg: PipelineConfig, ds: ray.data.Dataset, out_root: str) -> dict:
+    """Hand ``ds`` to every configured exporter; the plan runs once.
+
+    A ``parquet_sink`` with ``partition_by_route`` (the default) writes
+    one Hive directory per route when ``ds`` has a ``route`` column,
+    decided in this order without a schema probe: the last processor is
+    ``route``; else the schema Ray knows without running anything; else
+    materialize once, read the schema off the blocks and write them."""
     counts = {}
-    if len(cfg.pipeline["exporters"]) > 1:
+    exporters = cfg.pipeline["exporters"]
+    if len(exporters) > 1:
         # each exporter consumes the Dataset; without this, the whole lazy
         # pipeline would re-execute once per exporter (the fanout consumer
         # hands every sink the SAME batch — internal/fanoutconsumer/logs.go)
         ds = ds.materialize()
-    for name in cfg.pipeline["exporters"]:
+    routed = False
+    if any(n.split("/")[0] == "parquet_sink"
+           and cfg.exporters[n].get("partition_by_route", True)
+           for n in exporters):
+        routed, ds = _has_route(cfg, ds)
+    for name in exporters:
         type_name = name.split("/")[0]
         ecfg = cfg.exporters[name]
         if type_name == "parquet_sink":
             target = os.path.join(out_root, ecfg.get("path", name.replace("/", "_")))
-            if ecfg.get("partition_by_route", True) and "route" in ds.schema().names:
+            if ecfg.get("partition_by_route", True) and routed:
                 write_routed(ds, target)
             else:
                 ds.write_parquet(target)

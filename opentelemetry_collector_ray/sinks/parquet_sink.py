@@ -16,26 +16,14 @@ import pyarrow as pa
 
 import ray.data
 
+from ..stages.treereduce import collect
+
 
 def write_routed(ds: ray.data.Dataset, out_dir: str, route_col: str = "route",
                  **kwargs) -> None:
-    """Single-pass fan-out: Hive-partitioned write by route column.
-
-    Falls back to per-route filtered writes if this Ray build lacks
-    ``partition_cols`` (K extra passes, K = #sinks — still streaming). The
-    capability check is a signature probe, NOT try/except around execution —
-    a TypeError raised inside a UDF mid-write must surface, not silently
-    trigger the slower fallback.
-    """
-    import inspect
-
-    if "partition_cols" in inspect.signature(ds.write_parquet).parameters:
-        ds.write_parquet(out_dir, partition_cols=[route_col], **kwargs)
-        return
-    # ds.unique() returns scalar values, not row dicts.
-    for route in sorted(ds.select_columns([route_col]).unique(route_col)):
-        sub = ds.filter(expr=f"{route_col} == '{route}'")
-        sub.write_parquet(os.path.join(out_dir, f"{route_col}={route}"), **kwargs)
+    """Single-pass fan-out: Hive-partitioned write by route column, one
+    ``route_col=<sink>`` subdirectory per route."""
+    ds.write_parquet(out_dir, partition_cols=[route_col], **kwargs)
 
 
 class DebugSink:
@@ -244,8 +232,6 @@ def compact_files(in_dir: str, out_dir: str,
     spec = ray.data.from_items(
         [{"gid": i, "names": g} for i, g in enumerate(groups)])
     man = spec.map_batches(compact_one, batch_size=1,
-                           batch_format="numpy").materialize()
-    import ray as _ray
-
-    parts = [t for t in map(_ray.get, man.to_arrow_refs()) if t.num_rows]
+                           batch_format="numpy")
+    parts = collect(man)
     return pa.concat_tables(parts).sort_by([("out_file", "ascending")])

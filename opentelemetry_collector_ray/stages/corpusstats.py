@@ -24,6 +24,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .treereduce import collect
+
 TOKEN_SPLIT_RE = "[^a-z]+"  # must mirror the oracle's '[a-z]+' extract
 
 
@@ -303,8 +305,7 @@ def oov_stats(ds_factory, text_col: str = "text",
             f"oov_stats: vocabulary {nv:,} exceeds max_vocab="
             f"{int(max_vocab):,}; broadcast would be too large — join "
             "against term_counts() instead")
-    tables = [ray.get(r) for r in counts.to_arrow_refs()]
-    parts = [t.column("term") for t in tables if t.num_rows]
+    parts = [t.column("term") for t in collect(counts)]
     terms = pa.concat_arrays(
         [c for p in parts for c in
          (p.chunks if isinstance(p, pa.ChunkedArray) else [p])]) \
@@ -336,11 +337,9 @@ def unigram_mass(ds_factory, text_col: str = "text",
     from .bucketing import persisted_factory
 
     ds_factory = persisted_factory(ds_factory, persist)
-    vocab = term_counts(ds_factory(), text_col).to_arrow_refs()
-    tables = [ray.get(r) for r in vocab]
-    vt = pa.concat_tables([t for t in tables if t.num_rows]) \
-        if tables else pa.table({"term": pa.array([], pa.string()),
-                                 "n": pa.array([], pa.int64())})
+    tables = collect(term_counts(ds_factory(), text_col))
+    vt = pa.concat_tables(tables) if tables else pa.table({
+        "term": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
     if vt.num_rows > max_vocab:
         raise ValueError(
             f"unigram_mass: vocabulary {vt.num_rows} exceeds max_vocab="

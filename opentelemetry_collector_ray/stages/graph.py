@@ -37,6 +37,7 @@ import ray.data
 
 from .aggregate import grouped_agg, grouped_count
 from .bucketing import key_segments
+from .treereduce import collect
 
 __all__ = ["pagerank", "cooccurrence_edges", "cooccurrence_cosine",
            "triangle_count", "bfs_layers"]
@@ -385,8 +386,7 @@ def _broadcast_item_degrees(dedup: ray.data.Dataset, item_col: str,
             f"{op}: {n_items:,} distinct items "
             f"(> max_items={int(max_items):,}) — the degree table "
             "would not broadcast; raise the cap or pre-filter items")
-    parts = [t for t in ray.get(counts_ds.to_arrow_refs())
-             if t.num_rows]
+    parts = collect(counts_ds)
     if parts:
         cnt = pa.concat_tables(parts).combine_chunks()
         items_arr = cnt.column(item_col).combine_chunks()
@@ -606,7 +606,8 @@ def triangle_count(edges: ray.data.Dataset, a: str = "a", b: str = "b",
     if out.count() == 0:
         # a triangle-free graph must still honor the promised schema
         # (Ray loses it through an empty exchange)
-        node_t = e.schema().types[e.schema().names.index(a)]
+        sch = e.schema()  # e is materialized: no probe
+        node_t = sch.types[sch.names.index(a)]
         return ray.data.from_arrow(pa.schema(
             [("node", node_t), ("n_triangles", pa.int64())]).empty_table())
     return out
@@ -685,9 +686,8 @@ def bfs_layers(make_edges, src: str, dst: str, *, seeds,
                 return pa.table({"_n": pa.array(
                     np.unique(np.concatenate(outs)))})
 
-            parts = [t for t in ray.get(
-                wedges.map_batches(expand, batch_format="pyarrow")
-                .materialize().to_arrow_refs()) if t.num_rows]
+            parts = collect(wedges.map_batches(
+                expand, batch_format="pyarrow"))
             hits = (pa.concat_tables(parts).column("_n")
                     .to_numpy(zero_copy_only=False)
                     if parts else np.zeros(0, np.int64))

@@ -35,6 +35,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from .bucketing import bucketed_map_groups, key_segments
+from .treereduce import collect
 
 
 def _merge_table(t: pa.Table, key: str, start_col: str, end_col: str,
@@ -379,7 +380,7 @@ def rolling_distinct_count(ds: ray.data.Dataset, entity_col: str,
                        strategy="tree").materialize()
     out_schema = pa.schema([(out_time, pa.int64()),
                             (out_count, pa.int64())])
-    parts = [t for t in ray.get(sums.to_arrow_refs()) if t.num_rows]
+    parts = collect(sums)
     if not parts:  # empty input: to_pandas would drop the columns
         return ray.data.from_arrow(out_schema.empty_table())
     pdf = pa.concat_tables(parts).to_pandas().sort_values("_t")

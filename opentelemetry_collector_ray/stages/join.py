@@ -107,6 +107,8 @@ def _pad_union(left: ray.data.Dataset, right: ray.data.Dataset,
                          "the same length")
     if len(set(lkeys)) != len(lkeys) or len(set(rkeys)) != len(rkeys):
         raise ValueError("join: duplicate names in the key list")
+    # the sides' schemas plan the rename and cast: free for a read,
+    # else one limit(1) run of that side, never of the join's exchange
     lschema = left.schema()
     rschema = right.schema()
     lnames = list(lschema.names)

@@ -23,6 +23,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .treereduce import collect
+
 __all__ = ["zorder_code", "zorder_sort", "cluster_write",
            "read_pruned"]
 
@@ -193,11 +195,8 @@ def cluster_write(make_ds, out_dir: str, keys, stats_cols,
         lambda t: assign_range_partition(t, primary, bounds, P,
                                          part_col="_zpart"),
         batch_format="pyarrow").groupby("_zpart").map_groups(
-        write_group, batch_format="pyarrow").materialize()
-    man = manifest.to_arrow_refs()
-    import ray as _ray
-
-    parts = [t for t in map(_ray.get, man) if t.num_rows]
+        write_group, batch_format="pyarrow")
+    parts = collect(manifest)
     if not parts:
         raise ValueError("cluster_write: input dataset is empty — "
                          "nothing to lay out")

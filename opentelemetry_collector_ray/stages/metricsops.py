@@ -214,9 +214,11 @@ def grouped_trend(ds, key: str, x_col: str, y_col: str,
             r2s.append(None)
         else:
             r2s.append((int(scale) * num * num) // (den * den_y))
-    # schema-stable on empty input: the key's type comes from the
-    # INPUT schema (a fully-empty materialized aggregate reports none)
-    in_sch = ds.schema()
+    # the key's type comes from the materialized aggregate; a fully
+    # empty one reports none, so only then probe the (empty) INPUT
+    in_sch = gt.schema(fetch_if_missing=False)
+    if in_sch is None or key not in in_sch.names:
+        in_sch = ds.schema()
     key_type = (dict(zip(in_sch.names, in_sch.types)).get(key)
                 if in_sch and in_sch.names else None) or pa.string()
     return ray.data.from_arrow(pa.table({

@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from .bucketing import persisted_factory
+from .treereduce import collect
 
 MAX_CLASSES = 10_000  # the rate dict is broadcast; keep it bounded
 
@@ -339,8 +340,6 @@ def fair_quota(ds: ray.data.Dataset, tenant_col: str, capacity: int, *,
     skinny table — ``count()``-guarded by ``max_tenants`` BEFORE the
     pull — reaches the driver for the closed-form threshold, and the
     result IS the small table (no second pass over the data)."""
-    import ray
-
     from .aggregate import grouped_count
 
     if capacity < 0:
@@ -353,8 +352,7 @@ def fair_quota(ds: ray.data.Dataset, tenant_col: str, capacity: int, *,
         raise ValueError(
             f"fair_quota: {n:,} tenants exceed max_tenants="
             f"{int(max_tenants):,} — allocate per partition instead")
-    parts = [ray.get(r) for r in demands.to_arrow_refs()]
-    parts = [t for t in parts if t.num_rows]
+    parts = collect(demands)
     if not parts:
         return ray.data.from_arrow(pa.table({
             tenant_col: pa.array([], pa.string()),

@@ -31,6 +31,7 @@ import ray.data
 
 from .aggregate import grouped_agg
 from .bucketing import persisted_factory
+from .treereduce import collect
 
 __all__ = ["minmax_scale", "sigma_outliers", "mad_outliers",
            "robust_scale", "ks_two_sample", "grouped_ks"]
@@ -733,8 +734,6 @@ def quantile_map(ds: ray.data.Dataset, slice_col: str, value_col: str,
     row-bounded, ``count()``-guarded by ``max_table`` BEFORE the
     pull); the mapping itself is one driver-side vectorized pass over
     that skinny table — raw rows never move."""
-    import ray
-
     from .aggregate import grouped_count
 
     vc = grouped_count(ds.select_columns([slice_col, value_col]),
@@ -745,8 +744,7 @@ def quantile_map(ds: ray.data.Dataset, slice_col: str, value_col: str,
         raise ValueError(
             f"quantile_map: {nt:,} (slice, value) rows exceed "
             f"max_table={int(max_table):,} — band the value domain")
-    parts = [ray.get(r) for r in vc.to_arrow_refs()]
-    parts = [t for t in parts if t.num_rows]
+    parts = collect(vc)
     out_schema = pa.schema([
         pa.field(slice_col, pa.string()), pa.field(value_col, pa.int64()),
         pa.field("mapped", pa.int64())])

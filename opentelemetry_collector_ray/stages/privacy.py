@@ -33,6 +33,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .treereduce import collect
+
 __all__ = ["k_anonymize", "dp_count_release", "t_closeness",
            "l_diversity"]
 
@@ -108,8 +110,7 @@ def k_anonymize(ds: ray.data.Dataset, quasi_cols: list[str], k: int, *,
         # or be empty with a bare schema — project per block, skip
         # empties, and fall back to the materialized schema when every
         # block is empty.
-        parts = [t.select(quasi) for t in ray.get(okm.to_arrow_refs())
-                 if t.num_rows]
+        parts = [t.select(quasi) for t in collect(okm)]
         if parts:
             ok_tbl = pa.concat_tables(parts).combine_chunks()
         else:
@@ -190,8 +191,7 @@ def t_closeness(ds: ray.data.Dataset, group_col: str, sensitive_col: str,
         raise ValueError(
             f"t_closeness: {m:,} distinct sensitive values exceed "
             f"max_grid={int(max_grid):,} — band the domain first")
-    parts = [ray.get(r) for r in grid_ds.to_arrow_refs()]
-    parts = [t for t in parts if t.num_rows]
+    parts = collect(grid_ds)
     if parts:
         gt = pa.concat_tables(parts).sort_by(
             [(sensitive_col, "ascending")])

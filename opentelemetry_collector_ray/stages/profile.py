@@ -40,6 +40,8 @@ from ..functions.groupsafe import group_aggregate
 
 import ray.data
 
+from .treereduce import collect
+
 __all__ = ["profile_table"]
 
 _SCHEMA = pa.schema([("column", pa.string()), ("val", pa.string()),
@@ -89,24 +91,17 @@ def profile_table(ds: ray.data.Dataset,
                          "n_null": g.column("n_null_sum")},
                         schema=_SCHEMA)
 
-    import ray as _ray
-
     # prune at the plan when the schema is already known (parquet reads);
     # when it is NOT known, select_columns would trigger a schema-probe
     # execution of the whole upstream — skip it, `partials` only touches
     # the profiled columns anyway
     if ds.schema(fetch_if_missing=False) is not None:
         ds = ds.select_columns(columns)
-    # materialize BEFORE to_arrow_refs: on an un-materialized dataset,
-    # to_arrow_refs' internal schema(fetch_if_missing=True) launches a
-    # second limit-1 execution of the whole plan (observed on Ray 2.49)
-    mat = (ds
-           .map_batches(partials, batch_format="pyarrow")
-           .repartition(16)
-           .map_batches(combine, batch_size=None, batch_format="pyarrow")
-           .materialize())
-    tables = [t for t in (_ray.get(r) for r in mat.to_arrow_refs())
-              if t.num_rows]
+    tables = collect(ds
+                     .map_batches(partials, batch_format="pyarrow")
+                     .repartition(16)
+                     .map_batches(combine, batch_size=None,
+                                  batch_format="pyarrow"))
     merged = combine(pa.concat_tables(tables) if tables
                      else _SCHEMA.empty_table())
 

@@ -76,6 +76,8 @@ def hopping_window_agg(ds: ray.data.Dataset, ts_col: str, *,
         raise ValueError("hopping_window_agg: window_name collides "
                          "with a group key")
 
+    # the input's ts type plans the expansion: free for a read, else
+    # one limit(1) run of the input to its first block
     sch = ds.schema()
     ts_type = dict(zip(sch.names, sch.types))[ts_col]
     win_type = pa.timestamp("us") if pa.types.is_timestamp(ts_type) \
@@ -139,6 +141,8 @@ def resample_asof(ds_factory, key: str, ts_col: str, every_us: int,
         return pa.table({key: t.column(key),
                          "_ts_us": col.cast(pa.int64())})
 
+    # the input's ts type plans the grid: free for a read, else one
+    # limit(1) run of the input to its first block
     sch = ds_factory().schema()
     try:
         ts_type = dict(zip(sch.names, sch.types))[ts_col]

@@ -25,6 +25,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .treereduce import collect
+
 MAX_CANDIDATES = 2_000_000  # k × blocks candidate-row bound
 
 def _collect_bottom_k(ds: ray.data.Dataset, k: int, id_col: str,
@@ -32,11 +34,10 @@ def _collect_bottom_k(ds: ray.data.Dataset, k: int, id_col: str,
                       ) -> ray.data.Dataset:
     """Shared mergeable bottom-k: each block appends a ``_rk`` rank via
     ``add_rank(table) -> pa.Array`` and keeps its local k smallest; the
-    driver pulls candidates INCREMENTALLY (failing before it holds more
-    than MAX_CANDIDATES — each pulled block is itself <= k rows) and
-    keeps the global k. Both samplers ride this one implementation."""
-    import ray
-
+    candidates run once into the object store, their row count (block
+    metadata) is checked against MAX_CANDIDATES before the driver pulls
+    any of them, and the driver keeps the global k. Both samplers ride
+    this one implementation."""
     if k <= 0:
         raise ValueError("sample: k must be positive")
 
@@ -49,21 +50,17 @@ def _collect_bottom_k(ds: ray.data.Dataset, k: int, id_col: str,
                            (id_col, "ascending")]).slice(0, k)
         return t
 
-    refs = ds.map_batches(local_bottom, batch_size=None,
-                          batch_format="pyarrow").to_arrow_refs()
-    cand, pulled = [], 0
-    for r in refs:
-        c = ray.get(r)
-        if c.num_rows == 0:
-            continue
-        pulled += c.num_rows
-        if pulled > MAX_CANDIDATES:
-            raise ValueError(
-                f"sample: candidate rows exceed {MAX_CANDIDATES} "
-                "(k x blocks too large); lower k or tree-merge partials")
-        cand.append(c)
+    mat = ds.map_batches(local_bottom, batch_size=None,
+                         batch_format="pyarrow").materialize()
+    if mat.count() > MAX_CANDIDATES:
+        raise ValueError(
+            f"sample: candidate rows exceed {MAX_CANDIDATES} "
+            "(k x blocks too large); lower k or tree-merge partials")
+    cand = collect(mat)
     if not cand:
-        sch = ds.schema()
+        # empty input only: the probe, if the candidates carry no
+        # schema, runs an input that yielded no row
+        sch = mat.schema(fetch_if_missing=False) or ds.schema()
         fields = list(zip(sch.names, sch.types)) if sch and sch.names \
             else []
         fields = [f for f in fields if f[0] != "_rk"]
@@ -291,8 +288,7 @@ def quota_sample(ds: ray.data.Dataset, key: str, n_seats: int,
         ds = ds.materialize()
     seats_ds = apportion(ds.select_columns([key]), [key], n_seats,
                          max_groups=max_groups)
-    parts = [t for t in ray.get(seats_ds.to_arrow_refs())
-             if t.num_rows]
+    parts = collect(seats_ds)
     seats = {}
     if parts:
         seats_tbl = pa.concat_tables(parts)

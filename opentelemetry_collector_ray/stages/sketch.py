@@ -548,7 +548,7 @@ def heavy_hitters(make_ds, col: str, k: int, *, capacity: int | None = None,
     (two passes; see ``bucketing.persisted_factory`` for ``persist=``)."""
     from .aggregate import grouped_count
     from .bucketing import persisted_factory
-    from .treereduce import combine_all
+    from .treereduce import collect, combine_all
 
     if k < 2:
         raise ValueError("heavy_hitters: need k >= 2")
@@ -565,10 +565,14 @@ def heavy_hitters(make_ds, col: str, k: int, *, capacity: int | None = None,
         _mg_merge(capacity))
     # <= capacity+1 skinny rows — bounded; pull as ARROW to keep the
     # value column's exact type for is_in and the empty-path schema
-    # (materialize first: to_arrow_refs on a lazy dataset re-executes
-    # the plan for its internal schema fetch on Ray 2.49)
-    mat = summary.materialize()
-    tbl = pa.concat_tables(ray.get(mat.to_arrow_refs()))
+    parts = collect(summary)
+    if not parts:
+        # a zero-row input reaches no merge: type the empty result from
+        # the input schema (a limit(1) probe of an empty plan)
+        vtype = make_ds().schema().base_schema.field(col).type
+        parts = [pa.table({"v": pa.array([], vtype),
+                           "tot": pa.array([], pa.int64())})]
+    tbl = pa.concat_tables(parts)
     n = int(pc.sum(tbl.column("tot")).as_py() or 0)
     cand_arr = tbl.column("v").combine_chunks().drop_null()
     if n > (2 ** 62) // max(k, 1):

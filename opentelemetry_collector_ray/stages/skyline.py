@@ -34,6 +34,7 @@ import ray.data
 
 from .bucketing import key_segments
 from .sort import global_sort
+from .treereduce import collect
 
 __all__ = ["skyline_2d"]
 
@@ -86,12 +87,8 @@ def skyline_2d(make_ds, x_col: str, y_col: str,
             "_tail": pa.array([pc.max(y.filter(tail_mask)).as_py()],
                               y.type)})
 
-    import ray as _ray
-
-    refs = ranked.map_batches(blockstats, batch_size=None,
-                              batch_format="pyarrow").materialize(
-                              ).to_arrow_refs()
-    parts = [t for t in map(_ray.get, refs) if t.num_rows]
+    parts = collect(ranked.map_batches(blockstats, batch_size=None,
+                                       batch_format="pyarrow"))
     if not parts:
         return ranked.drop_columns(["_srank"])
     # arrow all the way down: int64 maxes stay exact (a pandas float

@@ -34,6 +34,8 @@ def union_by_name(datasets: list[ray.data.Dataset]) -> ray.data.Dataset:
         raise ValueError("union_by_name: no datasets")
     types: dict[str, pa.DataType] = {}
     for ds in datasets:
+        # inputs only, before any exchange: free for a read, else one
+        # limit(1) run of that input to its first block
         sch = ds.schema()
         for name, typ in zip(sch.names, sch.types):
             if name in types and types[name] != typ:

@@ -162,8 +162,11 @@ def duplicate_spans(ds: ray.data.Dataset, *, text_col: str = "text",
         dup, "doc_id", lambda t: _span_merge_bucket(t, window),
         n_buckets=n_buckets)
     # schema-stable empty path: a clean corpus otherwise yields a
-    # zero-column dataset (Ray's empty-groupby behavior)
-    id_type = dict(zip(ds.schema().names, ds.schema().types))[id_col]
+    # zero-column dataset (Ray's empty-groupby behavior); the input's
+    # id type is free for a read, else one limit(1) run of the input
+    # to its first block, before the exchange
+    sch = ds.schema()
+    id_type = dict(zip(sch.names, sch.types))[id_col]
     empty = pa.table({"doc_id": pa.array([], id_type),
                       "span_start": pa.array([], pa.int64()),
                       "span_end": pa.array([], pa.int64())})

@@ -12,10 +12,14 @@ cost each on a 1-CPU host).
 
 Ray never invokes a map UDF on an empty dataset, so an empty input
 yields zero rows here; :func:`tree_reduce_single` turns that into
-``None`` and the caller supplies its identity element."""
+``None`` and the caller supplies its identity element.
+
+:func:`collect` is the package's one way to pull a dataset's blocks to
+the driver."""
 
 from __future__ import annotations
 
+import pyarrow as pa
 import ray.data
 
 
@@ -33,3 +37,16 @@ def tree_reduce_single(partials: ray.data.Dataset, merge_fn):
     because only it knows the shape."""
     rows = combine_all(partials, merge_fn).take(1)
     return rows[0] if rows else None
+
+
+def collect(ds: ray.data.Dataset) -> list[pa.Table]:
+    """Run ``ds``'s plan once and return its non-empty blocks as Arrow
+    tables on the driver.
+
+    Materializes first: on a lazy plan ``Dataset.to_arrow_refs()`` runs
+    the plan, then asks ``schema(fetch_if_missing=True)``, which runs it
+    a second time under ``limit(1)`` — after an all-to-all, the whole
+    exchange again. On a materialized dataset that probe, if needed at
+    all, reads the stored blocks, not the plan."""
+    return [t for t in ray.get(ds.materialize().to_arrow_refs())
+            if t.num_rows]

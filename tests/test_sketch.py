@@ -224,6 +224,11 @@ def test_heavy_hitters_nulls_empty_and_guards(ray_session):
     assert empty.count() == 0
     assert empty.schema().base_schema.field("v").type == pa.string()
 
+    # zero-row input: no batch reaches the merge -> same empty result
+    none = heavy_hitters(lambda: ray.data.from_arrow(tn.slice(0, 0)), "v", 2)
+    assert none.count() == 0
+    assert none.schema().base_schema.field("v").type == pa.string()
+
     with pytest.raises(ValueError, match="capacity"):
         heavy_hitters(lambda: ray.data.from_arrow(t), "v", 10,
                       capacity=5)
