@@ -5943,7 +5943,6 @@ def _q_custs_rfm(sf_dir: str):
     for each — ties broken by custkey so every rank is total. Oracle =
     the identical ntile windows in SQL."""
     from opentelemetry_collector_ray.stages.aggregate import grouped_agg
-    from opentelemetry_collector_ray.stages.window import per_key_window
 
     DAY_US = 86_400_000_000
     orders = _read_co(sf_dir, "orders",

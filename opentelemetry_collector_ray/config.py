@@ -822,7 +822,7 @@ def _register_builtins() -> None:
             "sentence_stats": make_sentence_stats,
             "repetition": make_repetition, "transform": make_transform,
             "redact": make_redact, "score": make_score,
-            "enrich": lambda cfg: EnrichStage(cfg.get("refs")),
+            "enrich": lambda cfg: EnrichStage(),
     }.items():
         register(name, Factory(make))
     for name in STAGES:

@@ -9,45 +9,65 @@ limiter (SURVEY.md §2.2 memorylimiter row, §4.2).
 Stage map:
   read_turns              ← otlpreceiver        (sources/parquet.py)
   ParseStage              ← transform processor (stages/parse.py)
-  EnrichStage actor pool  ← attributes/resource processors (stages/enrich.py)
+  EnrichStage             ← attributes/resource processors (stages/enrich.py)
   RouteStage              ← routing connector   (stages/route.py)
   grouped_count           ← counting aggregate  (stages/aggregate.py)
   write_routed            ← exporters           (sinks/parquet_sink.py)
+
+Parse, enrich and route run as one ``map_batches`` callable
+(:class:`StageChain`), as a collector pushes each batch once through its
+processors (``consumer/logs.go:15-20``). It is mapped with no
+``batch_size``, so Ray fuses it into the read tasks and the read blocks
+never pass through the object store; the chain slices each block itself.
+When the read splits files into more blocks (``SplitBlocks``: fewer files
+than ``read_block_count`` asks for), Ray keeps it as its own operator.
 """
 
 from __future__ import annotations
 
+import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
 from ..stages.aggregate import grouped_count
 from ..stages.enrich import EnrichStage
-from ..stages.parse import DEFAULT_PARSE_RULES, ParseStage, ruleset_hash
+from ..stages.parse import DEFAULT_PARSE_RULES, ParseStage
 from ..stages.route import DEFAULT_ROUTE_RULES, RouteStage
 
 AGG_KEYS = ["route", "role", "tool", "bucket"]
 
 
+class StageChain:
+    """Runs ``stages`` in order over each ``batch_size``-row slice of a
+    block and concatenates the slices. A zero-row block still goes
+    through the stages once, so its output has the full schema."""
+
+    def __init__(self, stages, batch_size: int):
+        self.stages = tuple(stages)
+        self.batch_size = batch_size
+
+    def __call__(self, block: pa.Table) -> pa.Table:
+        out = []
+        for lo in range(0, max(block.num_rows, 1), self.batch_size):
+            batch = block.slice(lo, self.batch_size)
+            for stage in self.stages:
+                batch = stage(batch)
+            out.append(batch)
+        return out[0] if len(out) == 1 else pa.concat_tables(out)
+
+
 def build_routed(turns: ray.data.Dataset, *, parse_rules=DEFAULT_PARSE_RULES,
-                 route_rules=DEFAULT_ROUTE_RULES, enrich_refs=None,
-                 enrich_concurrency=None, batch_size: int = 8192,
+                 route_rules=DEFAULT_ROUTE_RULES, batch_size: int = 8192,
                  ) -> ray.data.Dataset:
     """turns → parsed+enriched+routed dataset (adds attribute columns,
-    enrichment columns, ``route``). ``batch_size`` default mirrors the
-    reference's send_batch_size=8192 (batchprocessor/factory.go:19-20)."""
-    parsed = turns.map_batches(ParseStage(parse_rules), batch_format="pyarrow",
-                               batch_size=batch_size)
-    if enrich_concurrency:
-        enriched = parsed.map_batches(
-            EnrichStage, fn_constructor_kwargs={"refs": enrich_refs},
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=enrich_concurrency)
-    else:
-        enriched = parsed.map_batches(EnrichStage(enrich_refs),
-                                      batch_format="pyarrow", batch_size=batch_size)
-    return enriched.map_batches(RouteStage(route_rules), batch_format="pyarrow",
-                                batch_size=batch_size)
+    enrichment columns, ``route``), as one map operator fused into the
+    read. ``batch_size`` is the rows each stage sees per call, which
+    bounds per-call memory; its default mirrors the reference's
+    send_batch_size=8192 (batchprocessor/factory.go:19-20)."""
+    chain = StageChain((ParseStage(parse_rules), EnrichStage(),
+                        RouteStage(route_rules)), batch_size)
+    return turns.map_batches(chain, batch_format="pyarrow")
 
 
 def build_aggregate(routed: ray.data.Dataset, *, bucket_unit: str = "hour",
@@ -61,14 +81,3 @@ def build_aggregate(routed: ray.data.Dataset, *, bucket_unit: str = "hour",
                                                               unit=bucket_unit)),
         batch_format="pyarrow")
     return grouped_count(with_bucket.select_columns(keys), keys, count_name="n_turns")
-
-
-def flagship_hash(parse_rules=DEFAULT_PARSE_RULES, route_rules=DEFAULT_ROUTE_RULES) -> str:
-    """Config fingerprint for manifests (parse + route rules)."""
-    import hashlib
-    import json
-
-    h = ruleset_hash(tuple(parse_rules))
-    blob = json.dumps([[r.sink, sorted(r.strict.items()), sorted(r.regex.items())]
-                       for r in route_rules])
-    return hashlib.sha256((h + blob).encode()).hexdigest()[:16]

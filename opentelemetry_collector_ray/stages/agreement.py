@@ -353,7 +353,7 @@ def gini_impurity(ds: ray.data.Dataset, key: str, cat_col: str,
     import numpy as np
 
     from .aggregate import grouped_count
-    from .bucketing import bucketed_map_groups, key_segments
+    from .bucketing import bucketed_map_groups
 
     counts = grouped_count(ds.select_columns([key, cat_col]),
                            [key, cat_col], count_name="_c",

@@ -41,8 +41,6 @@ def check_metadata_cardinality(ds, keys: list[str],
     over the limit — mirrors the reference guard before creating one shard
     (goroutine there, partition here) per combination. Runs as a small
     two-phase distinct (unique on the key projection)."""
-    import pyarrow.compute as pc  # noqa: F401
-
     from ..functions.groupsafe import group_aggregate
 
     distinct = ds.select_columns(keys).map_batches(

@@ -117,8 +117,6 @@ def multi_key_change(t, cols):
     ``NaN != NaN`` would silently start a new group per such row, unlike
     SQL GROUP BY (and unlike Arrow group_by) which collapse them into one
     group."""
-    import pyarrow as pa  # noqa: F401  (kept local: cheap, avoids cycle)
-
     n = t.num_rows
     mask = np.zeros(n, dtype=bool)
     if n:

@@ -101,8 +101,6 @@ def audience_overlap(ds: "ray.data.Dataset", group_col: str,
     membership — never a user-level self-join); both lanes then reduce
     to the tiny (group, day) table, where yesterday's total arrives
     via one more lag window. No driver-side merge."""
-    import ray.data  # noqa: F401  (signature type)
-
     from .aggregate import grouped_agg
     from .bucketing import bucketed_map_groups, key_segments
     from .window import per_key_window

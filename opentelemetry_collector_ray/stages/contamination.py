@@ -57,8 +57,6 @@ def _rolling_hashes(tok_hashes: np.ndarray, rows: np.ndarray,
 
 def _phrase_table(phrases: list[str]) -> dict[int, np.ndarray]:
     """{phrase token length: sorted uint64 hashes} — driver-side, once."""
-    from .corpusstats import TOKEN_SPLIT_RE  # noqa: F401 (doc pointer)
-
     by_n: dict[int, list[np.ndarray]] = {}
     toks_of: list[list[str]] = []
     for p in phrases:

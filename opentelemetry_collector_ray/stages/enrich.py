@@ -1,19 +1,19 @@
-"""Enrichment stage: broadcast-dictionary lookups appending attribute columns.
+"""Enrichment stage: small-dictionary lookups appending attribute columns.
 
 Collector analog: the attributes/resource-enrichment processor family
 (k8sattributes / resourcedetection pattern, named in
 ``/root/reference/docs/rfcs/processing.md:88-95``), whose surface is
 ``pcommon.Map`` mutation. The collector has **no relational join**
 (SURVEY.md §2.4); enrichment is always a small side table — so here it is
-a broadcast hash lookup inside ``map_batches``, never a shuffle join:
-the dictionaries are ``ray.put`` once on the driver and fetched once per
-actor in ``__init__``.
+a hash lookup inside ``map_batches`` against dictionaries small enough
+to ship with the stage itself, never a shuffle join.
 
 Three dictionary kinds (FIXTURES.md side inputs):
 - exact-key maps (tool -> family/cost, role -> kind) via ``pc.index_in`` +
   ``take`` (pure Arrow, zero-copy);
 - longest-prefix match (conv_id prefix -> tenant/env) via ordered
-  ``pc.starts_with`` passes (k passes for k prefixes, k small).
+  ``pc.starts_with`` passes (k passes for k prefixes, k small) into one
+  int32 index, then ``take``.
 """
 
 from __future__ import annotations
@@ -81,68 +81,40 @@ def _lookup_exact(col: pa.ChunkedArray, mapping: dict[str, tuple | str],
 def _lookup_prefix(col: pa.ChunkedArray, prefixes: list[tuple[str, str, str]],
                    default: tuple[str, str] = ("tenant-unknown", "none"),
                    ) -> tuple[pa.Array, pa.Array]:
-    n = len(col)
-    tenant = np.full(n, default[0], dtype=object)
-    env = np.full(n, default[1], dtype=object)
-    claimed = np.zeros(n, dtype=bool)
-    for pref, t, e in prefixes:  # ordered longest-first → first match wins
-        m = pc.starts_with(col, pattern=pref).to_numpy(zero_copy_only=False)
-        m = np.asarray(m, dtype=bool) & ~claimed
-        tenant[m] = t
-        env[m] = e
-        claimed |= m
-    return pa.array(tenant, pa.string()), pa.array(env, pa.string())
+    """Ordered prefix lookup, first match wins: masks are applied in
+    reverse order into one int32 index (an earlier prefix overwrites a
+    later one), then each value column is one ``take`` from the values
+    plus a trailing default slot."""
+    idx = np.full(len(col), len(prefixes), dtype=np.int32)
+    for j in range(len(prefixes) - 1, -1, -1):
+        m = pc.fill_null(pc.starts_with(col, pattern=prefixes[j][0]), False)
+        idx[m.to_numpy(zero_copy_only=False)] = j
+    take = pa.array(idx)
+    tenant = pa.array([t for _, t, _ in prefixes] + [default[0]], pa.string())
+    env = pa.array([e for _, _, e in prefixes] + [default[1]], pa.string())
+    return tenant.take(take), env.take(take)
 
 
 class EnrichStage:
-    """Actor-pool stage: ``map_batches(EnrichStage, fn_constructor_kwargs=
-    {"refs": refs}, batch_format="pyarrow", concurrency=N)``.
+    """Stateless stage: ``map_batches(EnrichStage(), batch_format=
+    "pyarrow")``. The dictionaries are the module-level fixtures; they are
+    small, so they ship inside the pickled stage with each task."""
 
-    ``refs`` is an optional dict of ``ray.ObjectRef`` for the three
-    dictionaries (broadcast once via ``ray.put`` on the driver); when None
-    the module-level fixtures are used (tests / small runs). Fetch happens
-    once per actor in ``__init__`` — never per batch.
-    """
-
-    def __init__(self, refs: dict | None = None,
-                 tool_col: str = "tool", role_col: str = "role",
+    def __init__(self, tool_col: str = "tool", role_col: str = "role",
                  conv_col: str = "conv_id"):
-        if refs is not None:
-            import ray
-
-            self.tool_dict = ray.get(refs["tool_dict"])
-            self.role_dict = ray.get(refs["role_dict"])
-            self.resource_prefixes = ray.get(refs["resource_prefixes"])
-        else:
-            self.tool_dict = TOOL_DICT
-            self.role_dict = ROLE_DICT
-            self.resource_prefixes = RESOURCE_PREFIXES
         self.tool_col, self.role_col, self.conv_col = tool_col, role_col, conv_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        fam, cost = _lookup_exact(batch.column(self.tool_col), self.tool_dict,
+        fam, cost = _lookup_exact(batch.column(self.tool_col), TOOL_DICT,
                                   ("unknown", "unknown"))
-        (kind,) = _lookup_exact(batch.column(self.role_col), self.role_dict, "unknown")
-        tenant, env = _lookup_prefix(batch.column(self.conv_col), self.resource_prefixes)
+        (kind,) = _lookup_exact(batch.column(self.role_col), ROLE_DICT, "unknown")
+        tenant, env = _lookup_prefix(batch.column(self.conv_col), RESOURCE_PREFIXES)
         return (batch
                 .append_column("tool_family", fam)
                 .append_column("tool_cost_class", cost)
                 .append_column("role_kind", kind)
                 .append_column("tenant", tenant)
                 .append_column("env", env))
-
-
-def broadcast_dicts(tool_dict=None, role_dict=None, resource_prefixes=None) -> dict:
-    """``ray.put`` the dictionaries once; pass the returned refs to
-    EnrichStage via fn_constructor_kwargs so every actor reads the same
-    object-store copy (no per-batch reshipping)."""
-    import ray
-
-    return {
-        "tool_dict": ray.put(tool_dict or TOOL_DICT),
-        "role_dict": ray.put(role_dict or ROLE_DICT),
-        "resource_prefixes": ray.put(resource_prefixes or RESOURCE_PREFIXES),
-    }
 
 
 def range_lookup(ds: ray.data.Dataset, col: str, breaks, labels,

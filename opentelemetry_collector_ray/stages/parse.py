@@ -20,12 +20,19 @@ Semantics:
 Execution: one ``pc.extract_regex`` pass per rule per batch (vectorized,
 zero-copy Arrow); combined with ``pc.if_else`` by priority. The stage is a
 callable class so the compiled ruleset + its hash live once per actor.
+A rule whose every match begins with literal text (``[`` for both
+default rules; see :func:`leading_literal`) runs anchored: each row is cut
+at the first occurrence of that text and RE2 matches ``^(?:pattern)`` on
+the rest, which spares it the unanchored search. Rows where the anchored match fails but the literal occurs
+again go through the unanchored pattern, so the output is exactly
+``pc.extract_regex``'s.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,9 +71,90 @@ def ruleset_hash(rules: tuple[ParseRule, ...]) -> str:
 
 
 def _group_names(pattern: str) -> list[str]:
-    import re
-
     return list(re.compile(pattern).groupindex.keys())
+
+
+def leading_literal(pattern: str) -> str | None:
+    """The literal text that every match of ``pattern`` begins with, or
+    None when there is none or it cannot be told.
+
+    Read off the stdlib parse tree: its leading ``LITERAL`` nodes (a
+    quantified literal is a repeat node there, so ``ab*`` gives ``"a"``).
+    None for any inline flag (``(?i)ab`` also matches ``AB``), for a
+    capturing group, class, assertion or alternation in first position,
+    and for a pattern the stdlib cannot parse (RE2-only syntax). The
+    stdlib inlines a plain ``(?:...)`` and factors out a prefix that all
+    branches of an alternation share (``ab|ac`` gives ``"a"``); every
+    match does begin with that text too."""
+    try:
+        tree = re._parser.parse(pattern)
+    except (re.error, RecursionError, OverflowError):
+        return None
+    if tree.state.flags & ~re.UNICODE:
+        return None
+    lead = []
+    for op, arg in tree:
+        if op is not re._constants.LITERAL:
+            break
+        lead.append(chr(arg))
+    return "".join(lead) or None
+
+
+def _offsets(text: pa.Array) -> np.ndarray:
+    """The n + 1 absolute offsets of a ``string`` array's rows into its
+    data buffer."""
+    return np.frombuffer(text.buffers()[1], np.int32,
+                         count=text.offset + len(text) + 1)[text.offset:]
+
+
+def _tails(text: pa.Array, offsets: np.ndarray,
+           starts: np.ndarray) -> pa.Array:
+    """Row i is ``text[i]`` from byte ``starts[i]`` (absolute, within row
+    i) to its end. Offsets ``[o_0, s_0, o_1, s_1, ..., o_n]`` over
+    ``text``'s own data buffer make row 2i the head and row 2i+1 the
+    tail; only the tails are taken out."""
+    n = len(text)
+    inter = np.empty(2 * n + 1, offsets.dtype)
+    inter[0::2] = offsets
+    inter[1::2] = starts
+    data = text.buffers()[2] or pa.py_buffer(b"")
+    pieces = pa.Array.from_buffers(text.type, 2 * n,
+                                   [None, pa.py_buffer(inter), data])
+    return pieces.take(pa.array(np.arange(1, 2 * n, 2)))
+
+
+def extract_regex_anchored(text: pa.Array, pattern: str,
+                           lead: str) -> pa.StructArray:
+    """``pc.extract_regex(text, pattern=pattern)`` for a non-empty
+    ``string`` array and a pattern whose every match begins with
+    ``lead`` (:func:`leading_literal`).
+
+    No match can start before the first occurrence of ``lead``, so a
+    match of ``^(?:pattern)`` on the row's tail from there is RE2's
+    leftmost match, with the same groups. Where that fails, the leftmost
+    match can only start at a later occurrence; rows with one run the
+    unanchored pattern. A row without ``lead`` cannot match."""
+    n = len(text)
+    pos = pc.fill_null(pc.find_substring(text, lead), -1).to_numpy(
+        zero_copy_only=False)
+    offsets = _offsets(text)
+    found = pos >= 0
+    starts = np.where(found, offsets[:-1] + pos, offsets[1:])
+    ext = pc.extract_regex(_tails(text, offsets, starts),
+                           pattern=f"^(?:{pattern})")
+    retry = found & ~ext.is_valid().to_numpy(zero_copy_only=False)
+    if retry.any():
+        # occurrences may overlap: the next one starts a code point later
+        after = np.where(retry, starts + len(lead[0].encode()), offsets[1:])
+        later = pc.find_substring(_tails(text, offsets, after), lead)
+        retry &= pc.fill_null(later, -1).to_numpy(zero_copy_only=False) >= 0
+    if not retry.any():
+        return ext
+    idx = np.nonzero(retry)[0]
+    again = pc.extract_regex(text.take(pa.array(idx)), pattern=pattern)
+    pick = np.arange(n)
+    pick[idx] = n + np.arange(len(idx))
+    return pa.concat_arrays([ext, again]).take(pa.array(pick))
 
 
 class ParseStage:
@@ -79,6 +167,7 @@ class ParseStage:
         self.text_col = text_col
         self.hash = ruleset_hash(self.rules)
         self.rule_groups = [_group_names(r.pattern) for r in self.rules]
+        self.leads = [leading_literal(r.pattern) for r in self.rules]
         self.all_groups: list[str] = []
         for gs in self.rule_groups:
             for g in gs:
@@ -87,6 +176,12 @@ class ParseStage:
         self.casts: dict[str, str] = {}
         for r in self.rules:
             self.casts.update(r.casts)
+
+    def _extract(self, i: int, text: pa.Array) -> pa.StructArray:
+        lead = self.leads[i]
+        if lead is None or not len(text) or text.type != pa.string():
+            return pc.extract_regex(text, pattern=self.rules[i].pattern)
+        return extract_regex_anchored(text, self.rules[i].pattern, lead)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         text = batch.column(self.text_col)
@@ -98,15 +193,13 @@ class ParseStage:
         }
         rule_ix = np.full(n, -1, dtype=np.int8)
         unclaimed_np = np.ones(n, dtype=bool)
-        for i, rule in enumerate(self.rules):
+        for i in range(len(self.rules)):
             n_open = int(unclaimed_np.sum())
             if n_open == 0:
                 break
             if n_open > 0.9 * n:
                 # full-column pass (vectorized if_else merge)
-                ext = pc.extract_regex(text, pattern=rule.pattern)
-                if isinstance(ext, pa.ChunkedArray):
-                    ext = ext.combine_chunks()
+                ext = self._extract(i, text)
                 matched_np = ext.is_valid().to_numpy(zero_copy_only=False)
                 wins_np = matched_np & unclaimed_np
                 if wins_np.any():
@@ -121,9 +214,7 @@ class ParseStage:
                 # residue after the first rule claims the bulk)
                 idx = np.nonzero(unclaimed_np)[0]
                 sub = text.take(pa.array(idx))
-                ext = pc.extract_regex(sub, pattern=rule.pattern)
-                if isinstance(ext, pa.ChunkedArray):
-                    ext = ext.combine_chunks()
+                ext = self._extract(i, sub)
                 matched_sub = ext.is_valid().to_numpy(zero_copy_only=False)
                 if matched_sub.any():
                     win_global = idx[matched_sub]

@@ -53,6 +53,8 @@ class RouteStage:
         self.rules = tuple(rules)
         self.default_sink = default_sink
         self.sinks = tuple(dict.fromkeys([r.sink for r in rules] + [default_sink]))
+        self.labels = pa.array([r.sink for r in self.rules] + [default_sink],
+                               pa.string())
 
     def _rule_mask(self, batch: pa.Table, rule: RouteRule) -> pa.Array:
         mask = None
@@ -71,15 +73,13 @@ class RouteStage:
         return mask
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        route = np.full(n, self.default_sink, dtype=object)
-        claimed = np.zeros(n, dtype=bool)
-        for rule in self.rules:
-            m = self._rule_mask(batch, rule).to_numpy(zero_copy_only=False)
-            m = np.asarray(m, dtype=bool) & ~claimed
-            route[m] = rule.sink
-            claimed |= m
-        return batch.append_column("route", pa.array(route, pa.string()))
+        # reverse rule order into one index, so the first match wins; the
+        # trailing slot of the label array is the default sink
+        idx = np.full(batch.num_rows, len(self.rules), dtype=np.int32)
+        for j in range(len(self.rules) - 1, -1, -1):
+            idx[self._rule_mask(batch, self.rules[j]).to_numpy(
+                zero_copy_only=False)] = j
+        return batch.append_column("route", self.labels.take(pa.array(idx)))
 
 
 def ring_assign(ds, key_col: str, backends: list[str], *,
