@@ -10,16 +10,6 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_UNITS = {"second", "minute", "hour", "day", "week", "month", "year"}
-
-
-def bucket_ts(col: pa.ChunkedArray | pa.Array, unit: str = "hour") -> pa.ChunkedArray:
-    """Truncate timestamps to a bucket boundary. Matches DuckDB
-    ``date_trunc(unit, ts)`` for naive timestamps."""
-    if unit not in _UNITS:
-        raise ValueError(f"unsupported bucket unit: {unit}")
-    return pc.floor_temporal(col, unit=unit)
-
 
 def decode_snowflake(ids: pa.ChunkedArray | pa.Array, *,
                      epoch_ms: int = 0, machine_bits: int = 10,

@@ -538,18 +538,6 @@ def nested_int(cells: pa.StructArray) -> pa.Array:
     return cell_lane(cells, VTYPE_INT, "i")
 
 
-def nested_double(cells: pa.StructArray) -> pa.Array:
-    return cell_lane(cells, VTYPE_DOUBLE, "d")
-
-
-def nested_bool(cells: pa.StructArray) -> pa.Array:
-    return cell_lane(cells, VTYPE_BOOL, "b")
-
-
-def nested_bytes(cells: pa.StructArray) -> pa.Array:
-    return cell_lane(cells, VTYPE_BYTES, "z")
-
-
 def map_delete(m, key: str) -> pa.Array:
     off, keys, items = _parts(m)
     n = len(off) - 1

@@ -18,7 +18,7 @@ from ..config import DatasetTransform, PipelineConfig, get_factory
 from ..sinks.parquet_sink import DebugSink, write_routed
 from ..sources.parquet import read_turns
 from ..state.manifest import ManifestStore, PartitionTask, run_resumable
-from ..stages.parse import ParseStage
+from .flagship import StageChain
 
 
 def _schema_from_cfg(rcfg: dict, receiver: str):
@@ -155,22 +155,36 @@ def build_dataset(cfg: PipelineConfig, paths: list[str] | None = None,
         else:
             ds = union_by_name(datasets)
 
+    # adjacent processors that are plain batch maps run as one StageChain
+    # over the whole block, as build_routed does, so Ray fuses them into
+    # the read as one operator
+    run: list = []
+
+    def flush(ds: ray.data.Dataset) -> ray.data.Dataset:
+        if run:
+            ds = ds.map_batches(StageChain(run, None), batch_format="pyarrow")
+            run.clear()
+        return ds
+
     for name in cfg.pipeline.get("processors", []):
         type_name = name.split("/")[0]
         stage = get_factory(type_name).create(cfg.processors[name])
         pcfg = cfg.processors[name]
         if isinstance(stage, DatasetTransform):
-            ds = stage(ds)  # dataset-level rewrite (aggregate/sort/sample)
+            ds = stage(flush(ds))  # dataset-level rewrite (aggregate/sort/sample)
             continue
-        kwargs = {"batch_format": "pyarrow"}
+        kwargs = {}
         if pcfg.get("batch_size"):
             kwargs["batch_size"] = int(pcfg["batch_size"])
         if pcfg.get("concurrency"):
             # instance + concurrency = capped stateless tasks; for heavy
             # per-actor state pass the class via a dedicated factory instead
             kwargs["concurrency"] = int(pcfg["concurrency"])
-        ds = ds.map_batches(stage, **kwargs)
-    return ds
+        if kwargs:
+            ds = flush(ds).map_batches(stage, batch_format="pyarrow", **kwargs)
+        else:
+            run.append(stage)
+    return flush(ds)
 
 
 def _has_route(cfg: PipelineConfig, ds: ray.data.Dataset,

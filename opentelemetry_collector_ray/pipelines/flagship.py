@@ -19,8 +19,11 @@ Parse, enrich and route run as one ``map_batches`` callable
 processors (``consumer/logs.go:15-20``). It is mapped with no
 ``batch_size``, so Ray fuses it into the read tasks and the read blocks
 never pass through the object store; the chain slices each block itself.
-When the read splits files into more blocks (``SplitBlocks``: fewer files
-than ``read_block_count`` asks for), Ray keeps it as its own operator.
+Ray does not fuse a read that splits a file into more blocks
+(``SplitBlocks``), so ``read_turns`` splits a file only into pieces of at
+least 1 MiB: a sub-MiB fragment is one block, and its read, maps and
+write run as one task. The YAML builder composes runs of adjacent
+processors the same way (``pipelines/builder.build_dataset``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+from ray.data.block import BlockAccessor
 
 from ..stages.aggregate import grouped_count
 from ..stages.enrich import EnrichStage
@@ -40,19 +44,26 @@ AGG_KEYS = ["route", "role", "tool", "bucket"]
 
 class StageChain:
     """Runs ``stages`` in order over each ``batch_size``-row slice of a
-    block and concatenates the slices. A zero-row block still goes
-    through the stages once, so its output has the full schema."""
+    block (the whole block when ``batch_size`` is None) and concatenates
+    the slices. A stage's output that is not a ``pa.Table`` becomes one
+    as Ray turns a UDF's output into the next fused op's ``pyarrow``
+    batch. A zero-row block still goes through the stages once, so its
+    output has the full schema."""
 
-    def __init__(self, stages, batch_size: int):
+    def __init__(self, stages, batch_size: int | None):
         self.stages = tuple(stages)
         self.batch_size = batch_size
 
     def __call__(self, block: pa.Table) -> pa.Table:
+        step = self.batch_size or max(block.num_rows, 1)
         out = []
-        for lo in range(0, max(block.num_rows, 1), self.batch_size):
-            batch = block.slice(lo, self.batch_size)
+        for lo in range(0, max(block.num_rows, 1), step):
+            batch = block.slice(lo, step)
             for stage in self.stages:
                 batch = stage(batch)
+                if not isinstance(batch, pa.Table):
+                    batch = BlockAccessor.for_block(
+                        BlockAccessor.batch_to_block(batch)).to_arrow()
             out.append(batch)
         return out[0] if len(out) == 1 else pa.concat_tables(out)
 

@@ -82,22 +82,3 @@ def retry_call(fn, config: RetryConfig = RetryConfig(), *, sleep=None,
                 f"retry budget exhausted after {attempt} attempts "
                 f"({config.max_elapsed}s): {last}") from last
         sleep(delay)
-
-
-class ReliableParquetWrite:
-    """Sink-side wrapper: ``write_parquet`` with the retry schedule and
-    schema-violation classification as permanent."""
-
-    def __init__(self, config: RetryConfig = RetryConfig()):
-        self.config = config
-
-    def __call__(self, ds, path: str, **kwargs):
-        import pyarrow as pa
-
-        def attempt():
-            try:
-                ds.write_parquet(path, **kwargs)
-            except pa.ArrowInvalid as e:  # schema violation → fail fast
-                raise PermanentError(e)
-
-        return retry_call(attempt, self.config)

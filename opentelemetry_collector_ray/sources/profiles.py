@@ -200,18 +200,6 @@ def encode_samples(frames: ray.data.Dataset,
         batch_format="pyarrow", concurrency=(1, 8))
 
 
-def read_profiles(sf_dir: str):
-    """events → (function_table, encoded samples Dataset)."""
-    from .parquet import read_table_coalesced
-
-    events = read_table_coalesced(sf_dir, "events",
-                                  columns=["event_id", "event_type",
-                                           "value"])
-    frames = derive_profile_frames(events)
-    ftab = build_function_table(frames)
-    return ftab, encode_samples(frames, ftab)
-
-
 def top_functions(frames: ray.data.Dataset) -> ray.data.Dataset:
     """Flat flame view per function name: total µs (function anywhere in
     the stack), self µs (function at the leaf), sample count — two-phase

@@ -219,21 +219,18 @@ class ParseStage:
                 if matched_sub.any():
                     win_global = idx[matched_sub]
                     rule_ix[win_global] = i
+                    # rows outside win_global keep their previous value:
+                    # take from [previous values, winners]
+                    pick = np.arange(n, dtype=np.int32)
+                    pick[win_global] = n + np.arange(len(win_global),
+                                                     dtype=np.int32)
+                    pick = pa.array(pick)
+                    won = pa.array(matched_sub)
                     for g in self.rule_groups[i]:
-                        vals = pc.struct_field(ext, g).to_numpy(zero_copy_only=False)
-                        full = np.full(n, None, dtype=object)
-                        full[win_global] = vals[matched_sub]
-                        merged = pa.array(full, pa.string())
-                        # rows outside win_global keep their previous value
-                        keep_prev = pa.array(rule_ix != i) if g in {
-                            h for j in range(i) for h in self.rule_groups[j]} \
-                            else None
-                        if keep_prev is not None:
-                            merged = pc.if_else(keep_prev, out[g], merged)
-                        out[g] = merged
+                        winners = pc.struct_field(ext, g).filter(won)
+                        out[g] = pa.concat_arrays(
+                            [out[g], winners.cast(out[g].type)]).take(pick)
                     unclaimed_np[idx] &= ~matched_sub
-                else:
-                    continue
         for g, typ in self.casts.items():
             out[g] = out[g].cast(pa.type_for_alias(typ))
         res = batch

@@ -106,6 +106,95 @@ def test_inline_flag_rule_keeps_plain_extract():
     assert out.column("parse_rule").to_pylist() == [0, 0]
 
 
+def _parse_reference(stage: ParseStage, batch: pa.Table) -> pa.Table:
+    """``ParseStage.__call__`` with the object-array residue scatter the
+    index-take version replaced."""
+    text = batch.column(stage.text_col).combine_chunks()
+    n = batch.num_rows
+    out = {g: pa.nulls(n, pa.string()) for g in stage.all_groups}
+    rule_ix = np.full(n, -1, dtype=np.int8)
+    unclaimed = np.ones(n, dtype=bool)
+    for i in range(len(stage.rules)):
+        n_open = int(unclaimed.sum())
+        if n_open == 0:
+            break
+        if n_open > 0.9 * n:
+            ext = stage._extract(i, text)
+            matched = ext.is_valid().to_numpy(zero_copy_only=False)
+            wins = matched & unclaimed
+            if wins.any():
+                rule_ix[wins] = i
+                for g in stage.rule_groups[i]:
+                    out[g] = pc.if_else(pa.array(wins),
+                                        pc.struct_field(ext, g), out[g])
+            unclaimed &= ~matched
+            continue
+        idx = np.nonzero(unclaimed)[0]
+        ext = stage._extract(i, text.take(pa.array(idx)))
+        matched = ext.is_valid().to_numpy(zero_copy_only=False)
+        if not matched.any():
+            continue
+        win = idx[matched]
+        rule_ix[win] = i
+        earlier = {h for j in range(i) for h in stage.rule_groups[j]}
+        for g in stage.rule_groups[i]:
+            vals = pc.struct_field(ext, g).to_numpy(zero_copy_only=False)
+            full = np.full(n, None, dtype=object)
+            full[win] = vals[matched]
+            merged = pa.array(full, pa.string())
+            if g in earlier:
+                merged = pc.if_else(pa.array(rule_ix != i), out[g], merged)
+            out[g] = merged
+        unclaimed[idx] &= ~matched
+    for g, typ in stage.casts.items():
+        out[g] = out[g].cast(pa.type_for_alias(typ))
+    for g in stage.all_groups:
+        batch = batch.append_column(g, out[g])
+    return batch.append_column("parse_rule", pa.array(rule_ix, pa.int8()))
+
+
+def _residue_rows(n: int) -> list:
+    """Tool-call lines (rule 0), ``[WARN] ...`` lines that ``any_level``
+    claims, lines only the third rule matches, nulls and misses."""
+    rows = []
+    for i in range(n):
+        k = i % 10
+        if k < 3:
+            rows.append(f"[INFO] call tool=bash latency_ms={i} status=ok "
+                        f"trace={i:016x}")
+        elif k < 7:
+            rows.append(f"[WARN] disk {i}% full")
+        elif k == 7:
+            rows.append(f"ZZZ-NO-SUCH-PREFIX-{i} é")
+        elif k == 8:
+            rows.append(None)
+        else:
+            rows.append("plain text")
+    return rows
+
+
+@pytest.mark.parametrize("rules", [
+    DEFAULT_PARSE_RULES,
+    # three rules sharing ``level``: the residue branch keeps earlier
+    # winners' values twice
+    (DEFAULT_PARSE_RULES[0], DEFAULT_PARSE_RULES[1],
+     ParseRule("lvl_z", r"(?P<level>ZZZ)-NO-SUCH-PREFIX-(?P<num>\d+)",
+               casts={"num": "int64"})),
+])
+def test_parse_residue_equals_object_array_reference(rules):
+    t = pa.table({"text": _residue_rows(200), "k": pa.array(range(200))})
+    stage = ParseStage(rules)
+    got = stage(t)
+    claimed = np.bincount(got.column("parse_rule").to_numpy() + 1,
+                          minlength=4)
+    # rule 0 claims >10%, so every later rule runs on the residue
+    assert claimed[1] > 0.1 * t.num_rows and claimed[2] > 0.1 * t.num_rows
+    assert claimed[3] > 0
+    assert got.equals(_parse_reference(stage, t))
+    assert got.column("level").to_pylist()[:4] == ["INFO", "INFO", "INFO",
+                                                   "WARN"]
+
+
 def _enrich_prefix_reference(col, prefixes, default=("tenant-unknown", "none")):
     """The object-array prefix lookup the index-take version replaced."""
     n = len(col)
@@ -185,6 +274,27 @@ def test_stage_chain_slices_and_keeps_empty_schema():
     assert StageChain(stages, 7)(t).equals(whole)
     empty = StageChain(stages, 7)(t.slice(0, 0))
     assert empty.num_rows == 0 and empty.schema.equals(whole.schema)
+
+
+def test_stage_chain_whole_block_and_non_table_outputs():
+    """``batch_size=None`` is one call per block; a stage returning a
+    dict or a pandas frame hands the next stage a ``pa.Table``, as Ray
+    does between fused ops."""
+    t = pa.table({"x": list(range(10))})
+    calls = []
+
+    def as_dict(b):
+        calls.append(b.num_rows)
+        return {"x": b.column("x").to_numpy() * 2}
+
+    def as_pandas(b):
+        assert isinstance(b, pa.Table)
+        return b.to_pandas().assign(y=lambda d: d.x + 1)
+
+    out = StageChain((as_dict, as_pandas, lambda b: b), None)(t)
+    assert calls == [10]
+    assert out.equals(pa.table({"x": [2 * i for i in range(10)],
+                                "y": [2 * i + 1 for i in range(10)]}))
 
 
 def test_flagship_routed_is_one_read_fused_map(ray_session, tmp_path):

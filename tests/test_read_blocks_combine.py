@@ -6,11 +6,15 @@ step under every tree aggregate and sketch builder."""
 
 from __future__ import annotations
 
+import ast
+import glob
 import inspect
+import os
 import re
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 
 def _touch(path) -> str:
@@ -26,10 +30,10 @@ def test_read_block_count_rule(tmp_path):
     # a list of files: one block per file once files outnumber 2 x CPUs
     assert read_block_count(files, cpus=1) == 5
     assert read_block_count(files, cpus=2) == 5
-    # more CPUs than files: 2 blocks per CPU, so files get split
-    assert read_block_count(files, cpus=4) == 8
-    # a single file at 1 CPU reads as 2 blocks
-    assert read_block_count(files[0], cpus=1) == 2
+    # more CPUs than files, but no tiny file holds 1 MiB: not split
+    assert read_block_count(files, cpus=4) == 5
+    # a single tiny file at 1 CPU reads as 1 block
+    assert read_block_count(files[0], cpus=1) == 1
     # a directory counts the files under it, skipping the names pyarrow
     # skips (``_SUCCESS``, dot-files, ``_``/``.`` directories)
     d = tmp_path / "dir"
@@ -39,10 +43,130 @@ def test_read_block_count_rule(tmp_path):
         _touch(d / rel)
     assert read_block_count(str(d), cpus=1) == 4
     assert read_block_count([str(d), files[0]], cpus=1) == 5
-    assert read_block_count(str(d), cpus=3) == 6
+    assert read_block_count(str(d), cpus=3) == 4
     # a path this process cannot see leaves Ray's autodetect in charge
     assert read_block_count(str(tmp_path / "missing"), cpus=1) is None
     assert read_block_count([files[0], "s3://bucket/x.parquet"], 1) is None
+
+
+def test_read_block_count_splits_by_footer_bytes(tmp_path):
+    """A file splits only into pieces of at least Ray's
+    ``target_min_block_size`` (1 MiB) by its footer bytes, counting just
+    the columns read: ``min(2 x cpus, bytes // 1 MiB)``."""
+    import numpy as np
+    from ray.data import DataContext
+
+    from opentelemetry_collector_ray.sources.parquet import read_block_count
+
+    assert DataContext.get_current().target_min_block_size == 1 << 20
+    path = str(tmp_path / "big.parquet")
+    n = 300_000  # 2.3 MiB per int64 column, plain-encoded
+    pq.write_table(pa.table({"x": np.arange(n), "y": np.arange(n)}), path,
+                   use_dictionary=False, row_group_size=100_000)
+    md = pq.read_metadata(path)
+    footer = sum(md.row_group(i).total_byte_size
+                 for i in range(md.num_row_groups))
+    assert footer // (1 << 20) == 4
+    assert read_block_count(path, cpus=1) == 2
+    assert read_block_count(path, cpus=2) == 4
+    assert read_block_count(path, cpus=4) == 4   # capped by bytes
+    assert read_block_count(path, cpus=4, columns=["x"]) == 2
+    # each tiny file is one block; the big one adds no pieces past
+    # the file count
+    tiny = [_touch(tmp_path / f"t{i}.parquet") for i in range(3)]
+    assert read_block_count([path, *tiny], cpus=4) == 4
+    assert read_block_count([path, *tiny], cpus=8) == 4
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.table({"x": pa.array([], pa.int64())}), empty)
+    assert read_block_count(empty, cpus=4) == 1
+
+
+def test_read_block_count_reads_no_footer_when_files_cover_cpus(
+        tmp_path, monkeypatch):
+    """With at least ``2 x cpus`` files the count is the file count, and
+    no footer is read."""
+    from opentelemetry_collector_ray.sources import parquet
+
+    files = [_touch(tmp_path / f"f{i}.parquet") for i in range(8)]
+
+    def no_footer(*args, **kwargs):
+        raise AssertionError("footer read")
+
+    monkeypatch.setattr(parquet.pq, "read_metadata", no_footer)
+    assert parquet.read_block_count(files, cpus=1) == 8
+    assert parquet.read_block_count(files, cpus=4) == 8
+    assert parquet.read_block_count(str(tmp_path), cpus=4) == 8
+    with pytest.raises(AssertionError, match="footer read"):
+        parquet.read_block_count(files, cpus=5)  # 10 > 8 files
+
+
+# Direct ``read_parquet`` calls in the package outside sources/parquet.py,
+# by file and enclosing function, with their counts.
+READ_PARQUET_CALLERS = {
+    "config.py::_register_builtins.make_agg_delta": 1,
+    "pipelines/builder.py::build_dataset": 1,
+    "sources/incremental.py::IncrementalParquetSource.__init__.read": 1,
+    "stages/bucketing.py::persisted_factory": 1,
+    "stages/graph.py::pagerank": 1,
+    "stages/layout.py::read_pruned": 1,
+    "stages/ranking.py::query_inverted_index": 1,
+    "stages/ranking.py::query_near.posts_for": 1,
+    "stages/ranking.py::query_phrase.posts_for": 1,
+    "stages/seenindex.py::dedup_against_index": 1,
+    "stages/seenindex.py::compact_seen_index": 1,
+    "stages/similarity.py::ann_query_index": 1,
+    "stages/similarity.py::_ivfpq_query": 1,
+}
+
+
+def _read_parquet_calls(source: str, path: str) -> dict[str, int]:
+    """``path::qualified.function`` -> number of ``*.read_parquet(...)``
+    calls in it (``<module>`` at top level)."""
+    found: dict[str, int] = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + [child.name]
+            if isinstance(child, ast.Call) and \
+                    isinstance(child.func, ast.Attribute) and \
+                    child.func.attr == "read_parquet":
+                key = f"{path}::{'.'.join(scope) or '<module>'}"
+                found[key] = found.get(key, 0) + 1
+            visit(child, inner)
+
+    visit(ast.parse(source, path), [])
+    return found
+
+
+def test_read_parquet_call_sites_are_known():
+    """A new parquet read goes through ``sources/parquet.read_turns``,
+    whose block rule keeps a small file one unsplit block that Ray
+    fuses with the maps after it; ``ray.data.read_parquet`` called
+    directly asks for Ray's autodetected block count."""
+    pkg = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "opentelemetry_collector_ray")
+    calls: dict[str, int] = {}
+    for f in sorted(glob.glob(os.path.join(pkg, "**", "*.py"),
+                              recursive=True)):
+        rel = os.path.relpath(f, pkg).replace(os.sep, "/")
+        if rel == "sources/parquet.py":
+            continue
+        with open(f) as fh:
+            calls.update(_read_parquet_calls(fh.read(), rel))
+    new = {k: v for k, v in calls.items()
+           if v > READ_PARQUET_CALLERS.get(k, 0)}
+    assert not new, (
+        f"direct read_parquet calls {sorted(new)}: read through "
+        "sources/parquet.read_turns instead, so the read gets its "
+        "fusion-safe block count")
+    assert calls == READ_PARQUET_CALLERS  # a removed call leaves the list
+    assert _read_parquet_calls(
+        "import ray\nx = ray.data.read_parquet('a')\n"
+        "def f():\n    def g():\n        return rd.read_parquet(p)\n",
+        "m.py") == {"m.py::<module>": 1, "m.py::f.g": 1}
 
 
 def _allops(op):
