@@ -8,10 +8,11 @@ factories keyed by ``component.ID`` (``service/internal/graph/
 graph.go:101-206``; factories ``component/component.go:182-200``).
 
 Here: YAML (or dict) config with ``${env:NAME}`` / ``${env:NAME:-default}``
-interpolation, a factory registry mapping type names → stage builders (most
-processors derived from their stage function's signature), and a
-validated Pipeline spec with the collector's section names retained
-(receivers / processors / exporters / connectors).
+interpolation, a factory registry mapping type names → stage builders,
+the receiver and exporter tables (most processors, and every receiver and
+exporter but ``parquet_sink`` and ``debug``, derived from their function's
+signature), and a validated Pipeline spec with the collector's section
+names retained (receivers / processors / exporters / connectors).
 """
 
 from __future__ import annotations
@@ -204,31 +205,30 @@ def get_factory(type_name: str) -> Factory:
     return _REGISTRY[type_name]
 
 
-# OTLP wire components (the otlpreceiver / otlpexporter file analogs): the
-# SAME type name serves as receiver (request files → flat rows) and exporter
-# (flat rows → request files) — the builder dispatches on the pipeline ROLE
-# it appears under, like the reference's otlp component id in both positions.
-_OTLP = {"otlp_json", "otlp_proto", "otlp_proto_metrics", "otlp_proto_spans",
-         "otlp_json_spans"}
-# turns / spans / profile_frames are derived-signal receivers: events
-# parquet → one table per signal (the collector wires a receiver per
-# signal, we wire a derivation per signal)
-RECEIVERS = frozenset({"parquet", "csv", "orc", "promtext", "jsonl", "ipc",
-                       "textlog", "multiline", "turns", "spans",
-                       "profile_frames"} | _OTLP)
-EXPORTERS = frozenset({"parquet_sink", "jsonl_sink", "ipc_sink", "csv_sink",
-                       "orc_sink", "prom_sink", "debug"} | _OTLP)
-
-
-# ------------------------------------------------ derived processors
+# ------------------------------------------------ derived components
 #
-# A derived processor's YAML fields ARE its stage function's parameters:
+# A derived component's YAML fields ARE its function's parameters:
 # required fields are the parameters with no default, defaults and type
-# coercions come from the signature. Each row: component name →
-# ("module:function" under ``stages/``, the YAML fields it accepts, with
-# ``yaml=param`` only where the YAML key differs from the parameter).
+# coercions come from the signature. Each row: component type →
+# ("module:function" under the table's package, the YAML fields it
+# accepts, with ``yaml=param`` only where the YAML key differs from the
+# parameter). One resolve() binds the rows of all three roles.
 
-STAGES: dict[str, tuple[str, str]] = {
+class Table(dict):
+    """The rows of one pipeline role. The builder passes a row's first
+    ``lead`` parameters itself (the Dataset, the input paths, the target
+    directory) and reads ``builder_keys`` off the component's config."""
+
+    def __init__(self, package: str, lead: int, builder_keys: str,
+                 rows: dict[str, tuple[str, str]]):
+        super().__init__(rows)
+        self.package, self.lead = package, lead
+        self.builder_keys = frozenset(builder_keys.split())
+
+
+# a processor row is fn(ds, **fields) over ``stages/`` (or fn(lambda: ds,
+# ...), see _THUNK_PARAMS), applied as a DatasetTransform
+STAGES = Table("stages", 1, "batch_size concurrency", {
     "count_agg": ("aggregate:grouped_count", "keys count_name strategy"),
     "count_distinct": ("aggregate:grouped_count_distinct",
                        "keys distinct_col out_name"),
@@ -383,28 +383,103 @@ STAGES: dict[str, tuple[str, str]] = {
                       "value=value_col ts=ts_col scale out=out_col"),
     "late_arrivals": ("temporal:late_arrivals", "key arrival=arrival_cols "
                       "ts=ts_col allowed_lateness"),
-}
+})
+
+# A receiver row is fn(paths, **fields) over ``sources/``. A row whose
+# first parameter is ``events`` derives one signal from an events parquet
+# source instead (the collector wires a receiver per signal, we wire a
+# derivation per signal): the builder reads the events with
+# ``read_turns(paths, columns=...)`` and passes the Dataset. The OTLP wire
+# types are receivers and exporters both; the builder reads the row of
+# the role a type appears under, like the reference's otlp component id
+# in both positions.
+RECEIVERS = Table("sources", 1, "paths", {
+    "parquet": ("parquet:read_turns", "columns"),
+    "csv": ("textlog:read_csv", "columns"),
+    "orc": ("orcfile:read_orc", "columns"),
+    "jsonl": ("textlog:read_jsonl", "schema"),
+    "ipc": ("arrow_ipc:read_ipc", "schema"),
+    "promtext": ("textlog:read_prom_text", "strict"),
+    "textlog": ("textlog:read_text_logs", ""),
+    "multiline": ("textlog:read_multiline_logs", "start_pattern joiner"),
+    "otlp_json": ("otlp_json:read_otlp_json_logs", ""),
+    "otlp_json_spans": ("otlp_json:read_otlp_json_spans", ""),
+    "otlp_proto": ("otlp_proto:read_otlp_proto_logs", ""),
+    "otlp_proto_spans": ("otlp_proto:read_otlp_proto_spans", ""),
+    "otlp_proto_metrics": ("otlp_metrics:read_otlp_proto_metrics", ""),
+    "turns": ("transcripts:derive_turns", ""),
+    "spans": ("spans:derive_spans", ""),
+    "profile_frames": ("profiles:derive_profile_frames", ""),
+})
+# read by the builder for an ``events`` receiver's events read
+_EVENTS_KEYS = frozenset({"columns"})
+
+# An exporter row is fn(ds, out_dir, **fields) over ``sources/``; out_dir
+# is the YAML ``path`` under the run's output root (default: the
+# exporter's name). A row that returns None reports "written".
+EXPORTERS = Table("sources", 2, "path", {
+    "jsonl_sink": ("textlog:write_jsonl", ""),
+    "csv_sink": ("textlog:write_csv", ""),
+    "ipc_sink": ("arrow_ipc:write_ipc", "compression"),
+    "orc_sink": ("orcfile:write_orc", ""),
+    "prom_sink": ("textlog:write_prom_text",
+                  "metric_col labels_col value_col ts_col help=help_text"),
+    "otlp_json": ("otlp_json:write_otlp_json_logs", "compression"),
+    "otlp_json_spans": ("otlp_json:write_otlp_json_spans", "compression"),
+    "otlp_proto": ("otlp_proto:write_otlp_proto_logs",
+                   "max_request_bytes compression"),
+    "otlp_proto_spans": ("otlp_proto:write_otlp_proto_spans", "compression"),
+    "otlp_proto_metrics": ("otlp_metrics:write_otlp_proto_metrics",
+                           "compression"),
+})
+# exporters the builder writes itself: parquet_sink's route partitioning
+# reads the pipeline, and debug has no target
+_BUILDER_EXPORTERS = frozenset({"parquet_sink", "debug"})
 
 # first-parameter names of stages that take a ``lambda: ds`` thunk (they
 # re-read their input once per pass) instead of the Dataset itself
 _THUNK_PARAMS = frozenset({"make_ds", "make_edges", "ds_factory"})
-# read by the builder for every processor, not by the stage
-_BUILDER_KEYS = frozenset({"batch_size", "concurrency"})
 # what a required field may not be: absent, null, or an empty value
 _EMPTY = (None, "", [], {})
+
+
+def _schema(mapping: dict) -> Any:
+    """``{column: type name}`` → a pinned ``pa.Schema`` (None when
+    empty)."""
+    import pyarrow as pa
+
+    types = {"int64": pa.int64(), "int32": pa.int32(),
+             "float64": pa.float64(), "float32": pa.float32(),
+             "string": pa.string(), "bool": pa.bool_(),
+             "timestamp_us": pa.timestamp("us"), "binary": pa.binary()}
+    fields = []
+    for col, tname in dict(mapping).items():
+        if tname not in types:
+            raise ValueError(f"unknown type {tname!r} for column {col!r}; "
+                             f"one of {sorted(types)}")
+        fields.append((col, types[tname]))
+    return pa.schema(fields) if fields else None
+
+
 _COERCE: dict[str, Callable[[Any], Any]] = {
     "int": int, "float": float, "str": str,
     "list[str]": lambda v: [v] if isinstance(v, str) else [str(x) for x in v],
+    "pa.Schema": _schema,
 }
 
 
-def _stage(target: str) -> tuple[Callable, list[inspect.Parameter]]:
-    """Import ``module:function`` under ``stages/`` on first use, so
-    importing this module pulls in no stage module."""
+def _stage(target: str, package: str = "stages",
+           ) -> tuple[Callable, list[inspect.Parameter]]:
+    """Import ``module:function`` under ``package`` on first use, so
+    importing this module pulls in no stage or source module."""
     module, _, name = target.partition(":")
-    fn = getattr(importlib.import_module(f"{__package__}.stages.{module}"),
-                 name)
+    fn = getattr(importlib.import_module(
+        f"{__package__}.{package}.{module}"), name)
     return fn, list(inspect.signature(fn).parameters.values())
+
+
+def first_param(fn: Callable) -> str:
+    return next(iter(inspect.signature(fn).parameters))
 
 
 def _base_type(annotation: Any) -> str:
@@ -424,19 +499,23 @@ def _coerce(annotation: Any, value: Any) -> Any:
     return value if value is None or conv is None else conv(value)
 
 
-def resolve(name: str, cfg: dict) -> tuple[Callable, dict[str, Any]]:
-    """Bind derived processor ``name``'s YAML config to its stage:
-    returns the stage function and its keyword arguments (every
-    exposed parameter, defaults filled in from the signature)."""
-    target, spec = STAGES[name]
-    fn, params = _stage(target)
+def resolve(name: str, cfg: dict, table: Table = STAGES,
+            ) -> tuple[Callable, dict[str, Any]]:
+    """Bind component ``name``'s YAML config to its row of ``table``:
+    returns the function and its keyword arguments (every exposed
+    parameter, defaults filled in from the signature)."""
+    target, spec = table[name]
+    fn, params = _stage(target, table.package)
     fields = {key: param or key for key, _, param in
               (f.partition("=") for f in spec.split())}
-    unknown = sorted(set(cfg) - set(fields) - _BUILDER_KEYS)
+    builder_keys = table.builder_keys
+    if params[0].name == "events":
+        builder_keys |= _EVENTS_KEYS
+    unknown = sorted(set(cfg) - set(fields) - builder_keys)
     if unknown:
         raise ConfigError(f"{name}: unknown field(s) {unknown} "
                           f"(accepted: {sorted(fields)})")
-    by_name = {p.name: p for p in params[1:]}
+    by_name = {p.name: p for p in params[table.lead:]}
     kwargs, missing = {}, []
     for key, pname in fields.items():
         p = by_name[pname]
@@ -447,10 +526,10 @@ def resolve(name: str, cfg: dict) -> tuple[Callable, dict[str, Any]]:
         else:
             try:
                 kwargs[pname] = _coerce(p.annotation, cfg[key])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError) as e:
                 raise ConfigError(
                     f"{name}: {key}={cfg[key]!r} is not a valid "
-                    f"{p.annotation}") from None
+                    f"{p.annotation} ({e})") from None
     if missing:
         raise ConfigError(
             f"{name}: missing required field(s) {', '.join(missing)}")
@@ -460,8 +539,7 @@ def resolve(name: str, cfg: dict) -> tuple[Callable, dict[str, Any]]:
 def _derived(name: str) -> Factory:
     def create(cfg: dict) -> DatasetTransform:
         fn, kwargs = resolve(name, cfg)
-        first = next(iter(inspect.signature(fn).parameters))
-        if first in _THUNK_PARAMS:
+        if first_param(fn) in _THUNK_PARAMS:
             return DatasetTransform(lambda ds: fn(lambda: ds, **kwargs))
         return DatasetTransform(lambda ds: fn(ds, **kwargs))
 
@@ -883,9 +961,10 @@ class PipelineConfig:
         """Validate() semantics (confmap/validation.go): every pipeline
         reference must name a configured component of a known type."""
         for kind, section, known in (
-                ("receivers", self.receivers, RECEIVERS),
-                ("processors", self.processors, _REGISTRY),
-                ("exporters", self.exporters, EXPORTERS)):
+                ("receivers", self.receivers, RECEIVERS.keys()),
+                ("processors", self.processors, _REGISTRY.keys()),
+                ("exporters", self.exporters,
+                 EXPORTERS.keys() | _BUILDER_EXPORTERS)):
             for name in self.pipeline.get(kind, []):
                 if name not in section:
                     raise ConfigError(f"pipeline references unconfigured "

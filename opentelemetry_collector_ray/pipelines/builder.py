@@ -14,130 +14,41 @@ import os
 
 import ray.data
 
-from ..config import DatasetTransform, PipelineConfig, get_factory
+from ..config import (EXPORTERS, RECEIVERS, ConfigError, DatasetTransform,
+                      PipelineConfig, first_param, get_factory, resolve)
 from ..sinks.parquet_sink import DebugSink, write_routed
 from ..sources.parquet import read_turns
 from ..state.manifest import ManifestStore, PartitionTask, run_resumable
 from .flagship import StageChain
 
 
-def _schema_from_cfg(rcfg: dict, receiver: str):
-    """Optional pinned-schema config (`schema: {col: type}`) shared by
-    the jsonl and ipc receivers."""
-    import pyarrow as pa
+def _receiver_paths(name: str, rcfg: dict):
+    if not rcfg.get("paths"):
+        raise ConfigError(f"receiver {name!r}: paths is required")
+    return rcfg["paths"]
 
-    if not rcfg.get("schema"):
-        return None
-    types = {"int64": pa.int64(), "int32": pa.int32(),
-             "float64": pa.float64(), "float32": pa.float32(),
-             "string": pa.string(), "bool": pa.bool_(),
-             "timestamp_us": pa.timestamp("us"),
-             "binary": pa.binary()}
-    fields = []
-    for c, tname in rcfg["schema"].items():
-        if tname not in types:
-            raise ValueError(
-                f"{receiver} receiver: unknown type {tname!r} for "
-                f"column {c!r}; one of {sorted(types)}")
-        fields.append((c, types[tname]))
-    return pa.schema(fields)
+
+def _sink_dir(out_root: str, name: str, ecfg: dict) -> str:
+    return os.path.join(out_root, ecfg.get("path", name.replace("/", "_")))
 
 
 def build_dataset(cfg: PipelineConfig, paths: list[str] | None = None,
                   ) -> ray.data.Dataset:
-    """receivers → processors: compose the Dataset chain."""
+    """receivers → processors: compose the Dataset chain.
+
+    Each receiver is its ``config.RECEIVERS`` row called as
+    ``fn(paths, **fields)``; a row whose first parameter is ``events``
+    gets ``read_turns(paths, columns=...)`` instead. ``paths`` overrides
+    every receiver's own."""
     datasets = []
     for name in cfg.pipeline["receivers"]:
         rcfg = cfg.receivers[name]
-        rtype = name.split("/")[0]
-        rpaths = paths if paths is not None else rcfg["paths"]
-        if rtype == "parquet":
+        fn, kwargs = resolve(name.split("/")[0], rcfg, RECEIVERS)
+        source = paths if paths is not None else _receiver_paths(name, rcfg)
+        if first_param(fn) == "events":
             # same block rule as the flagship's read
-            datasets.append(read_turns(rpaths, columns=rcfg.get("columns")))
-        elif rtype == "csv":
-            # delimited-text receiver: Arrow's C++ CSV reader per file
-            # block, column pruning after parse
-            ds = ray.data.read_csv(rpaths)
-            if rcfg.get("columns"):
-                ds = ds.select_columns(list(rcfg["columns"]))
-            datasets.append(ds)
-        elif rtype == "otlp_json":
-            # OTLP/JSON request-line files → flat LogRecord rows
-            from ..sources.otlp_json import read_otlp_json_logs
-
-            datasets.append(read_otlp_json_logs(rpaths))
-        elif rtype == "otlp_proto":
-            # OTLP protobuf request files (*.binpb) → flat LogRecord rows
-            from ..sources.otlp_proto import read_otlp_proto_logs
-
-            datasets.append(read_otlp_proto_logs(rpaths))
-        elif rtype == "otlp_proto_metrics":
-            from ..sources.otlp_metrics import read_otlp_proto_metrics
-
-            datasets.append(read_otlp_proto_metrics(rpaths))
-        elif rtype == "otlp_proto_spans":
-            from ..sources.otlp_proto import read_otlp_proto_spans
-
-            datasets.append(read_otlp_proto_spans(rpaths))
-        elif rtype == "otlp_json_spans":
-            from ..sources.otlp_json import read_otlp_json_spans
-
-            datasets.append(read_otlp_json_spans(rpaths))
-        elif rtype == "jsonl":
-            # filelog-receiver analog: JSONL files, optional pinned schema
-            from ..sources.textlog import read_jsonl
-
-            datasets.append(read_jsonl(
-                rpaths, schema=_schema_from_cfg(rcfg, "jsonl")))
-        elif rtype == "ipc":
-            from ..sources.arrow_ipc import read_ipc
-
-            # schema pin (same contract as jsonl): REQUIRED for
-            # schema-evolving directories — one task per file means
-            # union-by-name can't see across files
-            datasets.append(read_ipc(
-                rpaths, schema=_schema_from_cfg(rcfg, "ipc")))
-        elif rtype == "orc":
-            from ..sources.orcfile import read_orc
-
-            datasets.append(read_orc(rpaths,
-                                     columns=rcfg.get("columns")))
-        elif rtype == "promtext":
-            from ..sources.textlog import read_prom_text
-
-            datasets.append(read_prom_text(
-                rpaths, strict=bool(rcfg.get("strict", True))))
-        elif rtype == "textlog":
-            from ..sources.textlog import read_text_logs
-
-            datasets.append(read_text_logs(rpaths))
-        elif rtype == "multiline":
-            from ..sources.textlog import read_multiline_logs
-
-            if not rcfg.get("start_pattern"):
-                raise ValueError(
-                    "multiline receiver: start_pattern is required")
-            datasets.append(read_multiline_logs(
-                rpaths, rcfg["start_pattern"],
-                joiner=rcfg.get("joiner", "\n")))
-        elif rtype in ("turns", "spans", "profile_frames"):
-            # derived-signal receivers over an events parquet source
-            events = ray.data.read_parquet(
-                rpaths, columns=rcfg.get("columns"))
-            if rtype == "turns":
-                from ..sources.transcripts import derive_turns
-
-                datasets.append(derive_turns(events))
-            elif rtype == "spans":
-                from ..sources.spans import derive_spans
-
-                datasets.append(derive_spans(events))
-            else:
-                from ..sources.profiles import derive_profile_frames
-
-                datasets.append(derive_profile_frames(events))
-        else:
-            raise ValueError(f"unsupported receiver {name}")
+            source = read_turns(source, columns=rcfg.get("columns"))
+        datasets.append(fn(source, **kwargs))
     ds = datasets[0]
     if len(datasets) > 1:
         # implicit fan-in union (graph.go:271-273); schema-evolution
@@ -222,99 +133,25 @@ def run_exporters(cfg: PipelineConfig, ds: ray.data.Dataset, out_root: str) -> d
            and cfg.exporters[n].get("partition_by_route", True)
            for n in exporters):
         routed, ds = _has_route(cfg, ds)
+    # bind every derived exporter before the plan runs, so a bad field
+    # fails first
+    derived = {n: resolve(n.split("/")[0], cfg.exporters[n], EXPORTERS)
+               for n in exporters if n.split("/")[0] in EXPORTERS}
     for name in exporters:
-        type_name = name.split("/")[0]
         ecfg = cfg.exporters[name]
-        if type_name == "parquet_sink":
-            target = os.path.join(out_root, ecfg.get("path", name.replace("/", "_")))
+        if name in derived:
+            fn, kwargs = derived[name]
+            out = fn(ds, _sink_dir(out_root, name, ecfg), **kwargs)
+            counts[name] = "written" if out is None else out
+        elif name.split("/")[0] == "parquet_sink":
+            target = _sink_dir(out_root, name, ecfg)
             if ecfg.get("partition_by_route", True) and routed:
                 write_routed(ds, target)
             else:
                 ds.write_parquet(target)
             counts[name] = "written"
-        elif type_name == "otlp_json":
-            from ..sources.otlp_json import write_otlp_json_logs
-
-            target = os.path.join(out_root,
-                                  ecfg.get("path", name.replace("/", "_")))
-            counts[name] = write_otlp_json_logs(
-                ds, target, compression=ecfg.get("compression", "none"))
-        elif type_name == "otlp_proto":
-            from ..sources.otlp_proto import write_otlp_proto_logs
-
-            target = os.path.join(out_root,
-                                  ecfg.get("path", name.replace("/", "_")))
-            counts[name] = write_otlp_proto_logs(
-                ds, target,
-                max_request_bytes=ecfg.get("max_request_bytes"),
-                compression=ecfg.get("compression", "none"))
-        elif type_name == "otlp_proto_metrics":
-            from ..sources.otlp_metrics import write_otlp_proto_metrics
-
-            target = os.path.join(out_root,
-                                  ecfg.get("path", name.replace("/", "_")))
-            counts[name] = write_otlp_proto_metrics(
-                ds, target, compression=ecfg.get("compression", "none"))
-        elif type_name == "otlp_proto_spans":
-            from ..sources.otlp_proto import write_otlp_proto_spans
-
-            target = os.path.join(out_root,
-                                  ecfg.get("path", name.replace("/", "_")))
-            counts[name] = write_otlp_proto_spans(
-                ds, target, compression=ecfg.get("compression", "none"))
-        elif type_name == "otlp_json_spans":
-            from ..sources.otlp_json import write_otlp_json_spans
-
-            target = os.path.join(out_root,
-                                  ecfg.get("path", name.replace("/", "_")))
-            counts[name] = write_otlp_json_spans(
-                ds, target, compression=ecfg.get("compression", "none"))
-        elif type_name == "ipc_sink":
-            # Arrow IPC stream files, one per block — the zero-parse
-            # pipeline-to-pipeline wire (inverse of the ipc receiver)
-            from ..sources.arrow_ipc import write_ipc
-
-            target = os.path.join(out_root,
-                                  ecfg.get("path", name.replace("/", "_")))
-            counts[name] = write_ipc(
-                ds, target, compression=ecfg.get("compression", "none"))
-        elif type_name == "jsonl_sink":
-            # newline-delimited JSON, one file per block (pandas
-            # to_json(lines=True) under Ray's write_json — vectorized);
-            # the inverse of the jsonl receiver
-            target = os.path.join(out_root,
-                                  ecfg.get("path", name.replace("/", "_")))
-            ds.write_json(target)
-            counts[name] = "written"
-        elif type_name == "csv_sink":
-            # delimited text, one file per block (Arrow CSV writer) —
-            # the inverse of the csv receiver
-            target = os.path.join(out_root,
-                                  ecfg.get("path", name.replace("/", "_")))
-            ds.write_csv(target)
-            counts[name] = "written"
-        elif type_name == "orc_sink":
-            from ..sources.orcfile import write_orc
-
-            target = os.path.join(out_root,
-                                  ecfg.get("path", name.replace("/", "_")))
-            counts[name] = write_orc(ds, target)
-        elif type_name == "prom_sink":
-            from ..sources.textlog import write_prom_text
-
-            target = os.path.join(out_root,
-                                  ecfg.get("path", name.replace("/", "_")))
-            counts[name] = write_prom_text(
-                ds, target,
-                metric_col=ecfg.get("metric_col", "metric"),
-                labels_col=ecfg.get("labels_col", "labels"),
-                value_col=ecfg.get("value_col", "value"),
-                ts_col=ecfg.get("ts_col", "ts_ms"),
-                help_text=ecfg.get("help"))
-        elif type_name == "debug":
+        else:  # debug
             counts[name] = DebugSink(ecfg.get("verbosity", "basic")).consume(ds)
-        else:
-            raise ValueError(f"unsupported exporter {name}")
     return counts
 
 
@@ -345,12 +182,15 @@ def run_pipeline(cfg: PipelineConfig, out_root: str, resume: bool = True) -> dic
                          "and supports exactly one receiver; union multiple "
                          "sources upstream or run one pipeline per source")
     (rname,) = cfg.pipeline["receivers"]
+    pats = _receiver_paths(rname, cfg.receivers[rname])
     paths = sorted(
-        p for pat in ([cfg.receivers[rname]["paths"]]
-                      if isinstance(cfg.receivers[rname]["paths"], str)
-                      else cfg.receivers[rname]["paths"])
+        p for pat in ([pats] if isinstance(pats, str) else pats)
         for p in (glob.glob(os.path.join(pat, "*.parquet"))
                   if os.path.isdir(pat) else glob.glob(pat)))
+    if not paths:
+        raise ConfigError(
+            f"receiver {rname!r}: no input file matches paths {pats!r} "
+            "(a directory matches the *.parquet files in it)")
     store = ManifestStore(out_root)
     chash = config_hash(cfg)
     # Partition identity = content-addressed hash of the input path(s), not a
@@ -371,8 +211,7 @@ def run_pipeline(cfg: PipelineConfig, out_root: str, resume: bool = True) -> dic
         for name in cfg.pipeline["exporters"]:
             if name.split("/")[0] != "parquet_sink":
                 continue
-            sink_dir = os.path.join(staging, cfg.exporters[name].get(
-                "path", name.replace("/", "_")))
+            sink_dir = _sink_dir(staging, name, cfg.exporters[name])
             rc = routed_counts(sink_dir)
             if rc:
                 per_route.update(rc)

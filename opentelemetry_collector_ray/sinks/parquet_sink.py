@@ -93,75 +93,6 @@ def bucketed_sorted_write(ds: ray.data.Dataset, out_dir: str,
     ordered.write_parquet(out_dir, partition_cols=["_bucket"], **kwargs)
 
 
-def bucketed_resumable_write(ds: ray.data.Dataset, out_dir: str,
-                             key: str = "conv_id",
-                             order=("conv_id", "turn_idx"),
-                             n_buckets: int | str = "auto") -> dict:
-    """Ordered sink with BUCKET-level resume: each bucket task sorts its
-    group and commits its own directory atomically (tmp + rename +
-    ``_SUCCESS``); a rerun skips already-committed buckets' writes. This
-    is the finer-grained resume unit under the manifest runner's
-    input-partition level — the persistent queue's per-item ack, applied
-    per key range. (The shuffle still runs on rerun; only the write —
-    the side effect — is skipped, which is what idempotence requires.)
-
-    A bucket is skipped only when its ``_SUCCESS`` file records the SAME
-    content fingerprint (sha256 of the sorted bucket's IPC bytes) — a
-    rerun against changed input data rewrites the bucket instead of
-    silently retaining stale contents (the cross-check the manifest layer
-    does with recorded inputs + ruleset hash, applied per bucket).
-
-    Returns {"written": [...], "skipped": [...]} bucket labels."""
-    import hashlib
-    import shutil
-    import uuid
-
-    import pyarrow.parquet as pq
-
-    from ..stages.bucketing import resolve_n_buckets, with_hash_bucket
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def sort_and_write(g: pa.Table) -> pa.Table:
-        b = g.column("_bucket")[0].as_py()
-        label = f"bucket={b:05d}"
-        final = os.path.join(out_dir, label)
-        t = g.drop_columns(["_bucket"]).sort_by(
-            [(c, "ascending") for c in order]).combine_chunks()
-        sink = pa.BufferOutputStream()
-        with pa.ipc.new_stream(sink, t.schema) as w:
-            w.write_table(t)
-        fp = hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest()[:32]
-        marker = f"{t.num_rows}\n{fp}"
-        success = os.path.join(final, "_SUCCESS")
-        if os.path.exists(success):
-            with open(success) as f:
-                if f.read() == marker:
-                    return pa.table({"bucket": pa.array([label]),
-                                     "rows": pa.array([t.num_rows], pa.int64()),
-                                     "skipped": pa.array([True])})
-        staging = final + "." + uuid.uuid4().hex[:8] + ".tmp"
-        os.makedirs(staging, exist_ok=True)
-        pq.write_table(t, os.path.join(staging, "part-0.parquet"))
-        with open(os.path.join(staging, "_SUCCESS"), "w") as f:
-            f.write(marker)
-        if os.path.exists(final):
-            shutil.rmtree(final)
-        os.replace(staging, final)
-        return pa.table({"bucket": pa.array([label]),
-                         "rows": pa.array([t.num_rows], pa.int64()),
-                         "skipped": pa.array([False])})
-
-    nb = resolve_n_buckets(ds, n_buckets)
-    res = with_hash_bucket(ds, key, nb).groupby("_bucket") \
-        .map_groups(sort_and_write, batch_format="pyarrow").to_pandas()
-    if len(res) == 0 or "skipped" not in res.columns:
-        # empty input → no groups → Ray drops the 0-row schema entirely
-        return {"written": [], "skipped": []}
-    return {"written": sorted(res[~res.skipped].bucket),
-            "skipped": sorted(res[res.skipped].bucket)}
-
-
 def compact_files(in_dir: str, out_dir: str,
                   target_bytes: int = 128 << 20) -> pa.Table:
     """Small-file compaction — the lakehouse OPTIMIZE maintenance pass:

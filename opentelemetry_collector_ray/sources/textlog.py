@@ -83,6 +83,27 @@ def read_jsonl(paths, *, schema: pa.Schema | None = None
         parse, batch_format="pyarrow")
 
 
+def write_jsonl(ds: ray.data.Dataset, out_dir: str) -> None:
+    """Newline-delimited JSON, one file per block (pandas
+    ``to_json(lines=True)`` under Ray's ``write_json``, vectorized): the
+    inverse of :func:`read_jsonl`."""
+    ds.write_json(out_dir)
+
+
+def read_csv(paths, *, columns: list[str] | None = None
+             ) -> ray.data.Dataset:
+    """Delimited text: Arrow's C++ CSV reader per file block, ``columns``
+    pruned after the parse."""
+    ds = ray.data.read_csv(paths)
+    return ds.select_columns(columns) if columns else ds
+
+
+def write_csv(ds: ray.data.Dataset, out_dir: str) -> None:
+    """Delimited text, one file per block (Arrow CSV writer): the
+    inverse of :func:`read_csv`."""
+    ds.write_csv(out_dir)
+
+
 def read_text_logs(paths) -> ray.data.Dataset:
     """Plain-text log files → one ``text`` row per line (decompressed).
     Structure them with ``stages/parse.py`` regex/grok stages."""

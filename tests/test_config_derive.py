@@ -1,29 +1,33 @@
-"""Derived YAML processors: each row of ``config.STAGES`` binds its YAML
-fields to its stage function's signature. Required fields, defaults, type
-coercion, unknown-key rejection and lazy stage import are checked here
-without starting Ray."""
+"""Derived YAML components: each row of ``config.STAGES``,
+``config.RECEIVERS`` and ``config.EXPORTERS`` binds its YAML fields to its
+function's signature. Required fields, defaults, type coercion,
+unknown-key rejection and lazy module import are checked here without
+starting Ray."""
 
 from __future__ import annotations
 
+import functools
 import inspect
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from opentelemetry_collector_ray import config
 from opentelemetry_collector_ray.config import (
-    STAGES, ConfigError, DatasetTransform, expand_env, get_factory, resolve)
+    EXPORTERS, RECEIVERS, STAGES, ConfigError, DatasetTransform, expand_env,
+    get_factory, resolve)
 
 _SAMPLE = {"int": 7, "float": 0.5, "str": "s", "list[str]": ["a"]}
 
 
-def _fields(name: str) -> dict[str, inspect.Parameter]:
-    """YAML key → the stage parameter it binds to."""
-    target, spec = STAGES[name]
-    _, params = config._stage(target)
-    by_name = {p.name: p for p in params[1:]}
+def _fields(name: str, table=STAGES) -> dict[str, inspect.Parameter]:
+    """YAML key → the parameter of the row's function it binds to."""
+    target, spec = table[name]
+    _, params = config._stage(target, table.package)
+    by_name = {p.name: p for p in params[table.lead:]}
     out = {}
     for key, _, param in (f.partition("=") for f in spec.split()):
         assert (param or key) in by_name, \
@@ -137,3 +141,170 @@ def test_config_import_loads_no_derived_stage_module():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "['enrich', 'filterstage', 'parse', 'route']"
+
+
+# ------------------------------------------------ receivers and exporters
+
+_IO = {"receivers": RECEIVERS, "exporters": EXPORTERS}
+_IO_ROWS = [(role, name) for role, table in _IO.items()
+            for name in sorted(table)]
+
+
+@pytest.mark.parametrize("role, name", _IO_ROWS)
+def test_io_required_parameters_are_fields(role, name):
+    table = _IO[role]
+    _, params = config._stage(table[name][0], table.package)
+    assert params[0].name in (("paths", "events") if role == "receivers"
+                              else ("ds",))
+    bound = {p.name for p in _fields(name, table).values()}
+    unbound = [p.name for p in params[table.lead:]
+               if p.default is p.empty
+               and p.kind not in (p.VAR_KEYWORD, p.VAR_POSITIONAL)
+               and p.name not in bound]
+    assert not unbound
+
+
+@pytest.mark.parametrize("role, name", _IO_ROWS)
+def test_io_planted_typo_names_component_and_key(role, name):
+    table = _IO[role]
+    cfg = {k: "x" for k, p in _fields(name, table).items()
+           if p.default is p.empty}
+    resolve(name, cfg, table)
+    with pytest.raises(ConfigError, match=rf"{name}: unknown .*'compresion'"):
+        resolve(name, {**cfg, "compresion": "gzip"}, table)
+
+
+def test_io_builder_keys():
+    resolve("parquet", {"paths": "a", "columns": ["x"]}, RECEIVERS)
+    resolve("turns", {"paths": "a", "columns": ["x"]}, RECEIVERS)
+    resolve("otlp_proto", {"path": "p", "compression": "gzip"}, EXPORTERS)
+    with pytest.raises(ConfigError, match=r"jsonl: unknown .*'columns'"):
+        resolve("jsonl", {"paths": "a", "columns": ["x"]}, RECEIVERS)
+    with pytest.raises(ConfigError, match=r"ipc_sink: unknown .*'paths'"):
+        resolve("ipc_sink", {"paths": "a"}, EXPORTERS)
+
+
+def test_io_defaults_of_today():
+    def kwargs(name, table, cfg=None):
+        return resolve(name, cfg or {}, table)[1]
+
+    assert kwargs("promtext", RECEIVERS) == {"strict": True}
+    assert kwargs("multiline", RECEIVERS,
+                  {"start_pattern": "^S"})["joiner"] == "\n"
+    assert kwargs("parquet", RECEIVERS) == {"columns": None}
+    assert kwargs("jsonl", RECEIVERS) == {"schema": None}
+    for name in ("otlp_json", "otlp_json_spans", "otlp_proto",
+                 "otlp_proto_spans", "otlp_proto_metrics", "ipc_sink"):
+        assert kwargs(name, EXPORTERS)["compression"] == "none", name
+    assert kwargs("otlp_proto", EXPORTERS)["max_request_bytes"] is None
+    assert kwargs("prom_sink", EXPORTERS) == {
+        "metric_col": "metric", "labels_col": "labels",
+        "value_col": "value", "ts_col": "ts_ms", "help_text": None}
+    assert kwargs("prom_sink", EXPORTERS,
+                  {"help": "h"})["help_text"] == "h"
+    with pytest.raises(ConfigError, match="multiline: .*start_pattern"):
+        resolve("multiline", {"paths": "a"}, RECEIVERS)
+
+
+def test_schema_mapping_becomes_pinned_schema():
+    import pyarrow as pa
+
+    _, kwargs = resolve("ipc", {"schema": {"a": "int64", "t": "timestamp_us",
+                                           "s": "string"}}, RECEIVERS)
+    assert kwargs["schema"] == pa.schema([("a", pa.int64()),
+                                          ("t", pa.timestamp("us")),
+                                          ("s", pa.string())])
+    assert resolve("jsonl", {"schema": {}}, RECEIVERS)[1]["schema"] is None
+    with pytest.raises(ConfigError,
+                       match=r"jsonl: .*unknown type 'int65' for column 'b'"):
+        resolve("jsonl", {"schema": {"a": "int64", "b": "int65"}}, RECEIVERS)
+
+
+def _pipeline(receiver: dict, exporter: dict, rtype="parquet",
+              etype="debug") -> "config.PipelineConfig":
+    return config.PipelineConfig.from_dict({
+        "receivers": {rtype: receiver}, "exporters": {etype: exporter},
+        "service": {"pipelines": {"logs": {
+            "receivers": [rtype], "exporters": [etype]}}}})
+
+
+def test_receiver_without_paths_is_a_config_error(tmp_path):
+    from opentelemetry_collector_ray.pipelines.builder import (
+        build_dataset, run_pipeline)
+
+    cfg = _pipeline({"columns": ["text"]}, {})
+    with pytest.raises(ConfigError, match="receiver 'parquet': paths"):
+        build_dataset(cfg)
+    with pytest.raises(ConfigError, match="receiver 'parquet': paths"):
+        run_pipeline(cfg, str(tmp_path / "out"))
+
+
+def test_receiver_matching_no_input_is_a_config_error(tmp_path):
+    from opentelemetry_collector_ray.pipelines.builder import run_pipeline
+
+    src = tmp_path / "logs"
+    src.mkdir()
+    (src / "x.jsonl").write_text('{"a": 1}\n')
+    cfg = _pipeline({"paths": str(src)}, {}, rtype="jsonl")
+    with pytest.raises(ConfigError,
+                       match=rf"receiver 'jsonl': no input .*{src.name}"):
+        run_pipeline(cfg, str(tmp_path / "out"))
+
+
+def test_exporter_typo_fails_before_the_plan_runs(tmp_path):
+    from opentelemetry_collector_ray.pipelines.builder import run_exporters
+
+    cfg = _pipeline({"paths": "a"}, {"compresion": "gzip"},
+                    etype="otlp_proto")
+    with pytest.raises(ConfigError, match=r"otlp_proto: unknown .*compresion"):
+        run_exporters(cfg, None, str(tmp_path))
+
+
+def test_exporter_row_gets_its_target_and_fields(tmp_path, monkeypatch):
+    """A derived exporter is called as fn(ds, <out_root>/<path>, **fields);
+    debug keeps verbosity="basic"."""
+    from opentelemetry_collector_ray.pipelines import builder
+    from opentelemetry_collector_ray.sources import textlog
+
+    calls = []
+
+    @functools.wraps(textlog.write_prom_text)  # keeps the signature
+    def fake_write(ds, out_dir, **kw):
+        calls.append((ds, out_dir, kw))
+        return 3
+
+    monkeypatch.setattr(textlog, "write_prom_text", fake_write)
+    monkeypatch.setattr(builder, "DebugSink", lambda verbosity: type(
+        "Sink", (), {"consume": lambda self, ds: verbosity})())
+    cfg = config.PipelineConfig.from_dict({
+        "receivers": {"parquet": {"paths": "a"}},
+        "exporters": {"prom_sink/p": {"help": "h"}, "debug": {}},
+        "service": {"pipelines": {"logs": {
+            "receivers": ["parquet"], "exporters": ["prom_sink/p", "debug"]}}}})
+    marker = type("Ds", (), {"materialize": lambda self: self})()
+    counts = builder.run_exporters(cfg, marker, str(tmp_path))
+    assert counts == {"prom_sink/p": 3, "debug": "basic"}
+    (ds, out_dir, kw), = calls
+    assert ds is marker and out_dir == str(tmp_path / "prom_sink_p")
+    assert kw["help_text"] == "h" and kw["ts_col"] == "ts_ms"
+
+
+@pytest.mark.parametrize("yml", sorted(
+    (Path(__file__).resolve().parent.parent / "examples").glob("*.yaml")),
+    ids=lambda p: p.name)
+def test_example_receivers_and_exporters_resolve(yml):
+    cfg = config.PipelineConfig.from_yaml(str(yml))
+    for name in cfg.pipeline["receivers"]:
+        resolve(name.split("/")[0], cfg.receivers[name], RECEIVERS)
+    for name in cfg.pipeline["exporters"]:
+        if name.split("/")[0] in EXPORTERS:
+            resolve(name.split("/")[0], cfg.exporters[name], EXPORTERS)
+
+
+def test_config_import_loads_no_source_module():
+    code = ("import sys, opentelemetry_collector_ray.config; "
+            "print([m for m in sys.modules "
+            "if m.startswith('opentelemetry_collector_ray.sources')])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -104,7 +104,6 @@ def test_read_block_count_reads_no_footer_when_files_cover_cpus(
 # by file and enclosing function, with their counts.
 READ_PARQUET_CALLERS = {
     "config.py::_register_builtins.make_agg_delta": 1,
-    "pipelines/builder.py::build_dataset": 1,
     "sources/incremental.py::IncrementalParquetSource.__init__.read": 1,
     "stages/bucketing.py::persisted_factory": 1,
     "stages/graph.py::pagerank": 1,

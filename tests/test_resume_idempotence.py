@@ -99,80 +99,6 @@ def test_torn_manifest_is_not_committed(tmp_path):
     assert not store.is_committed("x", "other-hash")
 
 
-def test_bucket_level_resumable_write(ray_session, tmp_path):
-    """Per-bucket atomic commit + skip: second run skips every committed
-    bucket; a deleted bucket is rewritten; output stays sorted."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data
-    import glob
-    import os
-    import shutil
-
-    from opentelemetry_collector_ray.sinks.parquet_sink import (
-        bucketed_resumable_write)
-
-    t = pa.table({"conv_id": pa.array([f"c{i % 5}" for i in range(100)]),
-                  "turn_idx": pa.array(list(range(100)), pa.int32())})
-    out = str(tmp_path / "sink")
-    r1 = bucketed_resumable_write(ray.data.from_arrow(t), out, n_buckets=4)
-    assert r1["written"] and not r1["skipped"]
-    r2 = bucketed_resumable_write(ray.data.from_arrow(t), out, n_buckets=4)
-    assert not r2["written"] and sorted(r2["skipped"]) == sorted(r1["written"])
-    # delete one bucket → only it is rewritten
-    victim = r1["written"][0]
-    shutil.rmtree(os.path.join(out, victim))
-    r3 = bucketed_resumable_write(ray.data.from_arrow(t), out, n_buckets=4)
-    assert r3["written"] == [victim]
-    # per-bucket order holds
-    for d in glob.glob(os.path.join(out, "bucket=*")):
-        part = pq.read_table(os.path.join(d, "part-0.parquet")).to_pandas()
-        assert part.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True) \
-            .equals(part.reset_index(drop=True))
-    total = sum(pq.read_table(os.path.join(d, "part-0.parquet")).num_rows
-                for d in glob.glob(os.path.join(out, "bucket=*")))
-    assert total == 100
-
-
-def test_resumable_write_rewrites_on_changed_input(ray_session, tmp_path):
-    """A committed bucket whose CONTENT changed is rewritten, not skipped:
-    the _SUCCESS fingerprint cross-checks the sorted bucket bytes (stale
-    outputs from a changed input/config must never be silently retained)."""
-    import glob
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from opentelemetry_collector_ray.sinks.parquet_sink import (
-        bucketed_resumable_write)
-
-    t1 = pa.table({"conv_id": pa.array([f"c{i % 5}" for i in range(100)]),
-                   "turn_idx": pa.array(list(range(100)), pa.int32())})
-    out = str(tmp_path / "sink")
-    r1 = bucketed_resumable_write(ray.data.from_arrow(t1), out, n_buckets=4)
-    assert r1["written"] and not r1["skipped"]
-    # change every c0 row's turn_idx → only buckets containing c0 rewrite
-    idx = t1.column("turn_idx").to_pylist()
-    conv = t1.column("conv_id").to_pylist()
-    t2 = pa.table({"conv_id": t1.column("conv_id"),
-                   "turn_idx": pa.array(
-                       [i + 1000 if c == "c0" else i
-                        for c, i in zip(conv, idx)], pa.int32())})
-    r2 = bucketed_resumable_write(ray.data.from_arrow(t2), out, n_buckets=4)
-    assert r2["written"]  # the changed bucket(s) rewrote
-    assert set(r2["written"]) | set(r2["skipped"]) == set(r1["written"])
-    rows = pa.concat_tables([
-        pq.read_table(p) for p in glob.glob(os.path.join(
-            out, "bucket=*", "part-0.parquet"))]).to_pandas()
-    # final output reflects the NEW input everywhere
-    assert sorted(rows[rows.conv_id == "c0"].turn_idx) == \
-        sorted(i + 1000 for c, i in zip(conv, idx) if c == "c0")
-    # unchanged buckets were skipped (not needlessly rewritten)
-    assert r2["skipped"]
-
-
 def test_config_staleness_partial_reload(tmp_path):
     """The batch partial-reload analog (otelcol/collector.go:290-329):
     editing ONE route rule changes only the routed output's ruleset hash
