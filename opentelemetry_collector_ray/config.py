@@ -432,9 +432,11 @@ EXPORTERS = Table("sources", 2, "path", {
     "otlp_proto_metrics": ("otlp_metrics:write_otlp_proto_metrics",
                            "compression"),
 })
-# exporters the builder writes itself: parquet_sink's route partitioning
-# reads the pipeline, and debug has no target
-_BUILDER_EXPORTERS = frozenset({"parquet_sink", "debug"})
+# exporters the builder writes itself, with the fields each accepts:
+# parquet_sink's route partitioning reads the pipeline, and debug has no
+# target
+_BUILDER_EXPORTERS = {"parquet_sink": frozenset({"path", "partition_by_route"}),
+                      "debug": frozenset({"verbosity"})}
 
 # first-parameter names of stages that take a ``lambda: ds`` thunk (they
 # re-read their input once per pass) instead of the Dataset itself
@@ -974,6 +976,15 @@ class PipelineConfig:
                     raise ConfigError(
                         f"unknown {kind[:-1]} type: {type_name!r} "
                         f"(known: {sorted(known)})")
+                # the builder's own exporters have no row for resolve()
+                # to check their fields against
+                accepted = _BUILDER_EXPORTERS.get(type_name)
+                if kind == "exporters" and accepted is not None:
+                    unknown = sorted(set(section[name] or {}) - accepted)
+                    if unknown:
+                        raise ConfigError(
+                            f"{name}: unknown field(s) {unknown} "
+                            f"(accepted: {sorted(accepted)})")
         if not self.pipeline.get("receivers") or not self.pipeline.get("exporters"):
             raise ConfigError("pipeline needs at least one receiver and one exporter")
 

@@ -17,6 +17,14 @@ at-least-once. The batch translation (SURVEY.md §4.2 "checkpoint"):
   exactly-once *per committed partition* — strictly stronger than the
   reference's at-least-once (``persistent_queue.go:394-430``).
 
+The helpers below are the whole commit protocol: :func:`pending` picks
+the partitions to run, :func:`open_staging` empties a partition's
+staging dir, :func:`settle_staging` makes it hold exactly the files the
+acks name, and :func:`commit_staging` renames it into place and commits
+the manifest. :func:`run_resumable` drives them one partition at a time;
+``pipelines.builder.run_pipeline`` drives them for many partitions in
+flight in one Ray plan, committing each as its acks complete.
+
 Counter identities (SURVEY.md §2.5): each manifest records rows_in,
 rows_out and per-route counts computed **from the data**, so
 produced(stage k) == consumed(stage k+1) holds by construction even when
@@ -25,6 +33,7 @@ Ray fuses stages.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -122,38 +131,96 @@ def reload_report(stores: dict[str, "ManifestStore"],
     return report
 
 
+def pending(store: ManifestStore, tasks: Sequence[PartitionTask],
+            ruleset_hash: str, force: bool = False,
+            ) -> tuple[list[PartitionTask], list[str]]:
+    """``(tasks to run, ids skipped)``: a task is skipped when its
+    partition is committed with this ruleset hash and the same inputs
+    (config change → different hash → recompute, the reload-fingerprint
+    semantics of otelcol/collector.go:201-209), unless ``force``."""
+    todo, skipped = [], []
+    for task in tasks:
+        if not force and store.is_committed(task.partition_id, ruleset_hash,
+                                             task.inputs):
+            skipped.append(task.partition_id)
+        else:
+            todo.append(task)
+    return todo, skipped
+
+
+def open_staging(store: ManifestStore, pid: str) -> str:
+    """Empty staging dir for partition ``pid``. Its manifest goes first,
+    then any earlier output (deterministic overwrite, never append), so a
+    crash from here on leaves the partition uncommitted, never committed
+    with its output gone."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(store._path(pid))
+    final_dir = partition_output_dir(store.root, pid)
+    staging = final_dir + ".staging"
+    for d in (staging, final_dir):
+        if os.path.exists(d):
+            shutil.rmtree(d)
+    os.makedirs(staging)
+    return staging
+
+
+def settle_staging(staging: str, acked: dict[str, int]) -> None:
+    """Make ``staging`` hold exactly the parquet files the acks name:
+    delete every other file (a retried attempt's leftovers) and the
+    directories that leaves empty, then check each named file's footer
+    row count against its ``acked`` rows (keys are paths relative to
+    ``staging``). Raises naming the file on a mismatch or a missing
+    file."""
+    import pyarrow.parquet as pq
+
+    for root, _, files in os.walk(staging, topdown=False):
+        for f in files:
+            path = os.path.join(root, f)
+            if os.path.relpath(path, staging) not in acked:
+                os.remove(path)
+        if root != staging and not os.listdir(root):
+            os.rmdir(root)
+    for rel, rows in acked.items():
+        on_disk = pq.read_metadata(os.path.join(staging, rel)).num_rows
+        if on_disk != rows:
+            raise RuntimeError(f"{os.path.join(staging, rel)}: footer has "
+                               f"{on_disk} rows, its ack {rows}")
+
+
+def commit_staging(store: ManifestStore, task: PartitionTask, staging: str,
+                   ruleset_hash: str, metrics: dict, wall_sec: float,
+                   **extra) -> None:
+    """Rename ``staging`` to the partition's final dir, then commit its
+    manifest (the ack of persistent_queue.go:394-430)."""
+    os.replace(staging, partition_output_dir(store.root, task.partition_id))
+    store.commit(task.partition_id, {
+        "inputs": task.inputs,
+        "ruleset_hash": ruleset_hash,
+        "metrics": metrics,
+        "wall_sec": wall_sec,
+        **extra,
+        **task.meta,
+    })
+
+
 def run_resumable(store: ManifestStore, tasks: Sequence[PartitionTask],
                   process: Callable[[PartitionTask, str], dict],
                   ruleset_hash: str, force: bool = False) -> dict:
-    """Process partitions, skipping ones already committed with this ruleset
-    hash (config change → different hash → recompute, the reload-fingerprint
-    semantics of otelcol/collector.go:201-209).
+    """Process partitions one at a time, skipping the ones :func:`pending`
+    skips.
 
     ``process(task, staging_dir) -> metrics_dict`` must write all outputs
     under ``staging_dir``; on return the staging dir is atomically renamed
-    to the final partition dir and the manifest committed.
+    to the final partition dir and the manifest committed. ``wall_sec`` is
+    the partition's time from staging to commit, its own plan included.
     """
-    ran, skipped = [], []
-    for task in tasks:
-        pid = task.partition_id
-        if not force and store.is_committed(pid, ruleset_hash, task.inputs):
-            skipped.append(pid)
-            continue
-        final_dir = partition_output_dir(store.root, pid)
-        staging = final_dir + ".staging"
-        for d in (staging, final_dir):
-            if os.path.exists(d):
-                shutil.rmtree(d)  # deterministic overwrite, never append
-        os.makedirs(staging)
+    todo, skipped = pending(store, tasks, ruleset_hash, force)
+    ran = []
+    for task in todo:
+        staging = open_staging(store, task.partition_id)
         t0 = time.time()
         metrics = process(task, staging)
-        os.replace(staging, final_dir)
-        store.commit(pid, {
-            "inputs": task.inputs,
-            "ruleset_hash": ruleset_hash,
-            "metrics": metrics,
-            "wall_sec": time.time() - t0,
-            **task.meta,
-        })
-        ran.append(pid)
+        commit_staging(store, task, staging, ruleset_hash, metrics,
+                       wall_sec=time.time() - t0)
+        ran.append(task.partition_id)
     return {"ran": ran, "skipped": skipped}

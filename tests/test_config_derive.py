@@ -251,6 +251,32 @@ def test_receiver_matching_no_input_is_a_config_error(tmp_path):
         run_pipeline(cfg, str(tmp_path / "out"))
 
 
+def test_non_parquet_receiver_is_refused_before_ray(tmp_path):
+    """run_pipeline reads parquet fragments: a jsonl receiver whose paths
+    match a file is a ConfigError naming it, raised before any read."""
+    from opentelemetry_collector_ray.pipelines.builder import run_pipeline
+
+    src = tmp_path / "logs"
+    src.mkdir()
+    (src / "x.jsonl").write_text('{"a": 1}\n')
+    cfg = _pipeline({"paths": str(src / "x.jsonl")}, {}, rtype="jsonl")
+    with pytest.raises(ConfigError,
+                       match=r"receiver 'jsonl': run_pipeline reads parquet"):
+        run_pipeline(cfg, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("etype, ecfg, key", [
+    ("parquet_sink/routed", {"path": "s", "partition_by_rout": False},
+     "partition_by_rout"),
+    ("debug", {"verbose": "detailed"}, "verbose")])
+def test_builder_exporter_typo_is_a_config_error(etype, ecfg, key):
+    with pytest.raises(ConfigError, match=rf"{etype}: unknown .*'{key}'"):
+        _pipeline({"paths": "a"}, ecfg, etype=etype)
+    _pipeline({"paths": "a"}, {k: v for k, v in ecfg.items() if k != key},
+              etype=etype)
+
+
 def test_exporter_typo_fails_before_the_plan_runs(tmp_path):
     from opentelemetry_collector_ray.pipelines.builder import run_exporters
 

@@ -29,48 +29,70 @@ def _cfg(src):
     })
 
 
-class Boom(RuntimeError):
-    pass
+def _die_on(flag, key, wait_for):
+    """Pass-through stage that, while ``flag`` exists, raises on the
+    fragment whose first row is ``key`` once every manifest in
+    ``wait_for`` is committed: a crash inside the shared plan after some
+    fragments were acked. A closure, so Ray ships it by value."""
+    key = tuple(key)
+
+    def stage(t):
+        import os
+        import time
+
+        first = (t.column("conv_id")[0].as_py(),
+                 t.column("turn_idx")[0].as_py())
+        if os.path.exists(flag) and first == key:
+            deadline = time.time() + 120
+            while not all(map(os.path.exists, wait_for)) \
+                    and time.time() < deadline:
+                time.sleep(0.05)
+            raise RuntimeError("simulated crash mid-job")
+        return t
+
+    return stage
 
 
-def test_kill_and_resume_exactly_once(ray_session, tmp_path):
+def test_kill_and_resume_exactly_once(ray_session, tmp_path, monkeypatch):
+    from opentelemetry_collector_ray import config
+    from opentelemetry_collector_ray.pipelines.builder import _partition_id
+
     src = str(tmp_path / "in")
     out = str(tmp_path / "out")
-    write_turns_parquet(src, sf=0.05, shards=4)
+    paths = write_turns_parquet(src, sf=0.05, shards=4)
+    pids = [_partition_id([p]) for p in paths]
+    flag = tmp_path / "die"
+    flag.write_text("")
+    first = pq.read_table(paths[2]).slice(0, 1)
+    monkeypatch.setitem(config._REGISTRY, "die", config.Factory(
+        lambda c: _die_on(c["flag"], c["key"], c["wait_for"])))
     cfg = _cfg(src)
+    cfg.processors["die"] = {
+        "flag": str(flag),
+        "key": [first.column("conv_id")[0].as_py(),
+                first.column("turn_idx")[0].as_py()],
+        "wait_for": [f"{out}/_manifest/part-{pid}.json" for pid in pids[:2]]}
+    cfg.pipeline["processors"] = ["die"] + cfg.pipeline["processors"]
 
-    # Crash after 2 partitions: wrap run_resumable's process fn via a killing
-    # manifest-store run (mirrors a worker dying mid-job).
-    from opentelemetry_collector_ray.pipelines import builder as B
-
-    calls = {"n": 0}
-    orig = B.run_exporters
-
-    def dying(cfg_, ds, root):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise Boom("simulated crash mid-job")
-        return orig(cfg_, ds, root)
-
-    B.run_exporters = dying
-    try:
-        with pytest.raises(Boom):
-            run_pipeline(cfg, out)
-    finally:
-        B.run_exporters = orig
+    # The third fragment's task raises inside the one shared plan once the
+    # first two fragments are acked and committed.
+    with pytest.raises(Exception, match="simulated crash mid-job"):
+        run_pipeline(cfg, out)
 
     store = ManifestStore(out)
     committed_before = store.committed_ids()
-    assert len(committed_before) == 2  # two committed, third died pre-commit
+    # acked fragments committed; the one that died did not
+    assert set(pids[:2]) <= committed_before and pids[2] not in committed_before
 
     # No partial output leaked into final dirs for uncommitted partitions.
     final_parts = {p.split("/")[-1].replace("part-", "")
                    for p in glob.glob(f"{out}/part-*") if not p.endswith(".staging")}
     assert final_parts == committed_before
 
+    flag.unlink()
     r = run_pipeline(cfg, out)  # resume
     assert sorted(r["skipped"]) == sorted(committed_before)
-    assert len(r["ran"]) == 2
+    assert sorted(r["ran"]) == sorted(set(pids) - committed_before)
 
     # Exactly-once: every input (conv_id, turn_idx) appears in exactly one
     # sink exactly once.
@@ -97,6 +119,25 @@ def test_torn_manifest_is_not_committed(tmp_path):
     assert ran["ran"] == ["x"]
     assert store.is_committed("x", "h")
     assert not store.is_committed("x", "other-hash")
+
+
+def test_forced_rerun_crash_leaves_partition_uncommitted(tmp_path):
+    """A forced rerun deletes a committed partition's output before it
+    reprocesses it; its manifest goes first, so a crash in between leaves
+    the partition to be redone, not committed with no output."""
+    store = ManifestStore(str(tmp_path))
+    task = PartitionTask("p", ["f"])
+    run_resumable(store, [task], lambda t, d: {"ok": 1}, "h")
+    assert store.is_committed("p", "h")
+
+    def crash(t, d):
+        raise RuntimeError("crash mid-partition")
+
+    with pytest.raises(RuntimeError, match="crash mid-partition"):
+        run_resumable(store, [task], crash, "h", force=True)
+    assert not store.is_committed("p", "h")
+    assert run_resumable(store, [task], lambda t, d: {"ok": 1},
+                         "h")["ran"] == ["p"]
 
 
 def test_config_staleness_partial_reload(tmp_path):

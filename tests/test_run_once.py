@@ -149,9 +149,9 @@ def test_example_pipeline_runs_no_probe(ray_session, tmp_path, spy):
 def test_route_then_filter_materializes_once(ray_session, tmp_path,
                                              monkeypatch):
     """``route`` followed by ``filter``: the last processor is not
-    ``route`` and Ray cannot type the plan without running it, so the
-    runner materializes once, reads ``route`` off the blocks and writes
-    those blocks — every input row is pushed through the plan once."""
+    ``route``, so whether to partition by route is read off the rows the
+    processors produce, and every input row is pushed through the plan
+    once."""
     from opentelemetry_collector_ray import config
     from opentelemetry_collector_ray.pipelines.builder import run_pipeline
 
@@ -176,6 +176,10 @@ def test_route_then_filter_materializes_once(ray_session, tmp_path,
         want += Counter(_routed(pq.read_table(p)).column("route").to_pylist())
     del want["views"]
     assert _on_disk_routes(out) == want
+    # the shared plan's identities hold through the filter: each manifest
+    # records the rows it dropped
+    assert sum(m["metrics"]["dropped"] for m in _manifests(out)) \
+        == n_in - sum(want.values())
 
 
 def test_bare_read_with_route_column_runs_no_probe(ray_session, tmp_path,
