@@ -115,10 +115,8 @@ def _one_chain(cfg: PipelineConfig) -> StageChain | None:
     """All processors as one ``StageChain``, or None when one of them does
     not join a chain in :func:`build_dataset` (a ``DatasetTransform``, or
     its own ``batch_size``/``concurrency``) or an exporter is not a
-    ``parquet_sink`` under the partition dir: such a config keeps one plan
-    per fragment."""
+    ``parquet_sink``: such a config keeps one plan per fragment."""
     if any(n.split("/")[0] != "parquet_sink"
-           or os.path.isabs(_sink_dir("", n, cfg.exporters[n]))
            for n in cfg.pipeline["exporters"]):
         return None
     stages = []
@@ -392,6 +390,13 @@ def run_pipeline(cfg: PipelineConfig, out_root: str, resume: bool = True) -> dic
         raise ValueError("the resumable runner partitions by input fragment "
                          "and supports exactly one receiver; union multiple "
                          "sources upstream or run one pipeline per source")
+    for name in cfg.pipeline["exporters"]:
+        target = _sink_dir("", name, cfg.exporters[name])
+        if os.path.isabs(target):
+            raise ConfigError(
+                f"exporter {name!r}: path {target!r} is absolute; "
+                "run_pipeline writes each fragment under its own partition "
+                "directory, so give a path relative to the output root")
     (rname,) = cfg.pipeline["receivers"]
     rcfg = cfg.receivers[rname]
     pats = _receiver_paths(rname, rcfg)

@@ -195,53 +195,67 @@ def encode_request(batch: pa.Table) -> bytes:
 
 # ------------------------------------------------------------------ decode
 
+class WireFormatError(ValueError):
+    """A protobuf payload that is not well formed: the byte ``offset``
+    where the bad field starts (its key), its ``field`` number (None
+    when the key itself is bad) and the ``reason``."""
+
+    def __init__(self, offset: int, field: int | None, reason: str):
+        self.offset, self.field, self.reason = offset, field, reason
+        where = "field key" if field is None else f"field {field}"
+        super().__init__(f"protobuf {where} at byte {offset}: {reason}")
+
+    def __reduce__(self):
+        return type(self), (self.offset, self.field, self.reason)
+
+
+def _read_varint(buf, pos: int, end: int, at: int, field: int | None,
+                 ) -> tuple[int, int]:
+    """``(value, position after it)`` of the varint at ``pos``, in the
+    field that starts at ``at``."""
+    val = shift = 0
+    for i in range(pos, min(end, pos + 10)):
+        b = buf[i]
+        val |= (b & 0x7F) << shift
+        if not b & 0x80:
+            return val, i + 1
+        shift += 7
+    raise WireFormatError(at, field, "varint runs past the end"
+                          if end - pos < 10 else "varint longer than 10 bytes")
+
+
 def _iter_fields(buf: bytes, start: int = 0, end: int | None = None):
     """Generic proto field walker → (field, wire, value) where value is an
-    int for VARINT/I64/I32 and a memoryview slice for LEN."""
+    int for VARINT/I64/I32 and a memoryview slice for LEN. Raises
+    :class:`WireFormatError` for a varint that runs past ``end`` or is
+    longer than 10 bytes, a length or fixed-width value that runs past
+    ``end`` and an unknown wire type."""
     pos = start
     end = len(buf) if end is None else end
     mv = memoryview(buf)
     while pos < end:
-        key = 0
-        shift = 0
-        while True:
-            b = buf[pos]
-            pos += 1
-            key |= (b & 0x7F) << shift
-            if not b & 0x80:
-                break
-            shift += 7
+        at = pos
+        key, pos = _read_varint(buf, pos, end, at, None)
         field, wire = key >> 3, key & 7
         if wire == _VARINT:
-            val = 0
-            shift = 0
-            while True:
-                b = buf[pos]
-                pos += 1
-                val |= (b & 0x7F) << shift
-                if not b & 0x80:
-                    break
-                shift += 7
-        elif wire == _I64:
-            val = struct.unpack_from("<Q", buf, pos)[0]
-            pos += 8
-        elif wire == _I32:
-            val = struct.unpack_from("<I", buf, pos)[0]
-            pos += 4
+            val, pos = _read_varint(buf, pos, end, at, field)
+        elif wire == _I64 or wire == _I32:
+            width = 8 if wire == _I64 else 4
+            if pos + width > end:
+                raise WireFormatError(at, field, f"{width}-byte value runs "
+                                      "past the end")
+            val = struct.unpack_from("<Q" if wire == _I64 else "<I",
+                                     buf, pos)[0]
+            pos += width
         elif wire == _LEN:
-            ln = 0
-            shift = 0
-            while True:
-                b = buf[pos]
-                pos += 1
-                ln |= (b & 0x7F) << shift
-                if not b & 0x80:
-                    break
-                shift += 7
+            ln, pos = _read_varint(buf, pos, end, at, field)
+            if pos + ln > end:
+                raise WireFormatError(at, field, f"length {ln} runs past "
+                                      f"the end ({end - pos} bytes left)")
             val = mv[pos: pos + ln]
             pos += ln
         else:
-            raise ValueError(f"unsupported wire type {wire}")
+            raise WireFormatError(at, field, f"unknown wire type {wire}")
         yield field, wire, val
 
 

@@ -17,15 +17,25 @@ Semantics:
   the parse-miss path stays in-band (no rows dropped), mirroring the
   collector's pass-through of unparseable bodies.
 
-Execution: one ``pc.extract_regex`` pass per rule per batch (vectorized,
-zero-copy Arrow); combined with ``pc.if_else`` by priority. The stage is a
+Execution: each rule runs over the batch's text column with vectorized
+Arrow kernels, and the results merge by priority: while every row is
+still open (the first rule), a rule's groups become the output columns
+as they are; later, they go in with ``pc.if_else`` (or, on a small
+residue, an index take). The stage is a
 callable class so the compiled ruleset + its hash live once per actor.
-A rule whose every match begins with literal text (``[`` for both
-default rules; see :func:`leading_literal`) runs anchored: each row is cut
-at the first occurrence of that text and RE2 matches ``^(?:pattern)`` on
-the rest, which spares it the unanchored search. Rows where the anchored match fails but the literal occurs
-again go through the unanchored pattern, so the output is exactly
-``pc.extract_regex``'s.
+- A rule whose every match begins with literal text (``[`` for both
+  default rules; see :func:`leading_literal`) runs anchored: each row is
+  cut at the first occurrence of that text and RE2 matches
+  ``^(?:pattern)`` on the rest, which spares it the unanchored search.
+  Rows where the anchored match fails but the literal occurs again go
+  through the unanchored pattern, so the output is exactly
+  ``pc.extract_regex``'s.
+- A rule that also lowers (:func:`lower`; both default rules do) runs no
+  RE2 submatch extraction at all: RE2 only answers whether each row
+  matches, and each group is then cut out by byte offsets, because in
+  such a pattern every group ends at a delimiter no match of it can
+  contain, at a fixed width, or (``.*`` last) at the line end.
+- Any other rule runs ``pc.extract_regex``.
 """
 
 from __future__ import annotations
@@ -100,11 +110,167 @@ def leading_literal(pattern: str) -> str | None:
     return "".join(lead) or None
 
 
+@dataclass(frozen=True)
+class Step:
+    """One step of a lowered rule (:func:`lower`), walked left to right
+    from the match start: a literal run (``group`` None) or a fixed-width
+    group advances ``width`` bytes; a group with ``until`` ends at the
+    first ``until`` (one code point) from its start, or at the row end
+    where there is none."""
+    group: str | None
+    width: int = 0
+    until: bytes = b""
+
+
+_C = re._constants
+_CLASS_OPS = (_C.LITERAL, _C.NOT_LITERAL, _C.IN, _C.ANY)
+# RE2's Perl classes are ASCII (``\s`` is ``[\t\n\f\r ]``; ``\v`` is
+# added here, which can only refuse more)
+_CATEGORY = {
+    _C.CATEGORY_DIGIT: lambda c: 48 <= c <= 57,
+    _C.CATEGORY_WORD: lambda c: c == 95 or c < 128 and chr(c).isalnum(),
+    _C.CATEGORY_SPACE: lambda c: c in b"\t\n\v\f\r ",
+}
+_CATEGORY.update({
+    _C.CATEGORY_NOT_DIGIT: lambda c: not _CATEGORY[_C.CATEGORY_DIGIT](c),
+    _C.CATEGORY_NOT_WORD: lambda c: not _CATEGORY[_C.CATEGORY_WORD](c),
+    _C.CATEGORY_NOT_SPACE: lambda c: not _CATEGORY[_C.CATEGORY_SPACE](c),
+})
+
+
+def _class_has(op, arg, cp: int) -> bool:
+    """Whether one code point matched by the class node ``(op, arg)`` can
+    be ``cp``."""
+    if op is _C.LITERAL:
+        return arg == cp
+    if op is _C.NOT_LITERAL:
+        return arg != cp
+    if op is _C.ANY:
+        return cp != 10  # no DOTALL: a rule with flags does not lower
+    negate = bool(arg) and arg[0][0] is _C.NEGATE
+    hit = False
+    for iop, iarg in arg[negate:]:
+        if iop is _C.LITERAL:
+            hit |= iarg == cp
+        elif iop is _C.RANGE:
+            hit |= iarg[0] <= cp <= iarg[1]
+        else:
+            hit |= _CATEGORY[iarg](cp)
+    return hit != negate
+
+
+def _class_ascii(op, arg) -> bool:
+    """Whether every code point the class node ``(op, arg)`` matches is
+    ASCII, that is one byte."""
+    if op is _C.LITERAL:
+        return arg < 128
+    if op is not _C.IN or (arg and arg[0][0] is _C.NEGATE):
+        return False
+    return all(iop is _C.LITERAL and iarg < 128
+               or iop is _C.RANGE and iarg[1] < 128
+               or iop is _C.CATEGORY and iarg in (
+                   _C.CATEGORY_DIGIT, _C.CATEGORY_WORD, _C.CATEGORY_SPACE)
+               for iop, iarg in arg)
+
+
+def _group_shape(body):
+    """``(may contain code point cp?, fixed byte width or None, ends at
+    the row's first newline if last?)`` for a named group's body, or None
+    when it is not one class repeat or an alternation of literals."""
+    if len(body) != 1:
+        return None
+    op, arg = body[0]
+    if op is _C.BRANCH:
+        alts = arg[1]
+        if not all(o is _C.LITERAL for alt in alts for o, _ in alt):
+            return None
+        chars = {a for alt in alts for _, a in alt}
+        return (chars.__contains__, None, False)
+    if op in _CLASS_OPS:
+        lo = hi = 1
+    elif op is _C.MAX_REPEAT and len(arg[2]) == 1 \
+            and arg[2][0][0] in _CLASS_OPS:
+        lo, hi, ((op, arg),) = arg
+    else:
+        return None
+    fixed = lo if lo == hi and _class_ascii(op, arg) else None
+    return (lambda cp: _class_has(op, arg, cp), fixed,
+            op is _C.ANY and lo == 0 and hi == _C.MAXREPEAT)
+
+
+def lower(pattern: str) -> tuple[Step, ...] | None:
+    """The pattern as steps that cut each named group out of a matched
+    row by byte offsets, or None when it does not lower.
+
+    A pattern lowers when it has a leading literal (:func:`leading_literal`)
+    and its top-level sequence holds only literal runs and named groups,
+    each group one of:
+    - a class repeat (``C+``, ``C*``, ``C{m,n}``, or one class) or an
+      alternation of literals, followed by a literal whose first code
+      point no match of the group can contain: it ends there;
+    - a fixed-width ASCII class (``[0-9a-f]{16}``): it is that many bytes;
+    - last, ``.*``: it ends at the first newline or the row end.
+    A match of the pattern therefore fixes where every group starts and
+    ends, so the steps give RE2's own submatches. Classes are read as RE2
+    reads them: its digit, word and space classes are ASCII. A POSIX
+    class (``[[:alpha:]]``), which the stdlib reads as something else,
+    does not lower."""
+    if "[:" in pattern or leading_literal(pattern) is None:
+        return None
+    tree = re._parser.parse(pattern)
+    names = {i: g for g, i in tree.state.groupdict.items()}
+    nodes = list(tree)
+    steps: list[Step] = []
+    for k, (op, arg) in enumerate(nodes):
+        if op is _C.LITERAL:
+            if steps and steps[-1].group is None:
+                width = steps.pop().width
+            else:
+                width = 0
+            steps.append(Step(None, width + len(chr(arg).encode())))
+            continue
+        if op is not _C.SUBPATTERN or arg[0] not in names \
+                or arg[1] or arg[2]:
+            return None
+        shape = _group_shape(arg[3])
+        if shape is None:
+            return None
+        has, fixed, to_line = shape
+        nxt = nodes[k + 1] if k + 1 < len(nodes) else None
+        if fixed is not None:
+            steps.append(Step(names[arg[0]], width=fixed))
+        elif nxt is not None and nxt[0] is _C.LITERAL and not has(nxt[1]):
+            steps.append(Step(names[arg[0]], until=chr(nxt[1]).encode()))
+        elif nxt is None and to_line:
+            steps.append(Step(names[arg[0]], until=b"\n"))
+        else:
+            return None
+    return tuple(steps) if any(s.group for s in steps) else None
+
+
 def _offsets(text: pa.Array) -> np.ndarray:
     """The n + 1 absolute offsets of a ``string`` array's rows into its
     data buffer."""
     return np.frombuffer(text.buffers()[1], np.int32,
                          count=text.offset + len(text) + 1)[text.offset:]
+
+
+def _spans(text: pa.Array, bounds: np.ndarray) -> pa.Array:
+    """A zero-copy ``string`` array over ``text``'s data buffer whose
+    rows are the consecutive spans between ``bounds`` (absolute byte
+    offsets, non-decreasing)."""
+    data = text.buffers()[2] or pa.py_buffer(b"")
+    return pa.Array.from_buffers(text.type, len(bounds) - 1,
+                                 [None, pa.py_buffer(bounds), data])
+
+
+def _pairs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``[lo_0, hi_0, lo_1, hi_1, ...]``: with ``lo_i <= hi_i <= lo_i+1``,
+    row 2i of its :func:`_spans` is ``[lo_i, hi_i)``."""
+    inter = np.empty(2 * len(lo), np.int32)
+    inter[0::2] = lo
+    inter[1::2] = hi
+    return inter
 
 
 def _tails(text: pa.Array, offsets: np.ndarray,
@@ -113,18 +279,67 @@ def _tails(text: pa.Array, offsets: np.ndarray,
     i) to its end. Offsets ``[o_0, s_0, o_1, s_1, ..., o_n]`` over
     ``text``'s own data buffer make row 2i the head and row 2i+1 the
     tail; only the tails are taken out."""
+    pieces = _spans(text, np.append(_pairs(offsets[:-1], starts),
+                                    offsets[-1:]))
+    return pieces.take(pa.array(np.arange(1, 2 * len(text), 2)))
+
+
+def _run_on(text: pa.Array, starts: np.ndarray,
+            ends: np.ndarray) -> pa.Array:
+    """Row j runs from byte ``starts[j]`` to ``starts[j + 1]`` (the last
+    to ``ends[-1]``) over ``text``'s data buffer: the bytes from
+    ``starts[j]`` to its own row end ``ends[j]``, then on into the rows
+    after it. Zero-copy; needs ``starts[j] <= ends[j] <= starts[j + 1]``."""
+    return _spans(text, np.append(starts, ends[-1:]))
+
+
+def _cut(text: pa.Array, offsets: np.ndarray, starts: np.ndarray,
+         matched: np.ndarray, steps: tuple[Step, ...],
+         ) -> tuple[list[pa.Array], np.ndarray]:
+    """``(groups, matched)`` for a lowered rule whose anchored pattern
+    RE2 ``matched`` on the :func:`_run_on` view from ``starts``.
+
+    Each delimited group ends at its delimiter's first occurrence from
+    the group's start (one ``find_substring`` over a run-on view), or at
+    the row end when that is sooner; each literal and fixed group adds
+    its width. Because the view runs past the row end, a match may have
+    used the next rows' bytes: a row whose literal or fixed step ends
+    past its own end does not match. A delimited group is always
+    followed by a literal, so one that the row cut short fails there.
+    Each group is one null-masked take from an offsets view over the
+    data buffer."""
     n = len(text)
-    inter = np.empty(2 * n + 1, offsets.dtype)
-    inter[0::2] = offsets
-    inter[1::2] = starts
-    data = text.buffers()[2] or pa.py_buffer(b"")
-    pieces = pa.Array.from_buffers(text.type, 2 * n,
-                                   [None, pa.py_buffer(inter), data])
-    return pieces.take(pa.array(np.arange(1, 2 * n, 2)))
+    rows = np.flatnonzero(matched)
+    if not len(rows):
+        return [pa.nulls(n, text.type) for s in steps if s.group], matched
+    ends = offsets[rows + 1]
+    pos = starts[rows]
+    inside = np.ones(len(rows), bool)
+    cuts = []
+    for s in steps:
+        if s.until:
+            at = pc.find_substring(_run_on(text, pos, ends),
+                                   s.until.decode()).to_numpy()
+            stop = np.minimum(np.where(at >= 0, pos + at, ends), ends)
+        else:
+            stop = pos + s.width
+            inside &= stop <= ends
+            stop = np.minimum(stop, ends)
+        if s.group:
+            cuts.append((pos, stop))
+        pos = stop
+    matched = matched.copy()
+    matched[rows[~inside]] = False
+    pick = np.zeros(n, np.int64)
+    pick[rows] = np.arange(0, 2 * len(rows), 2)
+    pick = pa.array(pick, mask=~matched)
+    return [_spans(text, _pairs(lo, hi)).take(pick) for lo, hi in cuts], \
+        matched
 
 
-def extract_regex_anchored(text: pa.Array, pattern: str,
-                           lead: str) -> pa.StructArray:
+def extract_regex_anchored(text: pa.Array, pattern: str, lead: str,
+                           steps: tuple[Step, ...] | None = None,
+                           ) -> pa.StructArray:
     """``pc.extract_regex(text, pattern=pattern)`` for a non-empty
     ``string`` array and a pattern whose every match begins with
     ``lead`` (:func:`leading_literal`).
@@ -133,16 +348,32 @@ def extract_regex_anchored(text: pa.Array, pattern: str,
     match of ``^(?:pattern)`` on the row's tail from there is RE2's
     leftmost match, with the same groups. Where that fails, the leftmost
     match can only start at a later occurrence; rows with one run the
-    unanchored pattern. A row without ``lead`` cannot match."""
+    unanchored pattern. A row without ``lead`` cannot match.
+
+    With ``steps`` (``lower(pattern)``), RE2 only matches, with no
+    submatches and no copy: over a view of each row from its first
+    ``lead`` on (:func:`_run_on`). :func:`_cut` then cuts the groups out
+    by byte offsets."""
     n = len(text)
     pos = pc.fill_null(pc.find_substring(text, lead), -1).to_numpy(
         zero_copy_only=False)
     offsets = _offsets(text)
     found = pos >= 0
     starts = np.where(found, offsets[:-1] + pos, offsets[1:])
-    ext = pc.extract_regex(_tails(text, offsets, starts),
-                           pattern=f"^(?:{pattern})")
-    retry = found & ~ext.is_valid().to_numpy(zero_copy_only=False)
+    anchored = f"^(?:{pattern})"
+    if steps is None:
+        ext = pc.extract_regex(_tails(text, offsets, starts),
+                               pattern=anchored)
+        matched = ext.is_valid().to_numpy(zero_copy_only=False)
+    else:
+        matched = found & pc.match_substring_regex(
+            _run_on(text, starts, offsets[1:]), pattern=anchored).to_numpy(
+                zero_copy_only=False)
+        groups, matched = _cut(text, offsets, starts, matched, steps)
+        ext = pa.StructArray.from_arrays(
+            groups, [s.group for s in steps if s.group],
+            mask=pa.array(~matched))
+    retry = found & ~matched
     if retry.any():
         # occurrences may overlap: the next one starts a code point later
         after = np.where(retry, starts + len(lead[0].encode()), offsets[1:])
@@ -168,6 +399,7 @@ class ParseStage:
         self.hash = ruleset_hash(self.rules)
         self.rule_groups = [_group_names(r.pattern) for r in self.rules]
         self.leads = [leading_literal(r.pattern) for r in self.rules]
+        self.steps = [lower(r.pattern) for r in self.rules]
         self.all_groups: list[str] = []
         for gs in self.rule_groups:
             for g in gs:
@@ -181,7 +413,8 @@ class ParseStage:
         lead = self.leads[i]
         if lead is None or not len(text) or text.type != pa.string():
             return pc.extract_regex(text, pattern=self.rules[i].pattern)
-        return extract_regex_anchored(text, self.rules[i].pattern, lead)
+        return extract_regex_anchored(text, self.rules[i].pattern, lead,
+                                      self.steps[i])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         text = batch.column(self.text_col)
@@ -206,7 +439,10 @@ class ParseStage:
                     rule_ix[wins_np] = i
                     wins = pa.array(wins_np)
                     for g in self.rule_groups[i]:
-                        out[g] = pc.if_else(wins, pc.struct_field(ext, g), out[g])
+                        # with every row open, out[g] is still all null
+                        out[g] = (pc.struct_field(ext, g) if n_open == n else
+                                  pc.if_else(wins, pc.struct_field(ext, g),
+                                             out[g]))
                 unclaimed_np &= ~matched_np
             else:
                 # fast path: run the regex only on still-unclaimed rows and

@@ -266,6 +266,29 @@ def test_non_parquet_receiver_is_refused_before_ray(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_absolute_sink_path_is_refused_before_ray(tmp_path):
+    """run_pipeline writes each fragment under its own partition dir; a
+    parquet_sink with an absolute path would put every fragment in one
+    directory, so it is a ConfigError naming the exporter and the path,
+    raised before any read."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from opentelemetry_collector_ray.pipelines.builder import run_pipeline
+
+    for i in range(2):
+        pq.write_table(pa.table({"text": ["x"]}), tmp_path / f"f{i}.parquet")
+    sink = str(tmp_path / "sinks")
+    cfg = _pipeline({"paths": str(tmp_path / "*.parquet")}, {"path": sink},
+                    etype="parquet_sink/routed")
+    with pytest.raises(ConfigError,
+                       match=rf"exporter 'parquet_sink/routed': path "
+                             rf"'{re.escape(sink)}' is absolute"):
+        run_pipeline(cfg, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "sinks").exists()
+
+
 @pytest.mark.parametrize("etype, ecfg, key", [
     ("parquet_sink/routed", {"path": "s", "partition_by_rout": False},
      "partition_by_rout"),
