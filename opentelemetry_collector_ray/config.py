@@ -9,10 +9,12 @@ graph.go:101-206``; factories ``component/component.go:182-200``).
 
 Here: YAML (or dict) config with ``${env:NAME}`` / ``${env:NAME:-default}``
 interpolation, a factory registry mapping type names → stage builders,
-the receiver and exporter tables (most processors, and every receiver and
-exporter but ``parquet_sink`` and ``debug``, derived from their function's
-signature), and a validated Pipeline spec with the collector's section
-names retained (receivers / processors / exporters / connectors).
+the receiver and exporter tables (every processor that is one call of one
+stage function, and every receiver and exporter but ``parquet_sink`` and
+``debug``, derived from their function's signature; the 17 hand-written
+processors name the keys they read), and a validated Pipeline spec with
+the collector's section names retained (receivers / processors /
+exporters / connectors). Every component rejects a key it does not read.
 """
 
 from __future__ import annotations
@@ -240,6 +242,8 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
                     "keys pred=pred_col label=label_col strategy"),
     "auc": ("agreement:grouped_auc", "key score=score_col label=label_col"),
     "gini_impurity": ("agreement:gini_impurity", "key cat=cat_col"),
+    "rater_kappa": ("agreement:rater_agreement", "key=group_key a=a_col "
+                    "b=b_col max_classes max_groups"),
     "apportion": ("allocate:apportion",
                   "keys seats=n_seats weight_col max_groups"),
     "bpe": ("bpe:bpe_tokenize",
@@ -256,6 +260,8 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
     "log_dedup": ("cdc:log_dedup", "match_cols ts_col interval_us "
                   "count_name strategy n_buckets"),
     "checksum": ("checksum:table_checksum", "cols group_col sep n_buckets"),
+    "semdedup": ("clustering:semantic_dedup", "k threshold iters id_col "
+                 "vec_col max_cluster_rows persist"),
     "cohort": ("cohort:cohort_retention", "user_col ts_col period n_buckets"),
     "contamination": ("contamination:flag_contaminated",
                       "phrases text_col id_col"),
@@ -320,6 +326,7 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
     "epoch_order": ("mixing:epoch_order", "id_col epoch n_shards hash_mode"),
     "token_budget": ("mixing:select_token_budget",
                      "score_col token_col budget id_col persist"),
+    "mix": ("mixing:mix_by_class", "class_col weights id_col base persist"),
     "moments": ("normalize:grouped_moments", "keys value=value_col strategy"),
     "chi2_drift": ("normalize:chi2_two_sample",
                    "group_col cell_col group_a group_b scale max_cells"),
@@ -333,6 +340,7 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
                        "column=col key k flag_col max_groups persist"),
     "tail_budget": ("packing:tail_budget",
                     "key order_by weight=weight_col budget out=out_col"),
+    "profile": ("profile:profile_table", "columns"),
     "l_diversity": ("privacy:l_diversity",
                     "quasi=quasi_cols sensitive=sensitive_col l"),
     "dp_release": ("privacy:dp_count_release", "keys epsilon seed "
@@ -362,6 +370,8 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
                   "k id_col by hash_mode keep_rank"),
     "quota_sample": ("sampling:quota_sample",
                      "key seats=n_seats id=id_col max_groups persist"),
+    "split": ("sampling:assign_split",
+              "key fractions hash_mode seed out_col"),
     "dedup_index": ("seenindex:dedup_against_index",
                     "path=index_path text_col id_col n_buckets"),
     "heavy_hitters": ("sketch:heavy_hitters",
@@ -373,6 +383,10 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
                         "key value_col weight_col n_buckets"),
     "service_graph": ("spanops:service_graph", "n_buckets"),
     "apdex": ("spanops:apdex", "t_us key duration=duration_col"),
+    "cont_quantiles": ("spanops:grouped_cont_quantiles",
+                       "key value=value_col qs n_buckets count_strategy"),
+    "weighted_quantiles": ("spanops:grouped_weighted_quantiles",
+                           "key value_col weight_col qs n_buckets"),
     "head_sample": ("spanops:head_sample", "permille trace_col"),
     "dup_stats": ("subdedup:duplication_stats",
                   "text_col id_col window stride min_count"),
@@ -383,6 +397,8 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
                       "value=value_col ts=ts_col scale out=out_col"),
     "late_arrivals": ("temporal:late_arrivals", "key arrival=arrival_cols "
                       "ts=ts_col allowed_lateness"),
+    "validate": ("validate:validate_rules", "rules id_col n_buckets"),
+    "window": ("window:per_key_window", "key order_by ops n_buckets"),
 })
 
 # A receiver row is fn(paths, **fields) over ``sources/``. A row whose
@@ -463,9 +479,19 @@ def _schema(mapping: dict) -> Any:
     return pa.schema(fields) if fields else None
 
 
+def _mapping(conv: Callable[[Any], Any]) -> Callable[[Any], dict]:
+    return lambda v: {str(k): conv(x) for k, x in dict(v).items()}
+
+
 _COERCE: dict[str, Callable[[Any], Any]] = {
     "int": int, "float": float, "str": str,
     "list[str]": lambda v: [v] if isinstance(v, str) else [str(x) for x in v],
+    "dict[str, float]": _mapping(float),
+    "dict[str, int]": _mapping(int),
+    "dict[str, tuple]": _mapping(tuple),
+    # rational quantiles: [[num, den], ...], flat floats are a TypeError
+    "tuple[tuple[int, int], ...]":
+        lambda v: tuple((int(n), int(d)) for n, d in v),
     "pa.Schema": _schema,
 }
 
@@ -501,6 +527,16 @@ def _coerce(annotation: Any, value: Any) -> Any:
     return value if value is None or conv is None else conv(value)
 
 
+def _reject_unknown(name: str, cfg: dict, accepted: Any,
+                    builder_keys: frozenset = frozenset()) -> None:
+    """ConfigError for a key of ``cfg`` that is neither an ``accepted``
+    field nor one the builder reads."""
+    unknown = sorted(set(cfg) - set(accepted) - builder_keys)
+    if unknown:
+        raise ConfigError(f"{name}: unknown field(s) {unknown} "
+                          f"(accepted: {sorted(accepted)})")
+
+
 def resolve(name: str, cfg: dict, table: Table = STAGES,
             ) -> tuple[Callable, dict[str, Any]]:
     """Bind component ``name``'s YAML config to its row of ``table``:
@@ -513,10 +549,7 @@ def resolve(name: str, cfg: dict, table: Table = STAGES,
     builder_keys = table.builder_keys
     if params[0].name == "events":
         builder_keys |= _EVENTS_KEYS
-    unknown = sorted(set(cfg) - set(fields) - builder_keys)
-    if unknown:
-        raise ConfigError(f"{name}: unknown field(s) {unknown} "
-                          f"(accepted: {sorted(fields)})")
+    _reject_unknown(name, cfg, fields.keys(), builder_keys)
     by_name = {p.name: p for p in params[table.lead:]}
     kwargs, missing = {}, []
     for key, pname in fields.items():
@@ -538,36 +571,42 @@ def resolve(name: str, cfg: dict, table: Table = STAGES,
     return fn, kwargs
 
 
+def _as_dataset(out: Any) -> Any:
+    """A stage's result as a Dataset: a ``pa.Table`` (a profile, a kappa
+    table) or a pandas frame (semdedup's no-duplicates case) is wrapped,
+    anything else is returned as it is."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    if isinstance(out, pa.Table):
+        return ray.data.from_arrow(out)
+    if isinstance(out, pd.DataFrame):
+        return ray.data.from_pandas(out)
+    return out
+
+
 def _derived(name: str) -> Factory:
     def create(cfg: dict) -> DatasetTransform:
         fn, kwargs = resolve(name, cfg)
-        if first_param(fn) in _THUNK_PARAMS:
-            return DatasetTransform(lambda ds: fn(lambda: ds, **kwargs))
-        return DatasetTransform(lambda ds: fn(ds, **kwargs))
+        thunk = first_param(fn) in _THUNK_PARAMS
+        return DatasetTransform(lambda ds: _as_dataset(
+            fn((lambda: ds) if thunk else ds, **kwargs)))
 
     return Factory(create)
 
 
 # ------------------------------------------- hand-written processors
 #
-# Kept where the YAML shape is not a stage argument: rule lists, mappings
-# and rational pairs, compositions and variants, cross-field rules, and
-# raw batch UDFs.
+# Kept where the YAML shape is not one call of one stage: rule lists,
+# variants and compositions of several stages, stage classes, raw batch
+# UDFs, and k_anonymize's cross-field rule. Each names the YAML keys it
+# reads; any other key (but the builder's) is rejected as resolve() does.
 
 def _require(name: str, cfg: dict, *keys: str) -> None:
     for key in keys:
         if cfg.get(key) in _EMPTY:
             raise ConfigError(f"{name}: {key} is required")
-
-
-def _rational_pairs(name: str, cfg: dict) -> tuple[tuple[int, int], ...]:
-    try:
-        return tuple((int(n), int(d)) for n, d in (cfg.get("qs") or [[1, 2]]))
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{name}: qs must be [[num, den], ...] integer rational pairs "
-            f"(e.g. [[1, 2], [9, 10]]), not flat floats — got "
-            f"{cfg.get('qs')!r}") from None
 
 
 def _register_builtins() -> None:
@@ -576,12 +615,33 @@ def _register_builtins() -> None:
     from .stages.parse import DEFAULT_PARSE_RULES, ParseRule, ParseStage
     from .stages.route import DEFAULT_ROUTE_RULES, RouteRule, RouteStage
 
+    def reads(name: str, keys: str) -> Callable:
+        """Register the decorated ``make`` as processor ``name``, which
+        reads the YAML ``keys``."""
+        accepted = frozenset(keys.split())
+
+        def wrap(make: Callable[[dict], Any]) -> Callable[[dict], Any]:
+            def create(cfg: dict) -> Any:
+                _reject_unknown(name, cfg, accepted, STAGES.builder_keys)
+                return make(cfg)
+
+            register(name, Factory(create))
+            return make
+
+        return wrap
+
+    @reads("parse", "rules text_col")
     def make_parse(cfg: dict):
         rules = tuple(
             ParseRule(r["name"], r["pattern"], r.get("casts", {}))
             for r in cfg.get("rules", [])) or DEFAULT_PARSE_RULES
         return ParseStage(rules, text_col=cfg.get("text_col", "text"))
 
+    @reads("enrich", "")
+    def make_enrich(cfg: dict):
+        return EnrichStage()
+
+    @reads("route", "rules default_sink")
     def make_route(cfg: dict):
         rules = tuple(
             RouteRule(sink=r["sink"],
@@ -590,6 +650,7 @@ def _register_builtins() -> None:
             for r in cfg.get("rules", [])) or DEFAULT_ROUTE_RULES
         return RouteStage(rules, default_sink=cfg.get("default_sink", "default"))
 
+    @reads("filter", "include exclude")
     def make_filter(cfg: dict):
         if not cfg.get("include") and not cfg.get("exclude"):
             raise ConfigError(
@@ -605,6 +666,7 @@ def _register_builtins() -> None:
         return FilterStage(include=fc(cfg.get("include")),
                            exclude=fc(cfg.get("exclude")))
 
+    @reads("redact", "rules text_col out_col with_counts")
     def make_redact(cfg: dict):
         from .functions.redact import PII_RULES, redact_table
 
@@ -624,6 +686,7 @@ def _register_builtins() -> None:
         return lambda t: redact_table(t, text_col, out_col, rules,
                                       with_counts)
 
+    @reads("score", "weights bias out_col")
     def make_score(cfg: dict):
         from .stages.scoring import LinearScorerStage
 
@@ -632,57 +695,18 @@ def _register_builtins() -> None:
                                  bias=int(cfg.get("bias", 0)),
                                  out_col=cfg.get("out_col", "score"))
 
+    @reads("time_bucket", "column unit out")
     def make_time_bucket(cfg: dict):
-        import pyarrow.compute as pc
+        from .stages.aggregate import add_time_bucket
 
-        col = cfg.get("column", "ts")
+        column = cfg.get("column", "ts")
         unit = cfg.get("unit", "hour")
         out = cfg.get("out", "bucket")
+        # a plain function, so it joins the builder's StageChain
+        return lambda t: add_time_bucket(t, ts_col=column, unit=unit,
+                                         out=out)
 
-        def fn(t):
-            return t.append_column(
-                out, pc.floor_temporal(t.column(col), unit=unit))
-
-        return fn
-
-    def make_mix(cfg: dict):
-        from .stages.mixing import mix_by_class
-
-        _require("mix", cfg, "weights", "class_col", "id_col")
-        weights = {str(k): int(v) for k, v in cfg["weights"].items()}
-        return DatasetTransform(lambda ds: mix_by_class(
-            lambda: ds, cfg["class_col"], weights, id_col=cfg["id_col"],
-            base=int(cfg.get("base", 1000)),
-            persist=cfg.get("persist", "none")))
-
-    def make_window(cfg: dict):
-        from .stages.window import per_key_window
-
-        _require("window", cfg, "key", "order_by", "ops")
-        ops = {out: tuple(spec) for out, spec in cfg["ops"].items()}
-        return DatasetTransform(lambda ds: per_key_window(
-            ds, cfg["key"], list(cfg["order_by"]), ops,
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_cont_quantiles(cfg: dict):
-        from .stages.spanops import grouped_cont_quantiles
-
-        _require("cont_quantiles", cfg, "key", "value")
-        qs = _rational_pairs("cont_quantiles", cfg)
-        return DatasetTransform(lambda ds: grouped_cont_quantiles(
-            ds, cfg["key"], cfg["value"], qs=qs,
-            n_buckets=cfg.get("n_buckets", 64),
-            count_strategy=cfg.get("count_strategy", "bucket")))
-
-    def make_weighted_quantiles(cfg: dict):
-        from .stages.spanops import grouped_weighted_quantiles
-
-        _require("weighted_quantiles", cfg, "key", "value_col", "weight_col")
-        qs = _rational_pairs("weighted_quantiles", cfg)
-        return DatasetTransform(lambda ds: grouped_weighted_quantiles(
-            ds, cfg["key"], cfg["value_col"], cfg["weight_col"],
-            qs=qs, n_buckets=cfg.get("n_buckets", 64)))
-
+    @reads("extract_explode", "text_col pattern keep out")
     def make_extract_explode(cfg: dict):
         # the stage takes text_col positionally with no default; the YAML
         # field defaults to "text"
@@ -694,6 +718,7 @@ def _register_builtins() -> None:
             keep=[str(c) for c in cfg.get("keep", [])],
             out=cfg.get("out", "match")))
 
+    @reads("hist_quantile", "keys value bounds q_permille out_col")
     def make_hist_quantile(cfg: dict):
         from .stages.metricsops import (explicit_histogram,
                                         hist_quantile_linear)
@@ -710,6 +735,7 @@ def _register_builtins() -> None:
 
         return DatasetTransform(build)
 
+    @reads("sentence_stats", "column pattern")
     def make_sentence_stats(cfg: dict):
         from .functions.text import SENTENCE_RE, sentence_stats
 
@@ -727,6 +753,8 @@ def _register_builtins() -> None:
         return DatasetTransform(lambda ds: ds.map_batches(
             fn, batch_format="pyarrow"))
 
+    @reads("ks_drift", "group_col value_col group_a group_b key n_buckets "
+           "max_distinct")
     def make_ks_drift(cfg: dict):
         from .stages.normalize import grouped_ks, ks_two_sample
 
@@ -742,6 +770,7 @@ def _register_builtins() -> None:
             cfg["group_a"], cfg["group_b"],
             max_distinct=int(cfg.get("max_distinct", 20_000_000))))
 
+    @reads("k_anonymize", "quasi k sensitive l n_buckets mode")
     def make_k_anonymize(cfg: dict):
         from .stages.privacy import k_anonymize
 
@@ -757,15 +786,15 @@ def _register_builtins() -> None:
             n_buckets=cfg.get("n_buckets", "auto"),
             mode=str(cfg.get("mode", "join"))))
 
+    @reads("transform", "statements map_col")
     def make_transform(cfg: dict):
         from .functions.ottl import compile_statements
 
         _require("transform", cfg, "statements")
-        fn = compile_statements([str(x) for x in cfg["statements"]],
-                                map_col=cfg.get("map_col", "attrs"))
-        return DatasetTransform(lambda ds: ds.map_batches(
-            fn, batch_format="pyarrow"))
+        return compile_statements([str(x) for x in cfg["statements"]],
+                                  map_col=cfg.get("map_col", "attrs"))
 
+    @reads("log_templates", "rules text strategy")
     def make_log_templates(cfg: dict):
         from .stages.templates import DEFAULT_MASK_RULES, mine_templates
 
@@ -782,6 +811,7 @@ def _register_builtins() -> None:
             ds, cfg.get("text", "text"), rules=rules,
             strategy=cfg.get("strategy", "bucket")))
 
+    @reads("repetition", "text_col id_col")
     def make_repetition(cfg: dict):
         import pyarrow as pa
 
@@ -796,6 +826,7 @@ def _register_builtins() -> None:
 
         return fn
 
+    @reads("agg_delta", "keys base_path count_name sum_cols op_col strategy")
     def make_agg_delta(cfg: dict):
         import ray.data as _rd
 
@@ -812,26 +843,7 @@ def _register_builtins() -> None:
             op_col=cfg.get("op_col", "op"),
             strategy=cfg.get("strategy", "tree")))
 
-    def make_semdedup(cfg: dict):
-        import ray.data
-
-        from .stages.clustering import semantic_dedup
-
-        def run(ds):
-            out = semantic_dedup(
-                lambda: ds, k=int(cfg.get("k", 64)),
-                threshold=float(cfg.get("threshold", 0.95)),
-                iters=int(cfg.get("iters", 4)),
-                id_col=cfg.get("id_col", "vec_id"),
-                vec_col=cfg.get("vec_col", "embedding"),
-                max_cluster_rows=int(cfg.get("max_cluster_rows", 8192)),
-                persist=cfg.get("persist", "none"))
-            # no-duplicates case comes back as a typed empty DataFrame
-            return out if isinstance(out, ray.data.Dataset) \
-                else ray.data.from_pandas(out)
-
-        return DatasetTransform(run)
-
+    @reads("pca", "n_components vec_col persist out_col")
     def make_pca(cfg: dict):
         from .stages.clustering import pca_fit, pca_transform
 
@@ -846,65 +858,6 @@ def _register_builtins() -> None:
 
         return DatasetTransform(run)
 
-    def make_split(cfg: dict):
-        from .stages.sampling import assign_split
-
-        _require("split", cfg, "key", "fractions")
-        return DatasetTransform(lambda ds: assign_split(
-            ds, cfg["key"],
-            {str(k): float(v) for k, v in cfg["fractions"].items()},
-            hash_mode=cfg.get("hash_mode", "xx64"),
-            seed=int(cfg.get("seed", 0)),
-            out_col=cfg.get("out_col", "split")))
-
-    def make_validate(cfg: dict):
-        from .stages.validate import validate_rules
-
-        _require("validate", cfg, "rules", "id_col")
-        rules = {str(k): tuple(v) for k, v in cfg["rules"].items()}
-        return DatasetTransform(lambda ds: validate_rules(
-            ds, rules, id_col=cfg["id_col"],
-            n_buckets=cfg.get("n_buckets", "auto")))
-
-    def make_profile(cfg: dict):
-        import ray.data
-
-        from .stages.profile import profile_table
-
-        _require("profile", cfg, "columns")
-        return DatasetTransform(lambda ds: ray.data.from_arrow(
-            profile_table(ds, [str(c) for c in cfg["columns"]])))
-
-    def make_rater_kappa(cfg: dict):
-        import ray.data
-
-        from .stages.agreement import rater_agreement
-
-        _require("rater_kappa", cfg, "key", "a", "b")
-        return DatasetTransform(lambda ds: ray.data.from_arrow(
-            rater_agreement(
-                ds, cfg["key"], cfg["a"], cfg["b"],
-                max_classes=int(cfg.get("max_classes", 16)),
-                max_groups=int(cfg.get("max_groups", 10_000)))))
-
-    for name, make in {
-            "parse": make_parse, "route": make_route, "filter": make_filter,
-            "log_templates": make_log_templates, "validate": make_validate,
-            "mix": make_mix, "split": make_split, "window": make_window,
-            "cont_quantiles": make_cont_quantiles,
-            "weighted_quantiles": make_weighted_quantiles,
-            "extract_explode": make_extract_explode,
-            "hist_quantile": make_hist_quantile, "pca": make_pca,
-            "ks_drift": make_ks_drift, "semdedup": make_semdedup,
-            "agg_delta": make_agg_delta, "rater_kappa": make_rater_kappa,
-            "profile": make_profile, "k_anonymize": make_k_anonymize,
-            "time_bucket": make_time_bucket,
-            "sentence_stats": make_sentence_stats,
-            "repetition": make_repetition, "transform": make_transform,
-            "redact": make_redact, "score": make_score,
-            "enrich": lambda cfg: EnrichStage(),
-    }.items():
-        register(name, Factory(make))
     for name in STAGES:
         register(name, _derived(name))
 
@@ -980,11 +933,7 @@ class PipelineConfig:
                 # to check their fields against
                 accepted = _BUILDER_EXPORTERS.get(type_name)
                 if kind == "exporters" and accepted is not None:
-                    unknown = sorted(set(section[name] or {}) - accepted)
-                    if unknown:
-                        raise ConfigError(
-                            f"{name}: unknown field(s) {unknown} "
-                            f"(accepted: {sorted(accepted)})")
+                    _reject_unknown(name, section[name] or {}, accepted)
         if not self.pipeline.get("receivers") or not self.pipeline.get("exporters"):
             raise ConfigError("pipeline needs at least one receiver and one exporter")
 

@@ -493,13 +493,13 @@ _FIELD_TYPE = {5: GAUGE, 7: SUM, 9: HISTOGRAM, 10: EXP_HISTOGRAM, 11: SUMMARY}
 def _decode_metric(buf, res_attrs, sname, sver, rows: list[dict]) -> None:
     name = desc = unit = ""
     points: list[dict] = []
-    for f, w, v in _iter_fields(bytes(buf)):
+    for f, w, v in _iter_fields(bytes(buf), strings=(1, 2, 3)):
         if f == 1:
-            name = bytes(v).decode()
+            name = v
         elif f == 2:
-            desc = bytes(v).decode()
+            desc = v
         elif f == 3:
-            unit = bytes(v).decode()
+            unit = v
         elif f in _FIELD_TYPE:
             mtype = _FIELD_TYPE[f]
             temporality = 0
@@ -591,11 +591,12 @@ def decode_metrics_request(buf: bytes) -> pa.Table:
             metric_msgs = []
             for f3, w3, v3 in _iter_fields(sm):
                 if f3 == 1:
-                    for f4, w4, v4 in _iter_fields(bytes(v3)):
+                    for f4, w4, v4 in _iter_fields(bytes(v3),
+                                                   strings=(1, 2)):
                         if f4 == 1:
-                            sname = bytes(v4).decode()
+                            sname = v4
                         elif f4 == 2:
-                            sver = bytes(v4).decode()
+                            sver = v4
                 elif f3 == 2:
                     metric_msgs.append(bytes(v3))
             for mm in metric_msgs:

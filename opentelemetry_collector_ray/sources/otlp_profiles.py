@@ -162,7 +162,7 @@ def decode_dictionary(buf: bytes) -> dict:
     :func:`encode_dictionary`)."""
     dic: dict = {"strings": [], "mappings": [], "locations": [],
                  "functions": [], "attributes": [], "stacks": []}
-    for f, w, v in _iter_fields(buf):
+    for f, w, v in _iter_fields(buf, strings=(5,)):
         if f == 1:          # Mapping
             m = {"memory_start": 0, "memory_limit": 0, "file_offset": 0,
                  "filename_strindex": 0, "attribute_indices": []}
@@ -202,7 +202,7 @@ def decode_dictionary(buf: bytes) -> dict:
                         "filename_strindex", "start_line")[f2 - 1]] = int(v2)
             dic["functions"].append(fn)
         elif f == 5:        # string table entry
-            dic["strings"].append(bytes(v).decode())
+            dic["strings"].append(v)
         elif f == 6:        # KeyValueAndUnit
             a = {"key_strindex": 0, "vtype": 0, "value": None,
                  "unit_strindex": 0}

@@ -224,12 +224,22 @@ def _read_varint(buf, pos: int, end: int, at: int, field: int | None,
                           if end - pos < 10 else "varint longer than 10 bytes")
 
 
-def _iter_fields(buf: bytes, start: int = 0, end: int | None = None):
+def _utf8(value, at: int, field: int) -> str:
+    """The bytes of string ``field`` (at byte ``at``) decoded."""
+    try:
+        return str(value, "utf-8")
+    except UnicodeDecodeError:
+        raise WireFormatError(at, field, "invalid UTF-8") from None
+
+
+def _iter_fields(buf: bytes, start: int = 0, end: int | None = None,
+                 strings: tuple[int, ...] = ()):
     """Generic proto field walker → (field, wire, value) where value is an
-    int for VARINT/I64/I32 and a memoryview slice for LEN. Raises
-    :class:`WireFormatError` for a varint that runs past ``end`` or is
-    longer than 10 bytes, a length or fixed-width value that runs past
-    ``end`` and an unknown wire type."""
+    int for VARINT/I64/I32, a memoryview slice for LEN and a ``str`` for
+    a field listed in ``strings``. Raises :class:`WireFormatError` for a
+    varint that runs past ``end`` or is longer than 10 bytes, a length or
+    fixed-width value that runs past ``end``, an unknown wire type, and a
+    string field that is not length-delimited or not UTF-8."""
     pos = start
     end = len(buf) if end is None else end
     mv = memoryview(buf)
@@ -256,21 +266,26 @@ def _iter_fields(buf: bytes, start: int = 0, end: int | None = None):
             pos += ln
         else:
             raise WireFormatError(at, field, f"unknown wire type {wire}")
+        if field in strings:
+            if wire != _LEN:
+                raise WireFormatError(at, field, f"wire type {wire} for a "
+                                      "string")
+            val = _utf8(val, at, field)
         yield field, wire, val
 
 
 def _decode_anyvalue(buf) -> str:
-    for f, w, v in _iter_fields(bytes(buf)):
+    for f, w, v in _iter_fields(bytes(buf), strings=(1,)):
         if f == 1:
-            return bytes(v).decode()
+            return v
     return ""
 
 
 def _decode_kv(buf) -> tuple[str, str]:
     k = s = ""
-    for f, w, v in _iter_fields(bytes(buf)):
+    for f, w, v in _iter_fields(bytes(buf), strings=(1,)):
         if f == 1:
-            k = bytes(v).decode()
+            k = v
         elif f == 2:
             s = _decode_anyvalue(v)
     return k, s
@@ -278,9 +293,9 @@ def _decode_kv(buf) -> tuple[str, str]:
 
 def _decode_anyvalue_typed(buf) -> tuple[int, object]:
     """AnyValue bytes → (vtype, python payload) — full union decode."""
-    for f, w, v in _iter_fields(bytes(buf)):
+    for f, w, v in _iter_fields(bytes(buf), strings=(1,)):
         if f == 1:
-            return tav.VTYPE_STR, bytes(v).decode()
+            return tav.VTYPE_STR, v
         if f == 2:
             return tav.VTYPE_BOOL, bool(v)
         if f == 3:
@@ -304,9 +319,9 @@ def _decode_anyvalue_typed(buf) -> tuple[int, object]:
 def _decode_kv_typed(buf) -> tuple[str, tuple[int, object]]:
     k = ""
     val: tuple[int, object] = (tav.VTYPE_EMPTY, None)
-    for f, w, v in _iter_fields(bytes(buf)):
+    for f, w, v in _iter_fields(bytes(buf), strings=(1,)):
         if f == 1:
-            k = bytes(v).decode()
+            k = v
         elif f == 2:
             val = _decode_anyvalue_typed(v)
     return k, val
@@ -338,11 +353,12 @@ def decode_request(buf: bytes) -> pa.Table:
             recs = []
             for f3, w3, v3 in _iter_fields(sl):
                 if f3 == 1:  # InstrumentationScope
-                    for f4, w4, v4 in _iter_fields(bytes(v3)):
+                    for f4, w4, v4 in _iter_fields(bytes(v3),
+                                                   strings=(1, 2)):
                         if f4 == 1:
-                            sname = bytes(v4).decode()
+                            sname = v4
                         elif f4 == 2:
-                            sver = bytes(v4).decode()
+                            sver = v4
                 elif f3 == 2:
                     recs.append(bytes(v3))
             for rec in recs:
@@ -350,13 +366,13 @@ def decode_request(buf: bytes) -> pa.Table:
                      "severity_number": 0, "severity_text": "", "body": "",
                      "trace_id": "", "span_id": "", "event_name": "",
                      "attributes": []}
-                for f4, w4, v4 in _iter_fields(rec):
+                for f4, w4, v4 in _iter_fields(rec, strings=(3, 12)):
                     if f4 == 1:
                         r["time_unix_nano"] = v4
                     elif f4 == 2:
                         r["severity_number"] = v4
                     elif f4 == 3:
-                        r["severity_text"] = bytes(v4).decode()
+                        r["severity_text"] = v4
                     elif f4 == 5:
                         r["body"] = _decode_anyvalue(v4)
                     elif f4 == 6:
@@ -368,7 +384,7 @@ def decode_request(buf: bytes) -> pa.Table:
                     elif f4 == 11:
                         r["observed_time_unix_nano"] = v4
                     elif f4 == 12:
-                        r["event_name"] = bytes(v4).decode()
+                        r["event_name"] = v4
                 rows["time_unix_nano"].append(int(r["time_unix_nano"]))
                 rows["observed_time_unix_nano"].append(
                     int(r["observed_time_unix_nano"]))
@@ -578,11 +594,12 @@ def decode_spans_request(buf: bytes) -> pa.Table:
             recs = []
             for f3, w3, v3 in _iter_fields(ss):
                 if f3 == 1:
-                    for f4, w4, v4 in _iter_fields(bytes(v3)):
+                    for f4, w4, v4 in _iter_fields(bytes(v3),
+                                                   strings=(1, 2)):
                         if f4 == 1:
-                            sname = bytes(v4).decode()
+                            sname = v4
                         elif f4 == 2:
-                            sver = bytes(v4).decode()
+                            sver = v4
                 elif f3 == 2:
                     recs.append(bytes(v3))
             for rec in recs:
@@ -590,7 +607,7 @@ def decode_spans_request(buf: bytes) -> pa.Table:
                      "name": "", "kind": 0, "start_time_unix_nano": 0,
                      "end_time_unix_nano": 0, "status_code": 0,
                      "status_message": "", "attributes": [], "links": []}
-                for f4, w4, v4 in _iter_fields(rec):
+                for f4, w4, v4 in _iter_fields(rec, strings=(5,)):
                     if f4 == 1:
                         r["trace_id"] = bytes(v4).hex()
                     elif f4 == 2:
@@ -598,7 +615,7 @@ def decode_spans_request(buf: bytes) -> pa.Table:
                     elif f4 == 4:
                         r["parent_span_id"] = bytes(v4).hex()
                     elif f4 == 5:
-                        r["name"] = bytes(v4).decode()
+                        r["name"] = v4
                     elif f4 == 6:
                         r["kind"] = v4
                     elif f4 == 7:
@@ -616,9 +633,10 @@ def decode_spans_request(buf: bytes) -> pa.Table:
                                 lk["span_id"] = bytes(v5).hex()
                         r["links"].append(lk)
                     elif f4 == 15:
-                        for f5, w5, v5 in _iter_fields(bytes(v4)):
+                        for f5, w5, v5 in _iter_fields(bytes(v4),
+                                                       strings=(2,)):
                             if f5 == 2:
-                                r["status_message"] = bytes(v5).decode()
+                                r["status_message"] = v5
                             elif f5 == 3:
                                 r["status_code"] = v5
                 for c in ("trace_id", "span_id", "parent_span_id", "name",

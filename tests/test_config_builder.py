@@ -681,6 +681,42 @@ def test_validate_profile_processors(ray_session, tmp_path):
             build(procs, names)
 
 
+def test_rater_kappa_yaml_parity(ray_session, tmp_path):
+    """YAML rater_kappa (``key``/``a``/``b``) == a direct
+    ``rater_agreement`` call, returned as a Dataset."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from opentelemetry_collector_ray.config import get_factory
+    from opentelemetry_collector_ray.pipelines.builder import build_dataset
+    from opentelemetry_collector_ray.stages.agreement import rater_agreement
+
+    p = tmp_path / "r.parquet"
+    pq.write_table(pa.table({
+        "g": pa.array(["x"] * 6 + ["y"] * 4),
+        "r1": pa.array([0, 1, 2, 0, 1, 1, 0, 1, None, 1], pa.int64()),
+        "r2": pa.array([0, 1, 1, 0, 2, 1, 1, 1, 0, 1], pa.int64())}), str(p))
+    built = build_dataset(PipelineConfig.from_dict({
+        "receivers": {"parquet": {"paths": str(p)}},
+        "processors": {"rater_kappa": {"key": "g", "a": "r1", "b": "r2",
+                                       "max_classes": 4}},
+        "exporters": {"debug": {}},
+        "service": {"pipelines": {"logs": {
+            "receivers": ["parquet"], "processors": ["rater_kappa"],
+            "exporters": ["debug"]}}},
+    }))
+    assert isinstance(built, ray.data.Dataset)
+    got = built.to_pandas().sort_values("g").reset_index(drop=True)
+    want = rater_agreement(ray.data.read_parquet(str(p)), "g", "r1", "r2",
+                           max_classes=4).to_pandas() \
+        .sort_values("g").reset_index(drop=True)
+    assert got.equals(want) and len(got) == 2
+
+    with pytest.raises(ConfigError, match="rater_kappa: .*\\bb\\b"):
+        get_factory("rater_kappa").create({"key": "g", "a": "r1"})
+
+
 def test_csv_receiver(ray_session, tmp_path):
     """CSV receiver parses with Arrow's C++ reader and honors column
     pruning."""

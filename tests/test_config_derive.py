@@ -20,7 +20,10 @@ from opentelemetry_collector_ray.config import (
     EXPORTERS, RECEIVERS, STAGES, ConfigError, DatasetTransform, expand_env,
     get_factory, resolve)
 
-_SAMPLE = {"int": 7, "float": 0.5, "str": "s", "list[str]": ["a"]}
+_SAMPLE = {"int": 7, "float": 0.5, "str": "s", "list[str]": ["a"],
+           "dict[str, float]": {"a": 0.5}, "dict[str, int]": {"a": 1},
+           "dict[str, tuple]": {"a": ["not_null", "x"]},
+           "tuple[tuple[int, int], ...]": [[1, 2]]}
 
 
 def _fields(name: str, table=STAGES) -> dict[str, inspect.Parameter]:
@@ -101,13 +104,83 @@ def test_bare_string_becomes_one_element_list():
     assert kwargs["order_by"] == ["ts"]
 
 
-@pytest.mark.parametrize("name, typo", [("count_agg", "stratgy"),
-                                        ("log_dedup", "n_bucket"),
-                                        ("global_sort", "key")])
+# the hand-written processors: each with the fields it needs to build
+_HAND_CFG = {
+    "parse": {}, "enrich": {}, "route": {}, "repetition": {},
+    "time_bucket": {}, "redact": {}, "pca": {}, "log_templates": {},
+    "filter": {"include": {"column": "c", "strict": ["a"]}},
+    "score": {"weights": {"w": 1}},
+    "extract_explode": {"pattern": "a+"},
+    "hist_quantile": {"keys": ["k"], "value": "v", "bounds": [1, 2],
+                      "q_permille": 500},
+    "sentence_stats": {"column": "text"},
+    "ks_drift": {"group_col": "g", "value_col": "v", "group_a": "a",
+                 "group_b": "b"},
+    "k_anonymize": {"quasi": ["q"], "k": 2},
+    "transform": {"statements": ['set(attrs["a"], "b")']},
+    "agg_delta": {"keys": ["k"], "base_path": "view.parquet"},
+}
+
+
+def test_hand_written_processors_are_the_rest_of_the_registry():
+    assert sorted(config._REGISTRY) == sorted([*STAGES, *_HAND_CFG])
+
+
+@pytest.mark.parametrize("name, typo", [
+    ("count_agg", "stratgy"), ("log_dedup", "n_bucket"),
+    ("global_sort", "key"), ("window", "n_bucket"),
+    ("cont_quantiles", "value_col"), ("rater_kappa", "group_key"),
+    ("parse", "rule"), ("enrich", "tool_col"), ("route", "default"),
+    ("filter", "includes"), ("redact", "rule"), ("score", "weight"),
+    ("time_bucket", "col"), ("extract_explode", "keep_cols"),
+    ("hist_quantile", "bound"), ("sentence_stats", "text_col"),
+    ("ks_drift", "n_bucket"), ("k_anonymize", "sensitive_col"),
+    ("transform", "statement"), ("log_templates", "text_col"),
+    ("repetition", "out_col"), ("agg_delta", "sum_col"),
+    ("pca", "n_component")])
 def test_planted_typo_is_rejected(name, typo):
-    cfg = {**_required_cfg(name), typo: 8}
+    base = _HAND_CFG[name] if name in _HAND_CFG else _required_cfg(name)
+    cfg = {**base, typo: 8}
     with pytest.raises(ConfigError, match=rf"{name}: unknown .*'{typo}'"):
         get_factory(name).create(cfg)
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_CFG))
+def test_hand_written_accepts_its_fields_and_builder_keys(name):
+    cfg = {**_HAND_CFG[name], "batch_size": 4096, "concurrency": 2}
+    assert callable(get_factory(name).create(cfg))
+
+
+@pytest.mark.parametrize("name, key, bad", [
+    ("split", "fractions", ["train"]), ("mix", "weights", {"en": "x"}),
+    ("cont_quantiles", "qs", [0.5, 0.9]),
+    ("weighted_quantiles", "qs", [[1, "x"]])])
+def test_bad_shape_names_component_and_key(name, key, bad):
+    cfg = {**_required_cfg(name), key: bad}
+    with pytest.raises(ConfigError, match=rf"{name}: {key}="):
+        resolve(name, cfg)
+
+
+def test_table_and_frame_results_become_datasets(monkeypatch):
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    from opentelemetry_collector_ray.stages import clustering, profile
+
+    monkeypatch.setattr(profile, "profile_table",
+                        lambda ds, columns: pa.table({"column": columns}))
+    monkeypatch.setattr(clustering, "semantic_dedup", functools.wraps(
+        clustering.semantic_dedup)(
+            lambda make_ds, **kw: pd.DataFrame({"vec_id": []})))
+    froms = []
+    monkeypatch.setattr(ray.data, "from_arrow",
+                        lambda t: froms.append(("arrow", t.num_rows)))
+    monkeypatch.setattr(ray.data, "from_pandas",
+                        lambda f: froms.append(("pandas", len(f))))
+    get_factory("profile").create({"columns": ["x", "y"]})(object())
+    get_factory("semdedup").create({})(object())
+    assert froms == [("arrow", 2), ("pandas", 0)]
 
 
 @pytest.mark.parametrize("name", sorted(STAGES))

@@ -92,3 +92,34 @@ def test_walk_stops_at_its_end_bound():
     with pytest.raises(WireFormatError, match="length 2 runs past"):
         list(_iter_fields(buf, 0, 3))
     assert list(_iter_fields(buf, 4, 6)) == [(1, 0, 7)]
+
+
+def test_invalid_utf8_body_names_the_field():
+    """A record body whose first byte is flipped to 0xff is not UTF-8:
+    the decode raises ``WireFormatError`` for the AnyValue's string field
+    (1), not a bare ``UnicodeDecodeError``."""
+    payload = bytearray(encode_request(_planted()))
+    at = payload.index(b"record 3 ")
+    payload[at] = 0xFF
+    with pytest.raises(WireFormatError) as info:
+        decode_request(bytes(payload))
+    e = info.value
+    assert (e.offset, e.field, e.reason) == (0, 1, "invalid UTF-8")
+    assert "field 1" in str(e)
+
+
+@pytest.mark.parametrize("payload, offset, reason", [
+    (b"\x08\x01\x12\x02\xc3\x28", 2, "invalid UTF-8"),
+    (b"\x08\x01\x10\x05", 2, "wire type 0 for a string"),
+])
+def test_string_field_errors(payload, offset, reason):
+    with pytest.raises(WireFormatError) as info:
+        list(_iter_fields(payload, strings=(2,)))
+    assert (info.value.offset, info.value.field, info.value.reason) == \
+        (offset, 2, reason)
+
+
+def test_string_field_decodes_to_str():
+    assert [(f, v) for f, _w, v in _iter_fields(b"\x08\x01\x12\x02ok",
+                                                strings=(2,))] == \
+        [(1, 1), (2, "ok")]
