@@ -483,8 +483,16 @@ def _mapping(conv: Callable[[Any], Any]) -> Callable[[Any], dict]:
     return lambda v: {str(k): conv(x) for k, x in dict(v).items()}
 
 
+def _scalar_str(v: Any) -> str:
+    """``str`` of a scalar; a list or mapping is a TypeError, not its
+    Python repr."""
+    if isinstance(v, (list, tuple, dict)):
+        raise TypeError(f"expected a scalar, got a {type(v).__name__}")
+    return str(v)
+
+
 _COERCE: dict[str, Callable[[Any], Any]] = {
-    "int": int, "float": float, "str": str,
+    "int": int, "float": float, "str": _scalar_str,
     "list[str]": lambda v: [v] if isinstance(v, str) else [str(x) for x in v],
     "dict[str, float]": _mapping(float),
     "dict[str, int]": _mapping(int),

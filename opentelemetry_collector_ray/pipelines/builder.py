@@ -291,9 +291,10 @@ def _run_one_plan(cfg: PipelineConfig, store: ManifestStore,
                   tasks: list[PartitionTask], chash: str, chain: StageChain,
                   rows_in: dict[str, int], read_kwargs: dict) -> list[str]:
     """Run ``tasks`` (one input fragment each) through one lazy plan,
-    ``read_turns(include_paths=True)`` → ``map_batches(FragmentWrite)``,
-    and commit each fragment as soon as the rows its acks consumed reach
-    its footer's row count; returns the committed ids in commit order.
+    ``read_turns(include_paths=True, one_task_per_file=True)`` →
+    ``map_batches(FragmentWrite)``, and commit each fragment as soon as
+    the rows its acks consumed reach its footer's row count; returns the
+    committed ids in commit order.
     A zero-row fragment commits an empty partition without entering the
     plan (Ray's read drops empty tables, so no ack would come).
 
@@ -346,8 +347,10 @@ def _run_one_plan(cfg: PipelineConfig, store: ManifestStore,
     udf = FragmentWrite(chain, {p: os.path.abspath(staging[t.partition_id])
                                 for p, t in by_path.items()},
                         [(rel, by_route) for _, rel, by_route in sinks])
-    ds = read_turns(list(by_path), include_paths=True, **read_kwargs) \
-        .map_batches(udf, batch_format="pyarrow")
+    # one read task per fragment: a fragment commits when its last
+    # block is acked, so bundling would hold it for its neighbours
+    ds = read_turns(list(by_path), include_paths=True, one_task_per_file=True,
+                    **read_kwargs).map_batches(udf, batch_format="pyarrow")
     acked = {p: {"consumed": 0, "produced": 0, "start": float("inf"),
                  "file_rows": {}, "acks": 0} for p in by_path}
     for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):

@@ -19,11 +19,15 @@ Parse, enrich and route run as one ``map_batches`` callable
 processors (``consumer/logs.go:15-20``). It is mapped with no
 ``batch_size``, so Ray fuses it into the read tasks and the read blocks
 never pass through the object store; the chain slices each block itself.
-Ray does not fuse a read that splits a file into more blocks
-(``SplitBlocks``), so ``read_turns`` splits a file only into pieces of at
-least 1 MiB: a sub-MiB fragment is one block, and its read, maps and
-write run as one task. The YAML builder composes runs of adjacent
-processors the same way (``pipelines/builder.build_dataset``).
+``read_turns`` plans its tasks from the Parquet footers, with no
+sampling task before the plan, and bundles neighbouring small files so
+the read makes about two tasks per CPU (``max(1 MiB, footer bytes //
+(2 × CPUs))`` each): every task is one block, read and mapped in one Ray
+task, and each task's fixed cost is paid once per bundle, not once per
+file. Ray does not fuse a read that splits a file into more blocks
+(``SplitBlocks``), so a file is split only into pieces of at least
+1 MiB. The YAML builder composes runs of adjacent processors the same
+way (``pipelines/builder.build_dataset``).
 """
 
 from __future__ import annotations

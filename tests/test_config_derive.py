@@ -154,7 +154,10 @@ def test_hand_written_accepts_its_fields_and_builder_keys(name):
 @pytest.mark.parametrize("name, key, bad", [
     ("split", "fractions", ["train"]), ("mix", "weights", {"en": "x"}),
     ("cont_quantiles", "qs", [0.5, 0.9]),
-    ("weighted_quantiles", "qs", [[1, "x"]])])
+    ("weighted_quantiles", "qs", [[1, "x"]]),
+    # a list or mapping for a ``str`` field, not its Python repr
+    ("split", "key", ["a", "b"]), ("count_agg", "count_name", ["n"]),
+    ("count_agg", "count_name", {"n": 1})])
 def test_bad_shape_names_component_and_key(name, key, bad):
     cfg = {**_required_cfg(name), key: bad}
     with pytest.raises(ConfigError, match=rf"{name}: {key}="):

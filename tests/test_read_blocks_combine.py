@@ -14,7 +14,6 @@ import re
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
 
 
 def _touch(path) -> str:
@@ -24,29 +23,43 @@ def _touch(path) -> str:
 
 
 def test_read_block_count_rule(tmp_path):
-    from opentelemetry_collector_ray.sources.parquet import read_block_count
+    from opentelemetry_collector_ray.sources.parquet import (plan_read,
+                                                             read_block_count)
 
     files = [_touch(tmp_path / "list" / f"f{i}.parquet") for i in range(5)]
-    # a list of files: one block per file once files outnumber 2 x CPUs
-    assert read_block_count(files, cpus=1) == 5
-    assert read_block_count(files, cpus=2) == 5
-    # more CPUs than files, but no tiny file holds 1 MiB: not split
-    assert read_block_count(files, cpus=4) == 5
+    # tiny files are bundled: together they hold less than 1 MiB, so they
+    # are one read task at any CPU count
+    assert read_block_count(files, cpus=1) == 1
+    assert read_block_count(files, cpus=2) == 1
+    assert read_block_count(files, cpus=4) == 1
     # a single tiny file at 1 CPU reads as 1 block
     assert read_block_count(files[0], cpus=1) == 1
-    # a directory counts the files under it, skipping the names pyarrow
-    # skips (``_SUCCESS``, dot-files, ``_``/``.`` directories)
+    # a directory reads the files under it in path order, skipping the
+    # names pyarrow skips (``_SUCCESS``, dot-files, ``_``/``.`` directories)
     d = tmp_path / "dir"
     for rel in ("a.parquet", "b.parquet", "route=x/c.parquet",
                 "route=y/deep/d.parquet", "_SUCCESS", ".a.parquet.crc",
                 "_tmp/e.parquet", ".hidden/f.parquet"):
         _touch(d / rel)
-    assert read_block_count(str(d), cpus=1) == 4
-    assert read_block_count([str(d), files[0]], cpus=1) == 5
-    assert read_block_count(str(d), cpus=3) == 4
+    assert read_block_count(str(d), cpus=1) == 1
+    assert [os.path.relpath(f, d) for f in plan_read(str(d), 1).files] == [
+        "a.parquet", "b.parquet", "route=x/c.parquet",
+        os.path.join("route=y", "deep", "d.parquet")]
+    assert read_block_count([str(d), files[0]], cpus=1) == 1
+    assert len(plan_read([str(d), files[0]], 1).files) == 5
+    assert read_block_count(str(d), cpus=3) == 1
     # a path this process cannot see leaves Ray's autodetect in charge
     assert read_block_count(str(tmp_path / "missing"), cpus=1) is None
     assert read_block_count([files[0], "s3://bucket/x.parquet"], 1) is None
+
+
+def _ints(path: str, n: int) -> str:
+    """A file of ``n`` plain-encoded int64 rows: 8 bytes a row by its
+    footer."""
+    import numpy as np
+
+    pq.write_table(pa.table({"x": np.arange(n)}), path, use_dictionary=False)
+    return path
 
 
 def test_read_block_count_splits_by_footer_bytes(tmp_path):
@@ -81,23 +94,63 @@ def test_read_block_count_splits_by_footer_bytes(tmp_path):
     assert read_block_count(empty, cpus=4) == 1
 
 
-def test_read_block_count_reads_no_footer_when_files_cover_cpus(
-        tmp_path, monkeypatch):
-    """With at least ``2 x cpus`` files the count is the file count, and
-    no footer is read."""
+def test_read_block_count_reads_each_footer_once(tmp_path, monkeypatch):
+    """The plan reads each file's footer once, whatever the CPU count."""
     from opentelemetry_collector_ray.sources import parquet
 
     files = [_touch(tmp_path / f"f{i}.parquet") for i in range(8)]
+    read_metadata, reads = parquet.pq.read_metadata, []
 
-    def no_footer(*args, **kwargs):
-        raise AssertionError("footer read")
+    def counted(path, *args, **kwargs):
+        reads.append(path)
+        return read_metadata(path, *args, **kwargs)
 
-    monkeypatch.setattr(parquet.pq, "read_metadata", no_footer)
-    assert parquet.read_block_count(files, cpus=1) == 8
-    assert parquet.read_block_count(files, cpus=4) == 8
-    assert parquet.read_block_count(str(tmp_path), cpus=4) == 8
-    with pytest.raises(AssertionError, match="footer read"):
-        parquet.read_block_count(files, cpus=5)  # 10 > 8 files
+    monkeypatch.setattr(parquet.pq, "read_metadata", counted)
+    for cpus in (1, 4, 5):
+        reads.clear()
+        assert parquet.read_block_count(files, cpus=cpus) == 1
+        assert reads == files
+    reads.clear()
+    assert parquet.read_block_count(str(tmp_path), cpus=4) == 1
+    assert reads == files
+
+
+def test_neighbouring_files_bundle_to_two_tasks_per_cpu(tmp_path):
+    """Eight 1.2 MiB files: two read tasks of four files at 1 CPU, one
+    task per file at 4 CPUs, and one task per file when asked for."""
+    from opentelemetry_collector_ray.sources.parquet import plan_read
+
+    files = [_ints(str(tmp_path / f"f{i}.parquet"), 160_000)
+             for i in range(8)]
+    one = plan_read(files, 1)
+    assert [list(r) for r in one.runs] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    assert one.blocks == 2
+    two = plan_read(files, 2)
+    assert [list(r) for r in two.runs] == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    four = plan_read(files, 4)
+    assert [list(r) for r in four.runs] == [[i] for i in range(8)]
+    assert four.blocks == 8
+    per_file = plan_read(files, 1, one_task_per_file=True)
+    assert [list(r) for r in per_file.runs] == [[i] for i in range(8)]
+    assert per_file.blocks == 8
+    # an explicit block count: that many tasks, or a split of fewer
+    assert len(plan_read(files, 1, blocks=3).runs) == 3
+    split = plan_read(files[0], 1, blocks=8)
+    assert len(split.runs) == 1 and split.blocks == 8
+
+
+def test_runs_cut_neighbours_by_bytes():
+    from opentelemetry_collector_ray.sources.parquet import _runs
+
+    def cut(nbytes, k):
+        return [list(r) for r in _runs(nbytes, k)]
+
+    assert cut([1] * 8, 3) == [[0, 1, 2], [3, 4, 5], [6, 7]]
+    assert cut([5, 1, 1, 1, 1, 1], 2) == [[0], [1, 2, 3, 4, 5]]
+    # every run gets a file, even when the bytes sit in the first
+    assert cut([10, 0, 0], 3) == [[0], [1], [2]]
+    assert cut([0, 0, 0, 0], 2) == [[0], [1, 2, 3]]
+    assert cut([3, 2], 1) == [[0, 1]]
 
 
 # Direct ``read_parquet`` calls in the package outside sources/parquet.py,
@@ -175,16 +228,18 @@ def _allops(op):
 
 
 def test_flagship_one_barrier_matches_duckdb(ray_session, tmp_path):
-    """Eight fragments at 4 CPUs: eight read tasks (no fragment is
-    split), one all-to-all operator (the ``repartition(1)`` in front of
-    the single combine), and exactly DuckDB's counts."""
+    """Eight fragments at 4 CPUs: the read tasks ``read_block_count``
+    plans (no fragment is split), one all-to-all operator (the
+    ``repartition(1)`` in front of the single combine), and exactly
+    DuckDB's counts."""
     import ray
     from ray.data._internal.logical.operators.all_to_all_operator import (
         AbstractAllToAll)
 
     from opentelemetry_collector_ray.pipelines.flagship import (
         build_aggregate, build_routed)
-    from opentelemetry_collector_ray.sources.parquet import read_turns
+    from opentelemetry_collector_ray.sources.parquet import (read_block_count,
+                                                             read_turns)
     from opentelemetry_collector_ray.synth import synth_turns
     from perfbench.inputs import oracle_flagship
 
@@ -204,8 +259,10 @@ def test_flagship_one_barrier_matches_duckdb(ray_session, tmp_path):
     got = pa.concat_tables(ray.get(mat.to_arrow_refs()))
     stats = mat.stats()
     assert "SplitBlocks" not in stats
-    # the read is fused with the maps after it: "ReadParquet->...: 8 tasks"
-    assert re.search(r"ReadParquet(->[^:\n]*)?: 8 tasks executed", stats)
+    # the read is fused with the maps after it: "ReadParquet->...: k tasks"
+    tasks = read_block_count(paths, ray.cluster_resources()["CPU"])
+    assert re.search(rf"ReadParquet(->[^:\n]*)?: {tasks} tasks executed",
+                     stats)
     assert stats.count("Repartition:") == 1
 
     def keyed(t: pa.Table) -> dict:

@@ -57,9 +57,10 @@ def _on_disk(out: str) -> Counter:
 
 
 def test_one_read_one_operator(ray_session, tmp_path, monkeypatch):
-    """4 fragments: ``ray.data.read_parquet`` is called once, and the plan
-    is one ``ReadParquet->MapBatches(FragmentWrite)`` operator with one
-    task per fragment; each fragment gets its own manifest and walls."""
+    """4 fragments: the footer-planned read (``ray.data.read_datasource``)
+    is called once and ``ray.data.read_parquet`` never, and the plan is
+    one ``ReadParquet->MapBatches(FragmentWrite)`` operator with one task
+    per fragment; each fragment gets its own manifest and walls."""
     import ray.data
 
     from opentelemetry_collector_ray.pipelines.builder import run_pipeline
@@ -67,18 +68,22 @@ def test_one_read_one_operator(ray_session, tmp_path, monkeypatch):
 
     paths = write_turns_parquet(str(tmp_path / "in"), sf=0.05, shards=4)
     reads, plans = [], []
-    read_parquet, iter_batches = ray.data.read_parquet, \
+    read_datasource, iter_batches = ray.data.read_datasource, \
         ray.data.Dataset.iter_batches
 
     def spy_read(*a, **kw):
         reads.append(a)
-        return read_parquet(*a, **kw)
+        return read_datasource(*a, **kw)
+
+    def no_read_parquet(*a, **kw):
+        raise AssertionError("read_parquet called")
 
     def spy_iter(self, *a, **kw):
         plans.append(self)
         return iter_batches(self, *a, **kw)
 
-    monkeypatch.setattr(ray.data, "read_parquet", spy_read)
+    monkeypatch.setattr(ray.data, "read_datasource", spy_read)
+    monkeypatch.setattr(ray.data, "read_parquet", no_read_parquet)
     monkeypatch.setattr(ray.data.Dataset, "iter_batches", spy_iter)
     out = str(tmp_path / "out")
     r = run_pipeline(_cfg(str(tmp_path / "in")), out)
