@@ -3935,13 +3935,15 @@ def _q_emb_kmeans(sf_dir: str):
     sums, k-row driver state) + broadcast assignment pass → per-cluster
     member counts (rows-only: float iteration order is block-dependent;
     blob-recovery ground truth in tests)."""
+    from opentelemetry_collector_ray.stages.aggregate import grouped_count
     from opentelemetry_collector_ray.stages.clustering import (
         kmeans_assign, kmeans_fit)
 
     make = lambda: _read_co(sf_dir, "embeddings", ["vec_id", "embedding"],
                             floor=8)  # noqa: E731
     cent = kmeans_fit(make, k=8, iters=3, sample_size=4096)
-    return kmeans_assign(make(), cent).groupby("cluster").count()
+    return grouped_count(kmeans_assign(make(), cent), ["cluster"],
+                         count_name="count()")
 
 
 def _q_emb_semdedup(sf_dir: str):

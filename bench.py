@@ -45,18 +45,13 @@ def _prepare_turns(sf_dir: str) -> tuple[str, int]:
     done = os.path.join(out_dir, "_DONE")
     if os.path.exists(done):
         return out_dir, events_rows * k
-    import ray
-
     import pyarrow.compute as pc
 
     from opentelemetry_collector_ray.sources.transcripts import read_derived_turns
+    from opentelemetry_collector_ray.stages.treereduce import collect
 
     os.makedirs(out_dir, exist_ok=True)
-    refs = read_derived_turns(sf_dir).to_arrow_refs()
-    # Ray's groupby/map_groups can emit empty zero-column sentinel blocks;
-    # drop them before concat (they have no schema).
-    tables = [t for t in (ray.get(r) for r in refs) if t.num_rows > 0]
-    base = pa.concat_tables(tables)  # small base, once
+    base = pa.concat_tables(collect(read_derived_turns(sf_dir)))  # once
     conv = base.column("conv_id")
 
     nrows = base.num_rows

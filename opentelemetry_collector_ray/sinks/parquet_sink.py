@@ -82,14 +82,17 @@ def bucketed_sorted_write(ds: ray.data.Dataset, out_dir: str,
     internally sorted). ``n_buckets="auto"`` sizes bucket tasks to input
     bytes (stages/bucketing.py) — a fixed count would mean ever-larger
     bucket tasks as data grows."""
-    from ..stages.bucketing import resolve_n_buckets, with_hash_bucket
+    from ..functions.hashing import bucket_of
+    from ..stages.bucketing import bucketed_map_groups, resolve_n_buckets
 
     def sort_bucket(g: pa.Table) -> pa.Table:
-        return g.sort_by([(c, "ascending") for c in order])
+        g = g.sort_by([(c, "ascending") for c in order])
+        # the bucket number names the output directory
+        return g.append_column("_bucket",
+                               pa.array(bucket_of(g.column(key), nb)))
 
     nb = resolve_n_buckets(ds, n_buckets)
-    ordered = with_hash_bucket(ds, key, nb).groupby("_bucket") \
-        .map_groups(sort_bucket, batch_format="pyarrow")
+    ordered = bucketed_map_groups(ds, key, sort_bucket, n_buckets=nb)
     ordered.write_parquet(out_dir, partition_cols=["_bucket"], **kwargs)
 
 

@@ -120,15 +120,6 @@ def plan_read(paths: str | Sequence[str], cpus: int,
                     footers[0].schema.to_arrow_schema())
 
 
-def read_block_count(paths: str | Sequence[str], cpus: int,
-                     columns: Sequence[str] | None = None) -> int | None:
-    """Blocks a bundled read of ``paths`` makes at ``cpus`` CPUs
-    (:func:`plan_read`): ``max(1, min(2 × cpus, footer bytes //
-    target_min_block_size))``; ``None`` when a path is not local."""
-    plan = plan_read(paths, cpus, columns)
-    return None if plan is None else plan.blocks
-
-
 def _read_run(files: list[str], data: list[str] | None,
               columns: frozenset[str] | None, schema: pa.Schema, filter_expr,
               include_paths: bool) -> Iterator[pa.Table]:

@@ -61,6 +61,7 @@ def derive_profile_frames(events: ray.data.Dataset) -> ray.data.Dataset:
 def _distinct_names(frames: ray.data.Dataset) -> ray.data.Dataset:
     """Distributed distinct over all three frame columns (reduces per
     batch BEFORE the exchange; only unique names move)."""
+    from ..stages.aggregate import grouped_count
 
     def names(t: pa.Table) -> pa.Table:
         arrs = [t.column(c).cast(pa.string()) for c in FRAME_COLS]
@@ -69,8 +70,8 @@ def _distinct_names(frames: ray.data.Dataset) -> ray.data.Dataset:
                                  for a in arrs])
         return pa.table({"name": pc.unique(flat)})
 
-    return frames.map_batches(names, batch_format="pyarrow") \
-        .groupby("name").count().select_columns(["name"])
+    return grouped_count(frames.map_batches(names, batch_format="pyarrow"),
+                         ["name"], strategy="bucket").select_columns(["name"])
 
 
 def build_function_table(frames: ray.data.Dataset,

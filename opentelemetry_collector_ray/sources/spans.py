@@ -116,16 +116,6 @@ def _event_to_span_cols(batch: pa.Table) -> pa.Table:
     })
 
 
-N_TRACE_BUCKETS = 64
-
-
-def _add_bucket(batch: pa.Table) -> pa.Table:
-    from ..functions.hashing import bucket_of
-
-    b = bucket_of(batch.column("trace_id"), N_TRACE_BUCKETS)
-    return batch.append_column("_bucket", pa.array(b))
-
-
 def _parent_bucket(g: pa.Table) -> pa.Table:
     """Assign parent_span_id = lag(span_id) within each trace of one hash
     bucket — one vectorized Arrow-sort + numpy pass over MANY traces
@@ -143,7 +133,7 @@ def _parent_bucket(g: pa.Table) -> pa.Table:
         par[0] = ""
         par[1:] = sid[:-1]
     par[change] = ""
-    return g.drop_columns(["event_id", "_bucket"]).append_column(
+    return g.drop_columns(["event_id"]).append_column(
         "parent_span_id", pa.array(par, pa.string()))
 
 
@@ -153,10 +143,11 @@ SPAN_COLUMNS = ["trace_id", "span_id", "parent_span_id", "service", "name",
 
 def derive_spans(events: ray.data.Dataset) -> ray.data.Dataset:
     """events → canonical spans table (see module docstring for schema)."""
-    pre = events.map_batches(_event_to_span_cols, batch_format="pyarrow") \
-        .map_batches(_add_bucket, batch_format="pyarrow")
-    linked = pre.groupby("_bucket").map_groups(_parent_bucket,
-                                              batch_format="pyarrow")
+    from ..stages.bucketing import bucketed_map_groups
+
+    linked = bucketed_map_groups(
+        events.map_batches(_event_to_span_cols, batch_format="pyarrow"),
+        "trace_id", _parent_bucket, n_buckets=64)
     return linked.select_columns(SPAN_COLUMNS)
 
 

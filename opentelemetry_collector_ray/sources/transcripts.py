@@ -80,16 +80,6 @@ def _event_to_turn_cols(batch: pa.Table) -> pa.Table:
     })
 
 
-N_RANK_BUCKETS = 64
-
-
-def _add_bucket(batch: pa.Table) -> pa.Table:
-    from ..functions.hashing import bucket_of
-
-    b = bucket_of(batch.column("conv_id"), N_RANK_BUCKETS)
-    return batch.append_column("_bucket", pa.array(b))
-
-
 def _rank_bucket(g: pa.Table) -> pa.Table:
     """Rank turns within every conversation of one hash bucket — one
     vectorized Arrow-sort + numpy pass over MANY conversations (no
@@ -102,7 +92,7 @@ def _rank_bucket(g: pa.Table) -> pa.Table:
     keys = g.column("conv_id").to_numpy(zero_copy_only=False)
     _, seg_start = key_segments(keys)
     rank = (np.arange(len(keys)) - seg_start).astype(np.int32)
-    return g.drop_columns(["event_id", "_bucket"]).append_column(
+    return g.drop_columns(["event_id"]).append_column(
         "turn_idx", pa.array(rank))
 
 
@@ -112,10 +102,11 @@ def derive_turns(events: ray.data.Dataset) -> ray.data.Dataset:
     The rank shuffle keys on hash(conv_id) % 64 buckets rather than raw
     conv_id, so the group count (and Python-call count) is bounded and every
     bucket ranks thousands of conversations in one vectorized pass."""
-    pre = events.map_batches(_event_to_turn_cols, batch_format="pyarrow") \
-        .map_batches(_add_bucket, batch_format="pyarrow")
-    ranked = pre.groupby("_bucket").map_groups(_rank_bucket,
-                                               batch_format="pyarrow")
+    from ..stages.bucketing import bucketed_map_groups
+
+    ranked = bucketed_map_groups(
+        events.map_batches(_event_to_turn_cols, batch_format="pyarrow"),
+        "conv_id", _rank_bucket, n_buckets=64)
     return ranked.select_columns(["conv_id", "turn_idx", "role", "text", "tool", "ts"])
 
 

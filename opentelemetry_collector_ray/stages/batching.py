@@ -41,12 +41,10 @@ def check_metadata_cardinality(ds, keys: list[str],
     over the limit — mirrors the reference guard before creating one shard
     (goroutine there, partition here) per combination. Runs as a small
     two-phase distinct (unique on the key projection)."""
-    from ..functions.groupsafe import group_aggregate
+    from .aggregate import grouped_count
 
-    distinct = ds.select_columns(keys).map_batches(
-        lambda t: group_aggregate(t, keys, []),
-        batch_format="pyarrow",
-    ).groupby(keys).count().count()
+    distinct = grouped_count(ds.select_columns(keys), keys,
+                             strategy="bucket").count()
     if distinct > limit:
         raise TooManyBatchersError(
             f"metadata cardinality {distinct} exceeds limit {limit}")

@@ -1,5 +1,19 @@
-"""Shared hash-bucket machinery for per-key ordered work (sessionize,
-temporal conversion, turn ranking, span parent links, ordered sinks).
+"""The one keyed exchange: every Ray ``groupby`` in the package is in
+this module. Two calls:
+
+- :func:`bucketed_map_groups` — hash-bucket by a key (one column or a
+  list of them), then one ``fn(bucket_table)`` per bucket. Per-key
+  ordered work (sessionize, temporal conversion, turn ranking, span
+  parent links, joins, ordered sinks) goes through it.
+- :func:`exchange` — one ``fn`` call per value of a partition column the
+  caller assigned itself (a range partition, a salted join sub-bucket,
+  an index shard, a k-means cluster).
+
+Nothing else groups: keyed reduces go through
+``aggregate.grouped_agg``/``grouped_count``, and a no-Ray lint
+(``tests/test_run_once.py``) fails on any other ``map_groups`` or Ray
+``groupby(...)`` aggregate. A per-bucket row cap or a hot-key split
+therefore goes in one place.
 
 The bounded-group pattern: never ``groupby(raw_high_cardinality_key)``
 (one Python call per key); group by ``hash(key) % n_buckets`` and
@@ -18,7 +32,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..functions.hashing import bucket_of
+from ..functions.hashing import hash64
 
 DEFAULT_N_BUCKETS = 64
 TARGET_BUCKET_BYTES = 256 << 20  # ~256 MB of input per bucket task
@@ -53,22 +67,47 @@ def resolve_n_buckets(ds: ray.data.Dataset, n_buckets: int | str) -> int:
     return int(n_buckets)
 
 
-def with_hash_bucket(ds: ray.data.Dataset, key: str, n_buckets: int,
-                     col: str = "_bucket") -> ray.data.Dataset:
-    return ds.map_batches(
-        lambda t: t.append_column(
-            col, pa.array(bucket_of(t.column(key), n_buckets))),
-        batch_format="pyarrow")
+_HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def bucketed_map_groups(ds: ray.data.Dataset, key: str, fn,
+def _composite_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """uint64 hash of a (possibly composite) key: per-column ``hash64``
+    combined with multiply-xor mixing."""
+    h = None
+    with np.errstate(over="ignore"):
+        for k in keys:
+            hk = hash64(t.column(k))
+            h = hk if h is None else (h * _HASH_MIX) ^ hk
+    return h
+
+
+def _composite_bucket(t: pa.Table, keys: list[str], nb: int) -> np.ndarray:
+    """Deterministic bucket of a (possibly composite) key. Single-key
+    reduces to ``bucket_of`` exactly (same hash, same modulus)."""
+    return (_composite_hash(t, keys) % np.uint64(nb)).astype(np.int64)
+
+
+def exchange(ds: ray.data.Dataset, part_col: str, fn) -> ray.data.Dataset:
+    """One ``fn(table)`` call per distinct value of ``part_col``, a
+    partition number the caller assigned. ``part_col`` stays in the
+    table ``fn`` sees. ``fn`` must return a pa.Table."""
+    return ds.groupby(part_col).map_groups(fn, batch_format="pyarrow")
+
+
+def bucketed_map_groups(ds: ray.data.Dataset, key: str | list[str], fn,
                         n_buckets: int | str = "auto") -> ray.data.Dataset:
-    """The bounded-group idiom as one call: hash-bucket by ``key``, one
-    ``fn(bucket_table)`` per bucket (the ``_bucket`` column is stripped
-    before ``fn`` sees the table). ``fn`` must return a pa.Table."""
+    """The bounded-group idiom as one call: hash-bucket by ``key`` (one
+    column, or a list hashed together), one ``fn(bucket_table)`` per
+    bucket (the ``_bucket`` column is stripped before ``fn`` sees the
+    table). ``fn`` must return a pa.Table."""
     nb = resolve_n_buckets(ds, n_buckets)
-    return with_hash_bucket(ds, key, nb).groupby("_bucket").map_groups(
-        lambda t: fn(t.drop_columns(["_bucket"])), batch_format="pyarrow")
+    keys = [key] if isinstance(key, str) else list(key)
+    tagged = ds.map_batches(
+        lambda t: t.append_column(
+            "_bucket", pa.array(_composite_bucket(t, keys, nb))),
+        batch_format="pyarrow")
+    return exchange(tagged, "_bucket",
+                    lambda t: fn(t.drop_columns(["_bucket"])))
 
 
 def key_segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

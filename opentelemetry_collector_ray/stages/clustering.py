@@ -31,7 +31,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .bucketing import persisted_factory
+from .bucketing import exchange, persisted_factory
 from .similarity import _normalize, _stack
 from .treereduce import combine_all
 
@@ -161,7 +161,8 @@ def semantic_dedup(make_ds, k: int = 64, threshold: float = 0.95,
     with the "raise k" remedy instead of OOMing a worker); edges are
     skinny id pairs; components via the shared distributed CC. At 100 TB
     pick k so corpus_rows / k ≲ max_cluster_rows."""
-    from .dedup import _labels_to_clusters, connected_components
+    from .dedup import (_distinct_edges, _labels_to_clusters,
+                        connected_components)
 
     make_ds = persisted_factory(make_ds, persist)
     cent = kmeans_fit(make_ds, k=k, iters=iters, seed=seed, id_col=id_col,
@@ -189,10 +190,7 @@ def semantic_dedup(make_ds, k: int = 64, threshold: float = 0.95,
         return pa.table({"id_a": pa.array(lo.astype(np.int64)),
                          "id_b": pa.array(hi.astype(np.int64))})
 
-    edges = assigned.groupby("cluster").map_groups(
-        cluster_edges, batch_format="pyarrow")
-    edges = edges.groupby(["id_a", "id_b"]).count().select_columns(
-        ["id_a", "id_b"])
+    edges = _distinct_edges(exchange(assigned, "cluster", cluster_edges))
     return _labels_to_clusters(connected_components(edges, mode=cc_mode),
                                id_col)
 

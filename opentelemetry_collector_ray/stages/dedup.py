@@ -24,6 +24,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import hash64, hash64_ints
+from .aggregate import grouped_agg, grouped_count
+from .bucketing import bucketed_map_groups, exchange
 
 
 # ---------------------------------------------------------------- exact
@@ -56,8 +58,6 @@ def exact_dedup(ds: ray.data.Dataset, text_col: str = "text",
     is the bucket-strategy ``grouped_agg``: per-batch partials reduce
     duplicates before the exchange; only (h1, h2, id) rows move.
     """
-    from .aggregate import grouped_agg
-
     hashed = ds.select_columns([id_col, text_col]).map_batches(
         _PartialDedup(text_col, id_col), batch_format="pyarrow")
     kept = grouped_agg(hashed, ["_h1", "_h2"], min_cols={id_col: id_col},
@@ -238,11 +238,6 @@ class _CandidateSigStage:
         })
 
 
-def _bucket_ints(a: np.ndarray, n_buckets: int) -> np.ndarray:
-    return (hash64_ints(a.astype(np.uint64), seed=777)
-            % np.uint64(n_buckets)).astype(np.int64)
-
-
 def _attach_sig(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
                 key_col: str, out_col: str, carry: dict[str, pa.DataType],
                 n_buckets: int) -> ray.data.Dataset:
@@ -259,8 +254,6 @@ def _attach_sig(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
         for c in carry:
             cols[c] = t.column(c)
         cols["sig"] = pa.nulls(t.num_rows, sig_type)
-        cols["_bucket"] = pa.array(_bucket_ints(
-            key.to_numpy(zero_copy_only=False), n_buckets))
         return pa.table(cols)
 
     def tag_sigs(t: pa.Table) -> pa.Table:
@@ -269,8 +262,6 @@ def _attach_sig(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
         for c, typ in carry.items():
             cols[c] = pa.nulls(t.num_rows, typ) if c != key_col else key
         cols["sig"] = t.column("sig")
-        cols["_bucket"] = pa.array(_bucket_ints(
-            key.to_numpy(zero_copy_only=False), n_buckets))
         return pa.table(cols)
 
     union = pairs.map_batches(tag_pairs, batch_format="pyarrow").union(
@@ -291,7 +282,7 @@ def _attach_sig(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
         cols[out_col] = m.column(out_col).cast(pa.binary())
         return pa.table(cols)
 
-    return union.groupby("_bucket").map_groups(merge, batch_format="pyarrow")
+    return bucketed_map_groups(union, "_key", merge, n_buckets=n_buckets)
 
 
 def minhash_verified_edges(ds: ray.data.Dataset, text_col: str = "text",
@@ -351,15 +342,14 @@ def connected_components(edges: ray.data.Dataset, n_buckets: int = 64,
 
     Distributed path: iterative min-label (hash-min) propagation expressed
     as Ray stages — per round, each node's label is min(own, neighbors')
-    via one hash-bucket co-group shuffle + one groupby-min; convergence is
-    detected by the (monotone-decreasing) sum of labels. O(component
-    diameter) rounds; nothing driver-side scales with edge count. The
-    driver union-find fast path serves small-to-medium graphs
-    (``mode="auto"`` switches on ``driver_max_edges``; 2M edges ≈ 32 MB
-    driver-resident and <1 s union-find — far cheaper than the iterative
-    distributed rounds it replaces at that size)."""
-    from ray.data.aggregate import Min
-
+    via one hash-bucket co-group shuffle + one bucket-strategy grouped
+    min; convergence is detected by the (monotone-decreasing) sum of
+    labels. O(component diameter) rounds; nothing driver-side scales
+    with edge count. The driver union-find fast path serves
+    small-to-medium graphs (``mode="auto"`` switches on
+    ``driver_max_edges``; 2M edges ≈ 32 MB driver-resident and <1 s
+    union-find — far cheaper than the iterative distributed rounds it
+    replaces at that size)."""
     edges = edges.materialize()
     n_edges = edges.count()
     empty = pa.table({"node": pa.array([], pa.int64()),
@@ -394,24 +384,25 @@ def connected_components(edges: ray.data.Dataset, n_buckets: int = 64,
         dst = pa.concat_arrays([b.combine_chunks(), a.combine_chunks()])
         return pa.table({"_key": src, "_dst": dst,
                          "label": pa.nulls(2 * t.num_rows, pa.int64()),
-                         "_kind": pa.array(np.ones(2 * t.num_rows, np.int8)),
-                         "_bucket": pa.array(_bucket_ints(
-                             src.to_numpy(zero_copy_only=False), n_buckets))})
+                         "_kind": pa.array(np.ones(2 * t.num_rows, np.int8))})
 
     tagged_edges = edges.map_batches(bidir, batch_format="pyarrow").materialize()
-    labels = tagged_edges.map_batches(
+
+    def min_label(ds: ray.data.Dataset) -> ray.data.Dataset:
+        return grouped_agg(ds, ["node"], min_cols={"label": "label"},
+                           strategy="bucket",
+                           n_buckets=n_buckets).materialize()
+
+    labels = min_label(tagged_edges.map_batches(
         lambda t: pa.table({"node": t.column("_key"),
                             "label": t.column("_key")}),
-        batch_format="pyarrow").groupby("node").aggregate(
-        Min("label", alias_name="label")).materialize()
+        batch_format="pyarrow"))
 
     def tag_labels(t: pa.Table) -> pa.Table:
         key = t.column("node")
         return pa.table({"_key": key, "_dst": pa.nulls(t.num_rows, pa.int64()),
                          "label": t.column("label"),
-                         "_kind": pa.array(np.zeros(t.num_rows, np.int8)),
-                         "_bucket": pa.array(_bucket_ints(
-                             key.to_numpy(zero_copy_only=False), n_buckets))})
+                         "_kind": pa.array(np.zeros(t.num_rows, np.int8))})
 
     def propagate(t: pa.Table) -> pa.Table:
         # Arrow hash join (pandas would coerce the nullable int64 columns
@@ -427,10 +418,9 @@ def connected_components(edges: ray.data.Dataset, n_buckets: int = 64,
     for _ in range(max_rounds):
         union = tagged_edges.union(
             labels.map_batches(tag_labels, batch_format="pyarrow"))
-        msgs = union.groupby("_bucket").map_groups(
-            propagate, batch_format="pyarrow")
-        labels = msgs.union(labels).groupby("node").aggregate(
-            Min("label", alias_name="label")).materialize()
+        msgs = bucketed_map_groups(union, "_key", propagate,
+                                   n_buckets=n_buckets)
+        labels = min_label(msgs.union(labels))
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:
             return labels
@@ -556,6 +546,14 @@ def _group_hash(t: pa.Table, group_cols: list[str]) -> np.ndarray:
     return acc
 
 
+def _distinct_edges(edges: ray.data.Dataset,
+                   n_buckets: int | str = "auto") -> ray.data.Dataset:
+    """The distinct ``(id_a, id_b)`` rows of an edge list."""
+    return grouped_count(edges, ["id_a", "id_b"], count_name="_n",
+                         strategy="bucket",
+                         n_buckets=n_buckets).select_columns(["id_a", "id_b"])
+
+
 def group_candidate_pairs(keyed: ray.data.Dataset, group_cols: list[str],
                           id_col: str, cap: int = 200,
                           n_buckets: int = 64) -> ray.data.Dataset:
@@ -583,12 +581,8 @@ def group_candidate_pairs(keyed: ray.data.Dataset, group_cols: list[str],
 
     def tag(t: pa.Table) -> pa.Table:
         gh = _group_hash(t, group_cols)
-        return pa.table({
-            "_gh": pa.array(gh.astype(np.int64)),
-            id_col: t.column(id_col),
-            "_bucket": pa.array((hash64_ints(gh, seed=99)
-                                 % np.uint64(n_buckets)).astype(np.int64)),
-        })
+        return pa.table({"_gh": pa.array(gh.astype(np.int64)),
+                         id_col: t.column(id_col)})
 
     def emit(t: pa.Table) -> pa.Table:
         empty = pa.table({"id_a": pa.array([], pa.int64()),
@@ -621,12 +615,9 @@ def group_candidate_pairs(keyed: ray.data.Dataset, group_cols: list[str],
         return pa.table({"id_a": pa.array(ids[a_idx].astype(np.int64)),
                          "id_b": pa.array(ids[b_idx].astype(np.int64))})
 
-    cand = keyed.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(
-            lambda t: emit(t.drop_columns(["_bucket"])),
-            batch_format="pyarrow")
-    return cand.groupby(["id_a", "id_b"]).count().select_columns(
-        ["id_a", "id_b"])
+    cand = bucketed_map_groups(keyed.map_batches(tag, batch_format="pyarrow"),
+                               "_gh", emit, n_buckets=n_buckets)
+    return _distinct_edges(cand, n_buckets)
 
 
 def simhash_dedup(ds: ray.data.Dataset, text_col: str = "text",
@@ -759,10 +750,7 @@ def embedding_near_dup(ds: ray.data.Dataset, id_col: str = "vec_id",
 
     keyed = ds.select_columns([id_col, vec_col]).map_batches(
         bucketize, batch_format="pyarrow")
-    raw_edges = keyed.groupby("bucket").map_groups(bucket_edges,
-                                                   batch_format="pyarrow")
-    edges = raw_edges.groupby(["id_a", "id_b"]).count().select_columns(
-        ["id_a", "id_b"])
+    edges = _distinct_edges(exchange(keyed, "bucket", bucket_edges))
     return _labels_to_clusters(connected_components(edges, mode=cc_mode),
                                id_col)
 
@@ -819,7 +807,6 @@ def cross_decontaminate(train: ray.data.Dataset, ref: ray.data.Dataset,
     shuffle, never text) → ONE bucketed pass over the cluster table
     emits the drop ids (per-cluster any-ref flag via segment ops) → a
     distributed ANTI join returns the surviving training rows."""
-    from .bucketing import bucketed_map_groups
     from .join import shuffle_hash_join
 
     def tag(mult_off):

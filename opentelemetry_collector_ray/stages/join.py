@@ -34,6 +34,9 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .bucketing import (_composite_bucket, _composite_hash,
+                        bucketed_map_groups, exchange)
+
 
 class BroadcastJoinStage:
     """Inner/left join of each batch against a broadcast right table on one
@@ -169,28 +172,6 @@ def _pad_union(left: ray.data.Dataset, right: ray.data.Dataset,
     return unioned, lnames, [rename[n] for n in r_payload]
 
 
-_HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _composite_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
-    """uint64 hash of a (possibly composite) key: per-column ``hash64``
-    combined with multiply-xor mixing."""
-    from ..functions.hashing import hash64
-
-    h = None
-    with np.errstate(over="ignore"):
-        for k in keys:
-            hk = hash64(t.column(k))
-            h = hk if h is None else (h * _HASH_MIX) ^ hk
-    return h
-
-
-def _composite_bucket(t: pa.Table, keys: list[str], nb: int) -> np.ndarray:
-    """Deterministic bucket of a (possibly composite) key. Single-key
-    reduces to ``bucket_of`` exactly (same hash, same modulus)."""
-    return (_composite_hash(t, keys) % np.uint64(nb)).astype(np.int64)
-
-
 def build_key_bloom(ds: ray.data.Dataset, keys: list[str],
                     m_bits: int = 1 << 23,
                     n_hashes: int = 5) -> np.ndarray:
@@ -266,14 +247,6 @@ class _BloomPrefilterStage:
         return t.filter(pa.array(hit))
 
 
-def _with_composite_bucket(ds: ray.data.Dataset, keys: list[str],
-                           nb: int) -> ray.data.Dataset:
-    return ds.map_batches(
-        lambda t: t.append_column(
-            "_bucket", pa.array(_composite_bucket(t, keys, nb))),
-        batch_format="pyarrow")
-
-
 def _resolve_join_buckets(left, right, n_buckets):
     from .bucketing import adaptive_n_buckets, estimate_input_bytes
 
@@ -327,8 +300,6 @@ def shuffle_hash_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
     sf0.1). Rejected with ``salt > 1``: salting splits a key group
     across sub-buckets, so per-group post-processing would see
     partial groups."""
-    from .bucketing import with_hash_bucket
-
     if how == "right":
         # RIGHT join = LEFT join with the sides swapped (exact; salt
         # then splits the preserved side's rows, still exact). Key
@@ -382,26 +353,20 @@ def shuffle_hash_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
                          join_type=arrow_how)
         return joined if bucket_fn is None else bucket_fn(joined)
 
-    if salt > 1:
-        bucketed = _salted_bucketed(unioned, lkeys, nb, salt)
-    elif len(lkeys) > 1:
-        bucketed = _with_composite_bucket(unioned, lkeys, nb)
-    else:
-        bucketed = with_hash_bucket(unioned, lkeys[0], nb)
-    return bucketed.groupby("_bucket").map_groups(
-        lambda t: bucket_join(t.drop_columns(["_bucket"])),
-        batch_format="pyarrow")
+    return _join_exchange(unioned, lkeys, nb, salt, bucket_join)
 
 
-def _salted_bucketed(unioned: ray.data.Dataset, key, nb: int,
-                     salt: int) -> ray.data.Dataset:
-    """Hot-key lever shared by every bucket join: left rows round-robin
-    across ``salt`` sub-buckets of their key bucket while right rows
-    replicate into ALL sub-buckets, so each left row still meets the full
-    right key group exactly once — exact for any per-left-row semantics
-    (inner/left/semi/anti equi-join, as-of, range) at the cost of
-    shipping the right side ``salt``×."""
-    keys = [key] if isinstance(key, str) else list(key)
+def _join_exchange(unioned: ray.data.Dataset, keys: list[str], nb: int,
+                   salt: int, fn) -> ray.data.Dataset:
+    """The exchange every bucket join shares: ``fn`` once per bucket of
+    ``hash(keys) % nb``. ``salt > 1`` is the hot-key lever: left rows
+    round-robin across ``salt`` sub-buckets of their key bucket while
+    right rows replicate into ALL sub-buckets, so each left row still
+    meets the full right key group exactly once — exact for any
+    per-left-row semantics (inner/left/semi/anti equi-join, as-of,
+    range) at the cost of shipping the right side ``salt``×."""
+    if salt <= 1:
+        return bucketed_map_groups(unioned, keys, fn, n_buckets=nb)
 
     def add_salted_bucket(t: pa.Table) -> pa.Table:
         side = t.column("_side").to_numpy(zero_copy_only=False)
@@ -418,7 +383,9 @@ def _salted_bucketed(unioned: ray.data.Dataset, key, nb: int,
             lt.append_column("_bucket", pa.array(lb)),
             rt_rep.append_column("_bucket", pa.array(rb))])
 
-    return unioned.map_batches(add_salted_bucket, batch_format="pyarrow")
+    return exchange(
+        unioned.map_batches(add_salted_bucket, batch_format="pyarrow"),
+        "_bucket", lambda t: fn(t.drop_columns(["_bucket"])))
 
 
 def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
@@ -453,8 +420,6 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
     sub-bucket tasks (right side replicated per sub-bucket) — exact,
     since the match is per left row.
     """
-    from .bucketing import with_hash_bucket
-
     if direction not in ("backward", "forward", "nearest"):
         raise ValueError(
             "asof_join: direction must be backward|forward|nearest")
@@ -576,15 +541,7 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
             out = out.append_column(c, rt.column(c).take(take_r))
         return out
 
-    if int(salt) > 1:
-        bucketed = _salted_bucketed(unioned, bys, nb, int(salt))
-    elif len(bys) > 1:
-        bucketed = _with_composite_bucket(unioned, bys, nb)
-    else:
-        bucketed = with_hash_bucket(unioned, bys[0], nb)
-    return bucketed.groupby("_bucket").map_groups(
-        lambda t: bucket_asof(t.drop_columns(["_bucket"])),
-        batch_format="pyarrow")
+    return _join_exchange(unioned, bys, nb, int(salt), bucket_asof)
 
 
 def range_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
@@ -615,8 +572,6 @@ def range_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
     exactly once. ``by`` / ``right_by`` may be a single column or an
     equal-length list (composite key), as in ``asof_join``.
     """
-    from .bucketing import with_hash_bucket
-
     rb = right_by or by
     bys = [by] if isinstance(by, str) else list(by)
     rbs = [rb] if isinstance(rb, str) else list(rb)
@@ -709,15 +664,7 @@ def range_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
             out = out.append_column(c, rt_sorted.column(c).take(take_r))
         return out
 
-    if int(salt) > 1:
-        bucketed = _salted_bucketed(unioned, bys, nb, int(salt))
-    elif len(bys) > 1:
-        bucketed = _with_composite_bucket(unioned, bys, nb)
-    else:
-        bucketed = with_hash_bucket(unioned, bys[0], nb)
-    return bucketed.groupby("_bucket").map_groups(
-        lambda t: bucket_range(t.drop_columns(["_bucket"])),
-        batch_format="pyarrow")
+    return _join_exchange(unioned, bys, nb, int(salt), bucket_range)
 
 
 def overlap_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
@@ -748,8 +695,6 @@ def overlap_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
     hot key's left rows across sub-buckets (right replicated; each pair
     still formed exactly once).
     """
-    from .bucketing import with_hash_bucket
-
     rb = right_by or by
     bys = [by] if isinstance(by, str) else list(by)
     rbs = [rb] if isinstance(rb, str) else list(rb)
@@ -838,12 +783,4 @@ def overlap_join(left: ray.data.Dataset, right: ray.data.Dataset, *,
             out = out.append_column(c, rt_sorted.column(c).take(take_r))
         return out
 
-    if int(salt) > 1:
-        bucketed = _salted_bucketed(unioned, bys, nb, int(salt))
-    elif len(bys) > 1:
-        bucketed = _with_composite_bucket(unioned, bys, nb)
-    else:
-        bucketed = with_hash_bucket(unioned, bys[0], nb)
-    return bucketed.groupby("_bucket").map_groups(
-        lambda t: bucket_overlap(t.drop_columns(["_bucket"])),
-        batch_format="pyarrow")
+    return _join_exchange(unioned, bys, nb, int(salt), bucket_overlap)

@@ -148,7 +148,7 @@ def cluster_write(make_ds, out_dir: str, keys, stats_cols,
     import os
     import uuid
 
-    from .bucketing import persisted_factory
+    from .bucketing import exchange, persisted_factory
     from .sort import assign_range_partition, sample_range_bounds
 
     keys = [keys] if isinstance(keys, str) else list(keys)
@@ -191,11 +191,10 @@ def cluster_write(make_ds, out_dir: str, keys, stats_cols,
             row["bloom_bits"] = pa.array([bloom_bits], pa.int64())
         return pa.table(row)
 
-    manifest = make_ds().map_batches(
+    manifest = exchange(make_ds().map_batches(
         lambda t: assign_range_partition(t, primary, bounds, P,
                                          part_col="_zpart"),
-        batch_format="pyarrow").groupby("_zpart").map_groups(
-        write_group, batch_format="pyarrow")
+        batch_format="pyarrow"), "_zpart", write_group)
     parts = collect(manifest)
     if not parts:
         raise ValueError("cluster_write: input dataset is empty — "

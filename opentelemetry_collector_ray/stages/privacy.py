@@ -293,7 +293,7 @@ def dp_count_release(ds: ray.data.Dataset, keys: list[str], *,
     map over the skinny count rows. Output: keys + noisy ``count_name``
     (int64)."""
     from .aggregate import grouped_count
-    from .join import _composite_hash
+    from .bucketing import _composite_hash
 
     if epsilon <= 0:
         raise ValueError("dp_count_release: epsilon must be positive")

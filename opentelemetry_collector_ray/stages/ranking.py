@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import bucket_of
-from .bucketing import persisted_factory
+from .bucketing import exchange, persisted_factory
 from .corpusstats import _tokens_with_rows
 
 MAX_QUERY_TERMS = 256  # dense tf matrix is rows × T — keep T bounded
@@ -240,10 +240,8 @@ def build_inverted_index(ds: ray.data.Dataset, index_dir: str,
         })
 
     pairs = ds.map_batches(explode_distinct, batch_format="pyarrow")
-    sorted_buckets = pairs.groupby("bucket").map_groups(
-        lambda t: t.sort_by([("term", "ascending"),
-                             (id_col, "ascending")]),
-        batch_format="pyarrow")
+    sorted_buckets = exchange(pairs, "bucket", lambda t: t.sort_by(
+        [("term", "ascending"), (id_col, "ascending")]))
     sorted_buckets.write_parquet(index_dir, partition_cols=["bucket"])
 
 
@@ -346,11 +344,8 @@ def build_positional_index(ds: ray.data.Dataset, index_dir: str,
         })
 
     posts = ds.map_batches(explode, batch_format="pyarrow")
-    sorted_buckets = posts.groupby("bucket").map_groups(
-        lambda t: t.sort_by([("term", "ascending"),
-                             (id_col, "ascending"),
-                             ("pos", "ascending")]),
-        batch_format="pyarrow")
+    sorted_buckets = exchange(posts, "bucket", lambda t: t.sort_by(
+        [("term", "ascending"), (id_col, "ascending"), ("pos", "ascending")]))
     sorted_buckets.write_parquet(index_dir, partition_cols=["bucket"])
 
 

@@ -171,6 +171,7 @@ def compact_seen_index(path: str, n_shards: int | None = None) -> int:
     import shutil
 
     from .aggregate import grouped_count
+    from .bucketing import exchange
 
     _recover_index(path)
     if n_shards is None:
@@ -200,8 +201,7 @@ def compact_seen_index(path: str, n_shards: int | None = None) -> int:
     # per shard directory (bounded groups: shard count is n_shards)
     out = uniq.map_batches(lambda t: t.drop_columns(["_n"]),
                            batch_format="pyarrow")
-    out = out.groupby("shard").map_groups(lambda t: t,
-                                          batch_format="pyarrow")
+    out = exchange(out, "shard", lambda t: t)
     # materialize once: count() reads the block metadata and the write
     # streams the same blocks — no re-read of the freshly written index
     out = out.materialize()

@@ -38,7 +38,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from .bucketing import persisted_factory
+from .aggregate import grouped_count
+from .bucketing import exchange, persisted_factory
 
 _PART, _LRANK = "_part", "_lrank"
 
@@ -160,9 +161,8 @@ def global_sort(make_ds, keys, descending: bool | list[bool] = False,
         return t.append_column(
             _LRANK, pa.array(np.arange(t.num_rows, dtype=np.int64)))
 
-    out = make_ds().map_batches(
-        assign, batch_format="pyarrow").groupby(_PART).map_groups(
-        sort_part, batch_format="pyarrow")
+    out = exchange(make_ds().map_batches(assign, batch_format="pyarrow"),
+                   _PART, sort_part)
     if rank_col is None:
         return out.drop_columns([_PART, _LRANK])
 
@@ -178,16 +178,12 @@ def global_sort(make_ds, keys, descending: bool | list[bool] = False,
         empty = pa.table({nm: pa.array([], tp) for nm, tp in fields}
                          | {rank_col: pa.array([], pa.int64())})
         return ray.data.from_arrow(empty)
-    counts = out.map_batches(
-        lambda t: pa.Table.from_arrays(
-            [t.column(_PART), pa.array(np.ones(t.num_rows, np.int64))],
-            names=["_p", "_c"]),
-        batch_size=None, batch_format="pyarrow").groupby("_p").sum(
-        "_c").to_pandas()
-    counts = counts.sort_values("_p")
+    counts = grouped_count(out.select_columns([_PART]), [_PART],
+                           count_name="_c").to_pandas()
+    counts = counts.sort_values(_PART)
     base_arr = np.zeros(P, np.int64)
-    base_arr[counts["_p"].to_numpy(dtype=np.int64)] = np.concatenate(
-        [[0], np.cumsum(counts["sum(_c)"].to_numpy())[:-1]])
+    base_arr[counts[_PART].to_numpy(dtype=np.int64)] = np.concatenate(
+        [[0], np.cumsum(counts["_c"].to_numpy())[:-1]])
 
     def add_rank(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

@@ -29,19 +29,15 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..functions.hashing import bucket_of
 from ..functions.groupsafe import group_aggregate
 from .aggregate import grouped_count
+from .bucketing import bucketed_map_groups
 
 
 def parent_child_join(spans: ray.data.Dataset, n_buckets: int = 64,
                       ) -> ray.data.Dataset:
     """Resolve each span's parent service: (trace_id, span_id,
     parent_span_id, parent_service); roots ('' parent) get null."""
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(
-            bucket_of(t.column("trace_id"), n_buckets)))
 
     def join_bucket(t: pa.Table) -> pa.Table:
         # Arrow hash join, no pandas round trip; roots ('' parent) match
@@ -54,11 +50,9 @@ def parent_child_join(spans: ray.data.Dataset, n_buckets: int = 64,
         return m.select(["trace_id", "span_id", "parent_span_id",
                          "parent_service"])
 
-    pre = spans.select_columns(
-        ["trace_id", "span_id", "parent_span_id", "service"]).map_batches(
-        add_bucket, batch_format="pyarrow")
-    return pre.groupby("_bucket").map_groups(join_bucket,
-                                             batch_format="pyarrow")
+    return bucketed_map_groups(spans.select_columns(
+        ["trace_id", "span_id", "parent_span_id", "service"]),
+        "trace_id", join_bucket, n_buckets=n_buckets)
 
 
 def service_graph(spans: ray.data.Dataset, n_buckets: int = 64,
@@ -75,10 +69,6 @@ def service_graph(spans: ray.data.Dataset, n_buckets: int = 64,
     one Arrow hash join + group_by per bucket emits ≤ |services|² edge
     partials, then a tree combine — the full span corpus crosses the
     wire once, edges are bounded."""
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(
-            bucket_of(t.column("trace_id"), n_buckets)))
-
     def edge_bucket(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
@@ -98,13 +88,10 @@ def service_graph(spans: ray.data.Dataset, n_buckets: int = 64,
 
     from .aggregate import grouped_agg
 
-    pre = spans.select_columns(
+    edges = bucketed_map_groups(spans.select_columns(
         ["trace_id", "span_id", "parent_span_id", "service",
-         "status_code", "duration_us"]).map_batches(
-        add_bucket, batch_format="pyarrow")
-    edges = pre.groupby("_bucket").map_groups(
-        lambda t: edge_bucket(t.drop_columns(["_bucket"])),
-        batch_format="pyarrow")
+         "status_code", "duration_us"]),
+        "trace_id", edge_bucket, n_buckets=n_buckets)
     return grouped_agg(edges, ["client", "server"], count_name="n_calls",
                        sum_cols={"n_errors": "is_err",
                                  "total_duration_us": "dur"},
@@ -123,8 +110,6 @@ def trace_stats(spans: ray.data.Dataset, n_buckets: int | str = 64,
     partitioning co-locates each trace entirely in one bucket — the same
     invariant the parent-link join relies on."""
     import pyarrow.compute as pc
-
-    from .bucketing import bucketed_map_groups
 
     def prep(t: pa.Table) -> pa.Table:
         start_us = t.column("start_ts").cast(pa.timestamp("us")).cast(pa.int64())
@@ -170,7 +155,7 @@ def grouped_exact_quantiles(ds: ray.data.Dataset, key: str, value_col: str,
     cum is strictly increasing (counts ≥ 1), so a single global
     searchsorted answers every key's quantile at once.
     """
-    from .bucketing import bucketed_map_groups, key_segments
+    from .bucketing import key_segments
 
     if key == "n":
         raise ValueError(
@@ -253,7 +238,7 @@ def grouped_cont_quantiles(ds: ray.data.Dataset, key: str,
     ranks at once. cf. reference
     processor/transformprocessor (percentile analytics live outside the
     collector; this is the batch generalization)."""
-    from .bucketing import bucketed_map_groups, key_segments
+    from .bucketing import key_segments
 
     if key == "n":
         raise ValueError(
@@ -329,7 +314,7 @@ def grouped_weighted_median(ds: ray.data.Dataset, key: str,
     composite key), then one sort + segment cumsum per
     hash bucket answers every key at once. Returns
     ``(key, tot_w, wmedian)``."""
-    from .bucketing import bucketed_map_groups, key_segments
+    from .bucketing import key_segments
 
     def partial(t: pa.Table) -> pa.Table:
         g = group_aggregate(t.select([key, value_col, weight_col]),
@@ -393,7 +378,7 @@ def grouped_weighted_quantiles(ds: ray.data.Dataset, key: str,
     pre-reduction bounds hot keys to one partial row per batch per
     value, ONE bucket exchange, then one sort + segment cumsum +
     global searchsorted per bucket answers every (key, q) at once."""
-    from .bucketing import bucketed_map_groups, key_segments
+    from .bucketing import key_segments
 
     for num, den in qs:
         if not (0 <= num <= den) or den <= 0:
@@ -468,8 +453,6 @@ def span_self_time(spans: ray.data.Dataset,
     durations per parent and one ``pc.index_in`` joins them back —
     no global join, no per-span Python. Returns
     ``(trace_id, span_id, service, duration_us, self_us)``."""
-    from .bucketing import bucketed_map_groups
-
     def per_bucket(t: pa.Table) -> pa.Table:
         sep = "\x1f"
         has_parent = pc.and_kleene(
@@ -510,8 +493,6 @@ def tail_sample(spans: ray.data.Dataset, n_buckets: int | str = 64,
     mark error traces, filter members — no global join, no second
     shuffle."""
     import pyarrow.compute as pc
-
-    from .bucketing import bucketed_map_groups
 
     def keep_error_traces(t: pa.Table) -> pa.Table:
         is_err = pc.equal(t.column("status_code"), 2)
@@ -573,7 +554,7 @@ def tail_sample_policies(spans: ray.data.Dataset, *, latency_us: int,
     and window lanes, one digest per DISTINCT trace for the prob lane,
     never per span). No second shuffle, no driver state."""
     from ..functions.text import md5_mod
-    from .bucketing import bucketed_map_groups, key_segments
+    from .bucketing import key_segments
 
     if not 0 <= permille <= 1000:
         raise ValueError("tail_sample_policies: permille must be in [0, 1000]")
@@ -670,12 +651,6 @@ def span_depth(spans: ray.data.Dataset, n_buckets: int = 64
     self-join. A cycle (corrupt parent links) cannot loop forever: the
     jump count is capped at ceil(log2(n))+1 rounds and a surviving
     pointer raises loudly."""
-    from .bucketing import bucket_of
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(
-            bucket_of(t.column("trace_id"), n_buckets)))
-
     def depth_bucket(t: pa.Table) -> pa.Table:
         n = t.num_rows
         if n == 0:
@@ -709,11 +684,9 @@ def span_depth(spans: ray.data.Dataset, n_buckets: int = 64
         return pa.table({"trace_id": tid, "span_id": t.column("span_id"),
                          "depth": pa.array(d)})
 
-    pre = spans.select_columns(
-        ["trace_id", "span_id", "parent_span_id"]).map_batches(
-        add_bucket, batch_format="pyarrow")
-    return pre.groupby("_bucket").map_groups(depth_bucket,
-                                             batch_format="pyarrow")
+    return bucketed_map_groups(
+        spans.select_columns(["trace_id", "span_id", "parent_span_id"]),
+        "trace_id", depth_bucket, n_buckets=n_buckets)
 
 
 def trace_deepest_path(spans: ray.data.Dataset, n_buckets: int = 64,
@@ -733,12 +706,6 @@ def trace_deepest_path(spans: ray.data.Dataset, n_buckets: int = 64,
     trace. ONE exchange co-partitions traces by bucket; everything
     else is numpy int64 on the bucket. Output: (trace_id, n_spans,
     critical_us = max over spans of the ancestor-chain sum)."""
-    from .bucketing import bucket_of
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("_bucket", pa.array(
-            bucket_of(t.column("trace_id"), n_buckets)))
-
     def path_bucket(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.schema([("trace_id", pa.string()),
@@ -787,8 +754,6 @@ def trace_deepest_path(spans: ray.data.Dataset, n_buckets: int = 64,
             "n_spans": pa.array(n_spans.astype(np.int64)),
             "critical_us": pa.array(crit)})
 
-    pre = spans.select_columns(
-        ["trace_id", "span_id", "parent_span_id", value_col]).map_batches(
-        add_bucket, batch_format="pyarrow")
-    return pre.groupby("_bucket").map_groups(path_bucket,
-                                             batch_format="pyarrow")
+    return bucketed_map_groups(spans.select_columns(
+        ["trace_id", "span_id", "parent_span_id", value_col]),
+        "trace_id", path_bucket, n_buckets=n_buckets)

@@ -48,13 +48,13 @@ def test_example_pipeline_is_one_fused_task(ray_session, tmp_path):
     from opentelemetry_collector_ray.config import PipelineConfig
     from opentelemetry_collector_ray.pipelines.builder import build_dataset
     from opentelemetry_collector_ray.pipelines.flagship import StageChain
-    from opentelemetry_collector_ray.sources.parquet import read_block_count
+    from opentelemetry_collector_ray.sources.parquet import plan_read
     from opentelemetry_collector_ray.stages.enrich import EnrichStage
     from opentelemetry_collector_ray.stages.parse import ParseStage
     from opentelemetry_collector_ray.stages.route import RouteStage
 
     path = _fragment(tmp_path)
-    assert read_block_count(path, cpus=4) == 1
+    assert plan_read(path, cpus=4).blocks == 1
     cfg = PipelineConfig.from_yaml(os.path.join(REPO, "examples",
                                                 "pipeline.yaml"))
     ds = build_dataset(cfg, paths=[path])

@@ -300,7 +300,7 @@ def test_stage_chain_whole_block_and_non_table_outputs():
 def test_flagship_routed_is_one_read_fused_map(ray_session, tmp_path):
     """``build_routed`` adds one ``map_batches`` with no batch size, so
     Ray fuses it into the read: the plan runs one operator. Eight files
-    at 4 CPUs, so the read does not split them (``read_block_count``)."""
+    at 4 CPUs, so the read does not split them (``plan_read``)."""
     from ray.data._internal.logical.operators.map_operator import MapBatches
 
     from opentelemetry_collector_ray.pipelines.flagship import build_routed

@@ -1,6 +1,7 @@
 """Keyed aggregates: the two strategies (``tree`` and ``bucket``), their
 guard against any other name, the hot-key bound of the bucket path and
-SQL grouping of NaN keys."""
+SQL grouping of NaN keys; and the keyed exchange under them
+(``bucketed_map_groups`` over one or several key columns, ``exchange``)."""
 
 from __future__ import annotations
 
@@ -137,3 +138,94 @@ def test_nan_keys_group_like_sql(ray_session, strategy):
         .fetchall()
     assert len(got) == 4
     assert repr(got) == repr(sorted(want, key=repr))
+
+
+def test_composite_key_one_call_per_group(ray_session):
+    """A list key hashes the columns together: each (k1, k2) group,
+    including the ones whose k1 is null, reaches exactly one call."""
+    import ray.data
+
+    from opentelemetry_collector_ray.functions.groupsafe import (
+        group_aggregate)
+    from opentelemetry_collector_ray.stages.bucketing import (
+        bucketed_map_groups)
+    from opentelemetry_collector_ray.stages.treereduce import collect
+
+    def tag_call(t: pa.Table) -> pa.Table:
+        """One row per (k1, k2) group in the call, tagged with a call id."""
+        import uuid
+
+        g = group_aggregate(t, ["k1", "k2"], [([], "count_all")])
+        return g.append_column("call",
+                               pa.array([uuid.uuid4().hex] * g.num_rows))
+
+    n = 3000
+    i = np.arange(n)
+    k1 = pa.array((i % 13).astype(str), mask=i % 13 == 0)
+    t = pa.table({"k1": k1, "k2": pa.array(i % 7, pa.int64()),
+                  "v": pa.array(i, pa.int64())})
+    out = bucketed_map_groups(ray.data.from_arrow(t).repartition(5),
+                              ["k1", "k2"], tag_call, n_buckets=4)
+    got = pa.concat_tables(collect(out))
+    want = group_aggregate(t, ["k1", "k2"], [([], "count_all")])
+    assert got.num_rows == want.num_rows == 13 * 7
+    key = [("k1", "ascending"), ("k2", "ascending")]
+    assert got.select(["k1", "k2", "count_all"]).sort_by(key).equals(
+        want.select(["k1", "k2", "count_all"]).sort_by(key))
+    assert got.filter(got.column("k1").is_null()).num_rows == 7
+    assert len(set(got.column("call").to_pylist())) > 1
+
+
+def test_bucket_column_stripped_exchange_keeps_part_col(ray_session):
+    import ray.data
+
+    from opentelemetry_collector_ray.stages.bucketing import (
+        bucketed_map_groups, exchange)
+
+    t = pa.table({"k": pa.array(np.arange(200) % 11),
+                  "p": pa.array(np.arange(200) % 3)})
+    ds = ray.data.from_arrow(t).repartition(4)
+
+    def names(g: pa.Table) -> pa.Table:
+        return pa.table({"cols": [",".join(g.column_names)],
+                         "ps": [len(set(g.column("p").to_pylist()))]})
+
+    for key in ("k", ["k", "p"]):
+        seen = bucketed_map_groups(ds, key, names, n_buckets=4).take_all()
+        assert {r["cols"] for r in seen} == {"k,p"}
+    calls = exchange(ds, "p", names).take_all()
+    assert len(calls) == 3
+    assert all(r["cols"] == "k,p" and r["ps"] == 1 for r in calls)
+
+
+def test_exchange_of_zero_rows(ray_session):
+    import ray.data
+
+    from opentelemetry_collector_ray.stages.bucketing import (
+        bucketed_map_groups, exchange)
+
+    empty = ray.data.from_arrow(pa.table({
+        "k": pa.array([], pa.string()), "v": pa.array([], pa.int64())}))
+    for out in (bucketed_map_groups(empty, "k", lambda t: t, n_buckets=4),
+                bucketed_map_groups(empty, ["k", "v"], lambda t: t,
+                                    n_buckets=4),
+                exchange(empty, "v", lambda t: t)):
+        assert out.materialize().count() == 0
+
+
+def test_single_key_plan_is_hash_bucket_sort_map(ray_session):
+    """A single string key plans as it always has: one map that appends
+    ``_bucket``, Ray's sort-based groupby on it, one map over the
+    groups."""
+    import ray.data
+
+    from opentelemetry_collector_ray.stages.bucketing import (
+        bucketed_map_groups)
+
+    t = pa.table({"k": pa.array(np.arange(100) % 9)})
+    out = bucketed_map_groups(ray.data.from_arrow(t), "k", lambda g: g,
+                              n_buckets=4).materialize()
+    ops = re.findall(r"^Operator \d+ ([^:]+):", out.stats(), re.M)
+    assert ops == ["FromArrow", "MapBatches(<lambda>)", "Sort",
+                   "MapBatches(<lambda>)"]
+    assert out.count() == 100

@@ -1,7 +1,7 @@
 """File-sized read blocks and the one-barrier combine.
 
-``read_block_count`` decides how many blocks (hence Ray tasks) a parquet
-read produces; ``combine_all`` is the single ``repartition(1)`` → merge
+``plan_read(...).blocks`` decides how many blocks (hence Ray tasks) a
+parquet read produces; ``combine_all`` is the single ``repartition(1)`` → merge
 step under every tree aggregate and sketch builder."""
 
 from __future__ import annotations
@@ -23,17 +23,16 @@ def _touch(path) -> str:
 
 
 def test_read_block_count_rule(tmp_path):
-    from opentelemetry_collector_ray.sources.parquet import (plan_read,
-                                                             read_block_count)
+    from opentelemetry_collector_ray.sources.parquet import plan_read
 
     files = [_touch(tmp_path / "list" / f"f{i}.parquet") for i in range(5)]
     # tiny files are bundled: together they hold less than 1 MiB, so they
     # are one read task at any CPU count
-    assert read_block_count(files, cpus=1) == 1
-    assert read_block_count(files, cpus=2) == 1
-    assert read_block_count(files, cpus=4) == 1
+    assert plan_read(files, cpus=1).blocks == 1
+    assert plan_read(files, cpus=2).blocks == 1
+    assert plan_read(files, cpus=4).blocks == 1
     # a single tiny file at 1 CPU reads as 1 block
-    assert read_block_count(files[0], cpus=1) == 1
+    assert plan_read(files[0], cpus=1).blocks == 1
     # a directory reads the files under it in path order, skipping the
     # names pyarrow skips (``_SUCCESS``, dot-files, ``_``/``.`` directories)
     d = tmp_path / "dir"
@@ -41,16 +40,16 @@ def test_read_block_count_rule(tmp_path):
                 "route=y/deep/d.parquet", "_SUCCESS", ".a.parquet.crc",
                 "_tmp/e.parquet", ".hidden/f.parquet"):
         _touch(d / rel)
-    assert read_block_count(str(d), cpus=1) == 1
+    assert plan_read(str(d), cpus=1).blocks == 1
     assert [os.path.relpath(f, d) for f in plan_read(str(d), 1).files] == [
         "a.parquet", "b.parquet", "route=x/c.parquet",
         os.path.join("route=y", "deep", "d.parquet")]
-    assert read_block_count([str(d), files[0]], cpus=1) == 1
+    assert plan_read([str(d), files[0]], cpus=1).blocks == 1
     assert len(plan_read([str(d), files[0]], 1).files) == 5
-    assert read_block_count(str(d), cpus=3) == 1
+    assert plan_read(str(d), cpus=3).blocks == 1
     # a path this process cannot see leaves Ray's autodetect in charge
-    assert read_block_count(str(tmp_path / "missing"), cpus=1) is None
-    assert read_block_count([files[0], "s3://bucket/x.parquet"], 1) is None
+    assert plan_read(str(tmp_path / "missing"), cpus=1) is None
+    assert plan_read([files[0], "s3://bucket/x.parquet"], 1) is None
 
 
 def _ints(path: str, n: int) -> str:
@@ -69,7 +68,7 @@ def test_read_block_count_splits_by_footer_bytes(tmp_path):
     import numpy as np
     from ray.data import DataContext
 
-    from opentelemetry_collector_ray.sources.parquet import read_block_count
+    from opentelemetry_collector_ray.sources.parquet import plan_read
 
     assert DataContext.get_current().target_min_block_size == 1 << 20
     path = str(tmp_path / "big.parquet")
@@ -80,18 +79,18 @@ def test_read_block_count_splits_by_footer_bytes(tmp_path):
     footer = sum(md.row_group(i).total_byte_size
                  for i in range(md.num_row_groups))
     assert footer // (1 << 20) == 4
-    assert read_block_count(path, cpus=1) == 2
-    assert read_block_count(path, cpus=2) == 4
-    assert read_block_count(path, cpus=4) == 4   # capped by bytes
-    assert read_block_count(path, cpus=4, columns=["x"]) == 2
+    assert plan_read(path, cpus=1).blocks == 2
+    assert plan_read(path, cpus=2).blocks == 4
+    assert plan_read(path, cpus=4).blocks == 4   # capped by bytes
+    assert plan_read(path, cpus=4, columns=["x"]).blocks == 2
     # each tiny file is one block; the big one adds no pieces past
     # the file count
     tiny = [_touch(tmp_path / f"t{i}.parquet") for i in range(3)]
-    assert read_block_count([path, *tiny], cpus=4) == 4
-    assert read_block_count([path, *tiny], cpus=8) == 4
+    assert plan_read([path, *tiny], cpus=4).blocks == 4
+    assert plan_read([path, *tiny], cpus=8).blocks == 4
     empty = str(tmp_path / "empty.parquet")
     pq.write_table(pa.table({"x": pa.array([], pa.int64())}), empty)
-    assert read_block_count(empty, cpus=4) == 1
+    assert plan_read(empty, cpus=4).blocks == 1
 
 
 def test_read_block_count_reads_each_footer_once(tmp_path, monkeypatch):
@@ -108,10 +107,10 @@ def test_read_block_count_reads_each_footer_once(tmp_path, monkeypatch):
     monkeypatch.setattr(parquet.pq, "read_metadata", counted)
     for cpus in (1, 4, 5):
         reads.clear()
-        assert parquet.read_block_count(files, cpus=cpus) == 1
+        assert parquet.plan_read(files, cpus=cpus).blocks == 1
         assert reads == files
     reads.clear()
-    assert parquet.read_block_count(str(tmp_path), cpus=4) == 1
+    assert parquet.plan_read(str(tmp_path), cpus=4).blocks == 1
     assert reads == files
 
 
@@ -228,7 +227,7 @@ def _allops(op):
 
 
 def test_flagship_one_barrier_matches_duckdb(ray_session, tmp_path):
-    """Eight fragments at 4 CPUs: the read tasks ``read_block_count``
+    """Eight fragments at 4 CPUs: the read tasks ``plan_read``
     plans (no fragment is split), one all-to-all operator (the
     ``repartition(1)`` in front of the single combine), and exactly
     DuckDB's counts."""
@@ -238,7 +237,7 @@ def test_flagship_one_barrier_matches_duckdb(ray_session, tmp_path):
 
     from opentelemetry_collector_ray.pipelines.flagship import (
         build_aggregate, build_routed)
-    from opentelemetry_collector_ray.sources.parquet import (read_block_count,
+    from opentelemetry_collector_ray.sources.parquet import (plan_read,
                                                              read_turns)
     from opentelemetry_collector_ray.synth import synth_turns
     from perfbench.inputs import oracle_flagship
@@ -260,7 +259,7 @@ def test_flagship_one_barrier_matches_duckdb(ray_session, tmp_path):
     stats = mat.stats()
     assert "SplitBlocks" not in stats
     # the read is fused with the maps after it: "ReadParquet->...: k tasks"
-    tasks = read_block_count(paths, ray.cluster_resources()["CPU"])
+    tasks = plan_read(paths, ray.cluster_resources()["CPU"]).blocks
     assert re.search(rf"ReadParquet(->[^:\n]*)?: {tasks} tasks executed",
                      stats)
     assert stats.count("Repartition:") == 1

@@ -284,31 +284,79 @@ def test_upstream_pushes_per_pass(ray_session, tmp_path, op, persist,
     assert _pushed(counted) == passes * n
 
 
-def _to_arrow_refs_calls(path: str) -> list[str]:
-    """``.to_arrow_refs()`` call sites in ``path`` outside
-    ``treereduce.collect``, as ``path:line``."""
-    tree = ast.parse(open(path).read(), path)
+def _call_sites(path: str, hit, home: tuple[str, str],
+                source: str | None = None) -> list[str]:
+    """``path:line`` of each call whose ``ast.Attribute`` callee ``hit``
+    accepts, outside the function ``home = (file suffix, name)``."""
+    tree = ast.parse(open(path).read() if source is None else source, path)
     allowed: set[int] = set()
-    if path.endswith(os.path.join("stages", "treereduce.py")):
+    if path.endswith(home[0]):
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "collect":
+            if isinstance(node, ast.FunctionDef) and node.name == home[1]:
                 allowed |= {n.lineno for n in ast.walk(node)
                             if hasattr(n, "lineno")}
     return [f"{os.path.relpath(path, REPO)}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "to_arrow_refs"
-            and node.lineno not in allowed]
+            and hit(node.func) and node.lineno not in allowed]
+
+
+def _linted_files() -> list[str]:
+    files = glob.glob(os.path.join(REPO, "opentelemetry_collector_ray",
+                                   "**", "*.py"), recursive=True)
+    files += [os.path.join(REPO, f) for f in
+              ("__ray_entry__.py", "bench.py", "bench_skew.py")]
+    return sorted(files)
 
 
 def test_to_arrow_refs_only_inside_collect():
     """No-Ray lint: a lazy ``to_arrow_refs()`` runs its plan twice, so
-    the package and the query registry pull blocks only through
-    ``treereduce.collect``, which materializes first."""
-    files = glob.glob(os.path.join(REPO, "opentelemetry_collector_ray",
-                                   "**", "*.py"), recursive=True)
-    files.append(os.path.join(REPO, "__ray_entry__.py"))
-    offenders = [site for f in sorted(files)
-                 for site in _to_arrow_refs_calls(f)]
+    the package, the query registry and the bench scripts pull blocks
+    only through ``treereduce.collect``, which materializes first."""
+    home = (os.path.join("stages", "treereduce.py"), "collect")
+    offenders = [site for f in _linted_files() for site in _call_sites(
+        f, lambda fn: fn.attr == "to_arrow_refs", home)]
+    assert offenders == []
+
+
+# Ray's grouped reduces; pandas chains index a column first
+# (``df.groupby(c)[col].sum()``) or call other methods (``.head(k)``)
+_GROUPED = {"aggregate", "count", "sum", "min", "max", "mean", "std"}
+
+
+def _is_ray_exchange(fn: ast.Attribute) -> bool:
+    return fn.attr == "map_groups" or (
+        fn.attr in _GROUPED and isinstance(fn.value, ast.Call)
+        and isinstance(fn.value.func, ast.Attribute)
+        and fn.value.func.attr == "groupby")
+
+
+def _exchange_sites(path: str, source: str | None = None) -> list[str]:
+    return _call_sites(path, _is_ray_exchange,
+                       (os.path.join("stages", "bucketing.py"), "exchange"),
+                       source)
+
+
+def test_exchange_lint_flags_ray_chains_only():
+    src = (
+        "def f(ds, df):\n"
+        "    a = ds.groupby('k').count()\n"
+        "    b = df.groupby('c')['v'].sum()\n"
+        "    c = df.groupby('c').head(3)\n"
+        "    d = ds.groupby(['a', 'b']).map_groups(g)\n"
+        "    return ds.map_groups(g)\n"
+    )
+    path = os.path.join(REPO, "planted.py")
+    assert _exchange_sites(path, src) == [
+        "planted.py:2", "planted.py:5", "planted.py:6"]
+
+
+def test_one_keyed_exchange():
+    """No-Ray lint: every Ray ``groupby`` runs inside
+    ``bucketing.exchange`` (through ``bucketed_map_groups``, or
+    ``grouped_agg``/``grouped_count`` for a keyed reduce), so a
+    per-bucket cap or a hot-key split has one place to go."""
+    offenders = [site for f in _linted_files()
+                 for site in _exchange_sites(f)]
     assert offenders == []

@@ -111,7 +111,7 @@ def test_split_fragment_commits_after_its_last_block(ray_session, tmp_path):
     several blocks, each its own ack; the fragment commits once, with
     the file's counts, after the last of them."""
     from opentelemetry_collector_ray.pipelines.builder import run_pipeline
-    from opentelemetry_collector_ray.sources.parquet import read_block_count
+    from opentelemetry_collector_ray.sources.parquet import plan_read
     from opentelemetry_collector_ray.synth import synth_turns
 
     src = tmp_path / "in"
@@ -119,7 +119,7 @@ def test_split_fragment_commits_after_its_last_block(ray_session, tmp_path):
     path = str(src / "big.parquet")
     t = synth_turns(sf=3, seed=5)
     pq.write_table(t, path)
-    assert read_block_count(path, cpus=4) >= 2
+    assert plan_read(path, cpus=4).blocks >= 2
     out = str(tmp_path / "out")
     run_pipeline(_cfg(str(src)), out)
     (m,) = _manifests(out)
