@@ -64,6 +64,37 @@ def _cents(col):
     return pc.cast(pc.floor(pc.add(pc.multiply(col, 100.0), 0.5)), pa.int64())
 
 
+def _fixture_dir(kind: str, sources: list[str],
+                 build: Callable[[str], Any]) -> str:
+    """A local test fixture derived from the ``sources`` files, cached
+    at ``/tmp/graft_<kind>_<sha256 of the sources' bytes>``:
+    a source rewritten with other values gets a fresh directory, even
+    at the same name and row count. ``build(stage)`` fills an empty
+    staging directory that is then renamed into place, so a half-built
+    fixture is never read; a run that loses the rename to a concurrent
+    one drops its own copy. Single-node: real inputs live on shared
+    storage."""
+    import hashlib
+    import shutil
+    import uuid
+
+    digest = hashlib.sha256()
+    for path in sources:
+        with open(path, "rb") as f:
+            while chunk := f.read(1 << 20):
+                digest.update(chunk)
+    out_dir = f"/tmp/graft_{kind}_{digest.hexdigest()}"
+    if not os.path.isdir(out_dir):
+        stage = f"{out_dir}.stage-{uuid.uuid4().hex[:8]}"
+        os.makedirs(stage)
+        build(stage)
+        try:
+            os.rename(stage, out_dir)
+        except OSError:  # a concurrent run won the rename
+            shutil.rmtree(stage, ignore_errors=True)
+    return out_dir
+
+
 # ------------------------------------------------------ transcript pipeline
 
 def _turns(sf_dir: str):
@@ -152,16 +183,15 @@ service:
 
 
 def _q_conv_stats(sf_dir: str):
-    """Unbounded-key grouped aggregate (per-conversation stats) — exercises
-    the bucket strategy with per-batch partials (skew-neutralizing)."""
+    """Unbounded-key grouped aggregate (per-conversation stats) — per-batch
+    partials (skew-neutralizing), merged as grouped_agg chooses."""
     from opentelemetry_collector_ray.stages.aggregate import grouped_agg
 
     turns = _turns(sf_dir).select_columns(["conv_id", "ts"])
     # per-batch partials, then an int-bucket exchange: a hot conversation
     # sends at most one partial row per batch to its bucket task.
     return grouped_agg(turns, ["conv_id"], count_name="n_turns",
-                       min_cols={"first_ts": "ts"}, max_cols={"last_ts": "ts"},
-                       strategy="bucket")
+                       min_cols={"first_ts": "ts"}, max_cols={"last_ts": "ts"})
 
 
 # ------------------------------------------------------------ events family
@@ -406,9 +436,9 @@ def _q_docs_top_terms(sf_dir: str):
 
     ds = _read_co(sf_dir, "documents", ["text"], floor=8).map_batches(
         explode, batch_format="pyarrow")
-    # vocabulary is unbounded → bucket strategy (per-bucket exact counts
-    # stay distributed; only the vocab-sized aggregate reaches the sort)
-    counts = grouped_count(ds, ["term"], count_name="n", strategy="bucket")
+    # vocabulary is unbounded: per-batch partials, and above one task's
+    # worth of input the per-bucket exact counts stay distributed
+    counts = grouped_count(ds, ["term"], count_name="n")
     return counts.sort(["n", "term"], descending=[True, False]).limit(20)
 
 
@@ -916,8 +946,7 @@ def _q_events_type_p_cont(sf_dir: str):
 
     return grouped_cont_quantiles(
         ev.map_batches(prep, batch_format="pyarrow"), "event_type",
-        "cents", qs=((1, 2), (9, 10), (99, 100)),
-        count_strategy="tree")
+        "cents", qs=((1, 2), (9, 10), (99, 100)))
 
 
 def _q_docs_extract_matches(sf_dir: str):
@@ -933,7 +962,7 @@ def _q_docs_extract_matches(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     ex = extract_all_explode(ds, "text", "[a-z]{6,}", keep=["doc_id"],
                              out="tok")
-    return grouped_count(ex, ["tok"], count_name="n", strategy="tree")
+    return grouped_count(ex, ["tok"], count_name="n")
 
 
 def _q_orders_incr_agg(sf_dir: str):
@@ -981,7 +1010,7 @@ def _q_orders_incr_agg(sf_dir: str):
     base_agg = grouped_agg(
         facts().map_batches(base_rows, batch_format="pyarrow"),
         ["o_orderpriority"], count_name="n",
-        sum_cols={"sum_cents": "cents"}, strategy="tree")
+        sum_cols={"sum_cents": "cents"})
     return apply_agg_delta(
         base_agg,
         facts().map_batches(changelog_rows, batch_format="pyarrow"),
@@ -1030,8 +1059,7 @@ def _q_events_path_trigrams(sf_dir: str):
                          "t2": t.column("t2"), "t3": t.column("t3")})
 
     return grouped_count(w.map_batches(triples, batch_format="pyarrow"),
-                         ["t1", "t2", "t3"], count_name="n",
-                         strategy="tree")
+                         ["t1", "t2", "t3"], count_name="n")
 
 
 def _q_orders_scd2_asof(sf_dir: str):
@@ -1119,8 +1147,7 @@ def _q_docs_above_lang_median(sf_dir: str):
         return _read_co(sf_dir, "documents", ["doc_id", "lang", "text"],
                         floor=8).map_batches(f, batch_format="pyarrow")
 
-    meds = grouped_exact_quantiles(toks(), "lang", "n_tokens", qs=(0.5,),
-                                   count_strategy="tree")
+    meds = grouped_exact_quantiles(toks(), "lang", "n_tokens", qs=(0.5,))
     # empty exchange blocks carry an empty schema
     parts = collect(meds.select_columns(["lang", "p50"]))
     med_tbl = pa.concat_tables(parts) if parts else pa.table(
@@ -1426,8 +1453,7 @@ def _q_events_hist_wire(sf_dir: str):
         _read_co(sf_dir, "events", ["event_type", "value"],
                  floor=8).map_batches(prep, batch_format="pyarrow"),
         ["event_type"], count_name="n", sum_cols={"s": "cents"},
-        min_cols={"mn": "cents"}, max_cols={"mx": "cents"},
-        strategy="tree").to_pandas()
+        min_cols={"mn": "cents"}, max_cols={"mx": "cents"}).to_pandas()
     rows = []
     for r in agg.to_dict("records"):
         row = _empty_row()
@@ -1583,8 +1609,7 @@ def _q_events_gap_stats(sf_dir: str):
                        ["user_id"], count_name="n_gaps",
                        sum_cols={"sum_gap_us": "gap_us"},
                        min_cols={"min_gap_us": "gap_us"},
-                       max_cols={"max_gap_us": "gap_us"},
-                       strategy="bucket")
+                       max_cols={"max_gap_us": "gap_us"})
 
 
 def _q_events_twa(sf_dir: str):
@@ -1617,8 +1642,7 @@ def _q_events_twa(sf_dir: str):
                          "w": pc.multiply(c, dt), "dt": dt})
 
     agg = grouped_agg(ds.map_batches(weighted, batch_format="pyarrow"),
-                      ["user_id"], sum_cols={"w": "w", "dt": "dt"},
-                      strategy="bucket")
+                      ["user_id"], sum_cols={"w": "w", "dt": "dt"})
 
     def finish(t: pa.Table) -> pa.Table:
         w = t.column("w").to_numpy(zero_copy_only=False)
@@ -1648,8 +1672,7 @@ def _q_lineitem_weighted_price(sf_dir: str):
         _read_co(sf_dir, "lineitem",
                  ["l_returnflag", "l_extendedprice", "l_quantity"],
                  floor=8).map_batches(prep, batch_format="pyarrow"),
-        ["l_returnflag"], sum_cols={"w": "w", "q": "q"},
-        strategy="tree")
+        ["l_returnflag"], sum_cols={"w": "w", "q": "q"})
 
     def finish(t: pa.Table) -> pa.Table:
         w = t.column("w").to_numpy(zero_copy_only=False)
@@ -1886,8 +1909,7 @@ def _q_tpch_q10(sf_dir: str):
                           right_key="o_orderkey", how="inner")
     agg = grouped_agg(j.select_columns(["o_custkey", "cents"]),
                       ["o_custkey"],
-                      sum_cols={"revenue_cents": "cents"},
-                      strategy="bucket")
+                      sum_cols={"revenue_cents": "cents"})
     cust = _side_table(sf_dir, "customer",
                        ["c_custkey", "c_name", "c_nationkey"])
     nation = _side_table(sf_dir, "nation", ["n_nationkey", "n_name"])
@@ -2004,8 +2026,7 @@ def _q_events_peak_rate(sf_dir: str):
                  floor=8),
         "user_id", ["ts"], {"w1h": ("rolling_count", 3_600_000_000)})
     return grouped_agg(ds.select_columns(["user_id", "w1h"]),
-                       ["user_id"], max_cols={"peak_1h": "w1h"},
-                       strategy="bucket")
+                       ["user_id"], max_cols={"peak_1h": "w1h"})
 
 
 def _q_docs_hybrid_rank(sf_dir: str):
@@ -2060,7 +2081,7 @@ def _q_events_type_deciles(sf_dir: str):
                   floor=8).map_batches(prep, batch_format="pyarrow")
     return grouped_exact_quantiles(
         ds, "event_type", "cents",
-        qs=(0.1, 0.3, 0.5, 0.7, 0.9), count_strategy="tree")
+        qs=(0.1, 0.3, 0.5, 0.7, 0.9))
 
 
 def _q_events_user_hhi(sf_dir: str):
@@ -2074,7 +2095,7 @@ def _q_events_user_hhi(sf_dir: str):
 
     counts = grouped_count(
         _read_co(sf_dir, "events", ["user_id", "event_type"], floor=8),
-        ["user_id", "event_type"], count_name="_n", strategy="bucket")
+        ["user_id", "event_type"], count_name="_n")
 
     def hhi(t: pa.Table) -> pa.Table:
         t = t.sort_by([("user_id", "ascending")])
@@ -2154,9 +2175,9 @@ def _q_docs_corpus_summary(sf_dir: str):
             lambda t, c=col: t.drop_null(), batch_format="pyarrow")
 
     n_langs = grouped_count(_nonnull("lang"), ["lang"],
-                            count_name="_n", strategy="bucket").count()
+                            count_name="_n").count()
     n_unique = grouped_count(_nonnull("text"), ["text"],
-                             count_name="_n", strategy="bucket").count()
+                             count_name="_n").count()
     import ray.data
 
     return ray.data.from_arrow(pa.table({
@@ -2267,7 +2288,7 @@ def _q_events_transitions(sf_dir: str):
             pc.is_valid(t.column("next_type"))),
         batch_format="pyarrow")
     return grouped_count(pairs, ["event_type", "next_type"],
-                         count_name="n", strategy="tree")
+                         count_name="n")
 
 
 def _q_events_cohort_retention(sf_dir: str):
@@ -2434,7 +2455,7 @@ def _q_events_url_parse(sf_dir: str):
 
 def _q_docs_top_terms_per_lang(sf_dir: str):
     """Per-language top-5 terms — the composition gate: bucket-partial
-    term counts on the unbounded (lang, term) key (shuffle strategy,
+    term counts on the unbounded (lang, term) key (per-batch partials,
     skew-neutral) feeding grouped_topk's prereduced per-key rank.
     Oracle = exploded GROUP BY + row_number window."""
     from opentelemetry_collector_ray.stages.aggregate import (
@@ -2450,7 +2471,7 @@ def _q_docs_top_terms_per_lang(sf_dir: str):
     counts = grouped_count(
         _read_co(sf_dir, "documents", ["lang", "text"],
                  floor=8).map_batches(explode, batch_format="pyarrow"),
-        ["lang", "term"], count_name="n", strategy="bucket")
+        ["lang", "term"], count_name="n")
     return grouped_topk(counts, "lang", "n", k=5, tiebreak="term",
                         rank_name="rk")
 
@@ -2458,7 +2479,7 @@ def _q_docs_top_terms_per_lang(sf_dir: str):
 def _q_docs_lang_divergence(sf_dir: str):
     """Jensen–Shannon divergence between the 'en' slice and the rest of
     the corpus (stages/corpusstats.py term_divergence): both sides
-    reduce to bucket-strategy term counts, vocabularies are max_vocab-
+    reduce to two-phase term counts, vocabularies are max_vocab-
     guarded, one aligned-vector JSD on the driver. Rows-only (log);
     identities (0 / ln 2 / symmetry) are property-tested."""
     from opentelemetry_collector_ray.stages.corpusstats import (
@@ -2554,15 +2575,10 @@ def _q_events_jsonl_roundtrip(sf_dir: str):
     parse per file, severity-text mapped to OTLP SeverityNumber
     (case-folded), and compared to pure SQL over the original table —
     proving the reader, decompression and severity mapping invert the
-    serialization exactly. The JSONL derivation is cached under a
-    content-deterministic /tmp path (staged + atomically renamed, so
-    repeated runs share one copy instead of leaking); being a local
-    test fixture it assumes a single node — real inputs live on
-    shared storage."""
+    serialization exactly. The JSONL derivation is a
+    :func:`_fixture_dir` cache, so repeated runs share one copy."""
     import gzip
     import json
-    import os
-    import uuid
 
     import pyarrow.parquet as pq
 
@@ -2579,11 +2595,8 @@ def _q_events_jsonl_roundtrip(sf_dir: str):
         zero_copy_only=False)
     # mixed-case severity text exercises the case fold
     lvl = {"error": "Error", "view": "DEBUG"}
-    tag = sf_dir.rstrip("/").split("/")[-1]
-    out_dir = f"/tmp/graft_jsonl_{tag}_{len(ev_id)}"
-    if not os.path.isdir(out_dir):
-        stage = f"{out_dir}.stage-{uuid.uuid4().hex[:8]}"
-        os.makedirs(stage)
+
+    def build(stage: str) -> None:
         shard = ev_id % 8
         for s in range(8):
             rows = np.flatnonzero(shard == s)
@@ -2596,12 +2609,8 @@ def _q_events_jsonl_roundtrip(sf_dir: str):
             data = gzip.compress(blob) if s % 2 else blob
             with open(f"{stage}/{name}", "wb") as f:
                 f.write(data)
-        try:
-            os.rename(stage, out_dir)
-        except OSError:  # concurrent run won the rename
-            import shutil
 
-            shutil.rmtree(stage, ignore_errors=True)
+    out_dir = _fixture_dir("jsonl", [f"{sf_dir}/events.parquet"], build)
 
     schema = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
                         ("level", pa.string()), ("ts_us", pa.int64())])
@@ -2729,8 +2738,7 @@ def _q_events_ip_nets(sf_dir: str):
 
     ds = _read_co(sf_dir, "events", ["event_id", "user_id"],
                   floor=8).map_batches(prep, batch_format="pyarrow")
-    return grouped_count(ds, ["net_class", "octet1"], count_name="n",
-                         strategy="tree")
+    return grouped_count(ds, ["net_class", "octet1"], count_name="n")
 
 
 def _q_spans_maint_overlap(sf_dir: str):
@@ -2784,8 +2792,7 @@ def _q_spans_maint_overlap(sf_dir: str):
     return grouped_count(pairs.map_batches(ov, batch_format="pyarrow"),
                          ["service", "win_start_us"],
                          count_name="n_spans",
-                         sum_cols={"overlap_us": "ov_us"},
-                         strategy="tree")
+                         sum_cols={"overlap_us": "ov_us"})
 
 
 def _q_docs_term_cms(sf_dir: str):
@@ -2841,7 +2848,7 @@ def _q_docs_curation(sf_dir: str):
 def _q_docs_top_bigrams(sf_dir: str):
     """Corpus bigram statistics (corpusstats.ngram_counts): one
     tokenize + one binary_join_element_wise over shifted token views
-    per batch (document-boundary windows masked), bucket-strategy
+    per batch (document-boundary windows masked), two-phase
     grouped count, top-20 with a deterministic tie-break."""
     from opentelemetry_collector_ray.stages.corpusstats import ngram_counts
 
@@ -3079,8 +3086,7 @@ def _q_tpch_q3(sf_dir: str):
 
     agg = grouped_agg(j.map_batches(cents, batch_format="pyarrow"),
                       ["l_orderkey", "o_orderdate"],
-                      sum_cols={"revenue_cents": "cents"},
-                      strategy="bucket")
+                      sum_cols={"revenue_cents": "cents"})
     return agg.sort(["revenue_cents", "l_orderkey"],
                     descending=[True, False]).limit(10)
 
@@ -3147,8 +3153,7 @@ def _q_tpch_q5(sf_dir: str):
 
     agg = grouped_agg(j.map_batches(local, batch_format="pyarrow"),
                       ["n_nationkey"],
-                      sum_cols={"revenue_cents": "cents"},
-                      strategy="bucket")
+                      sum_cols={"revenue_cents": "cents"})
     named = broadcast_join(agg, nation.select(["n_nationkey", "n_name"]),
                            key="n_nationkey").select_columns(
         ["n_name", "revenue_cents"])
@@ -3234,13 +3239,9 @@ def _q_customers_order_counts(sf_dir: str):
                                  pa.int64()),
         })
 
-    # strategy="bucket": the join already keyed everything by c_custkey;
-    # re-exchanging skinny rows by int bucket + one Arrow group_by per
-    # bucket measured 0.5 s vs 1.8-4.9 s for shuffle partials at sf0.1
     return grouped_agg(j.map_batches(mark, batch_format="pyarrow"),
                        ["c_custkey", "c_mktsegment"],
-                       sum_cols={"n_orders": "has_order"},
-                       strategy="bucket")
+                       sum_cols={"n_orders": "has_order"})
 
 
 def _q_events_last_order_asof(sf_dir: str):
@@ -3284,7 +3285,7 @@ def _q_events_topk_per_type(sf_dir: str):
 
     counts = grouped_count(
         _read_co(sf_dir, "events", ["event_type", "user_id"], floor=8),
-        ["event_type", "user_id"], count_name="n", strategy="bucket")
+        ["event_type", "user_id"], count_name="n")
     return grouped_topk(counts, "event_type", "n", k=3,
                         tiebreak="user_id")
 
@@ -3539,8 +3540,7 @@ def _q_spans_duration_quantiles(sf_dir: str):
     # bounded keys (4 services) x bounded duration domain -> the
     # map-only tree count beats the sort exchange ~2s at sf0.1
     return grouped_exact_quantiles(_spans(sf_dir), key="service",
-                                   value_col="duration_us",
-                                   count_strategy="tree")
+                                   value_col="duration_us")
 
 
 def _q_spans_tail_sampled(sf_dir: str):
@@ -4175,7 +4175,7 @@ def _q_events_hopping(sf_dir: str):
     return hopping_window_agg(
         ds, "ts", size_us=3_600_000_000, slide_us=900_000_000,
         keys=["event_type"], count_name="n_events",
-        sum_cols={"value_cents": "value_cents"}, strategy="tree")
+        sum_cols={"value_cents": "value_cents"})
 
 
 def _q_docs_source_budget(sf_dir: str):
@@ -4241,9 +4241,9 @@ def _q_tpch_q4(sf_dir: str):
 
     dedup = grouped_agg(j.map_batches(late, batch_format="pyarrow"),
                         ["l_orderkey", "o_orderpriority"],
-                        count_name="_n", strategy="bucket")
+                        count_name="_n")
     return grouped_count(dedup, ["o_orderpriority"],
-                         count_name="order_count", strategy="tree")
+                         count_name="order_count")
 
 
 def _q_tpch_q6(sf_dir: str):
@@ -4389,8 +4389,7 @@ def _q_events_user_growth(sf_dir: str):
         delta_to_cumulative)
 
     ev = _read_co(sf_dir, "events", ["user_id", "ts"], floor=8)
-    first = grouped_agg(ev, ["user_id"], min_cols={"_first": "ts"},
-                        strategy="bucket")
+    first = grouped_agg(ev, ["user_id"], min_cols={"_first": "ts"})
 
     def to_day(t: pa.Table) -> pa.Table:
         day = pc.strftime(pc.floor_temporal(
@@ -4400,8 +4399,7 @@ def _q_events_user_growth(sf_dir: str):
 
     daily = grouped_count(first.map_batches(to_day,
                                             batch_format="pyarrow"),
-                          ["day"], count_name="new_users",
-                          strategy="tree").map_batches(
+                          ["day"], count_name="new_users").map_batches(
         lambda t: t.append_column("_k", pa.nulls(len(t), pa.int64()
                                                  ).fill_null(0)),
         batch_format="pyarrow")
@@ -4448,8 +4446,7 @@ def _q_tpch_q12(sf_dir: str):
     return grouped_agg(j.map_batches(classify, batch_format="pyarrow"),
                        ["l_linestatus"],
                        sum_cols={"high_line_count": "high",
-                                 "low_line_count": "low"},
-                       strategy="tree")
+                                 "low_line_count": "low"})
 
 
 def _q_tpch_q13(sf_dir: str):
@@ -4468,7 +4465,7 @@ def _q_tpch_q13(sf_dir: str):
                                         "1-URGENT"))
         .select(["o_custkey"]), batch_format="pyarrow")
     per_cust = grouped_count(orders, ["o_custkey"],
-                             count_name="_n", strategy="bucket")
+                             count_name="_n")
     cust = _read_co(sf_dir, "customer", ["c_custkey"], floor=4)
     j = shuffle_hash_join(cust, per_cust, key="c_custkey",
                           right_key="o_custkey", how="left")
@@ -4478,8 +4475,7 @@ def _q_tpch_q13(sf_dir: str):
             t.column("_n"), pa.scalar(0, pa.int64()))})
 
     return grouped_agg(j.map_batches(fill, batch_format="pyarrow"),
-                       ["c_count"], count_name="custdist",
-                       strategy="tree")
+                       ["c_count"], count_name="custdist")
 
 
 def _q_tpch_q16(sf_dir: str):
@@ -4539,8 +4535,7 @@ def _q_tpch_q17(sf_dir: str):
                             right_key="p_partkey").materialize()
     stats = grouped_count(sliced.select_columns(["l_partkey", "qty_c"]),
                           ["l_partkey"], count_name="_n",
-                          sum_cols={"_sum_qty": "qty_c"},
-                          strategy="bucket")
+                          sum_cols={"_sum_qty": "qty_c"})
     j = shuffle_hash_join(sliced, stats, key="l_partkey", how="inner")
 
     def keep(t: pa.Table) -> pa.Table:
@@ -4577,8 +4572,7 @@ def _q_tpch_q18(sf_dir: str):
                             "qty_c": _cents(t.column("l_quantity"))}),
         batch_format="pyarrow")
     sums = grouped_count(li, ["l_orderkey"], count_name="_n",
-                         sum_cols={"qty_cents": "qty_c"},
-                         strategy="bucket").map_batches(
+                         sum_cols={"qty_cents": "qty_c"}).map_batches(
         lambda t: t.filter(pc.greater(t.column("qty_cents"), 25000))
         .select(["l_orderkey", "qty_cents"]), batch_format="pyarrow")
     orders = _read_co(sf_dir, "orders",
@@ -4646,8 +4640,7 @@ def _q_tpch_q22(sf_dir: str):
     return grouped_agg(no_orders.select_columns(["c_nationkey",
                                                  "bal_c"]),
                        ["c_nationkey"], count_name="numcust",
-                       sum_cols={"totacctbal_cents": "bal_c"},
-                       strategy="tree")
+                       sum_cols={"totacctbal_cents": "bal_c"})
 
 
 def _rev_cents(t: pa.Table) -> pa.Array:
@@ -4704,14 +4697,13 @@ def _q_tpch_q2(sf_dir: str):
     li = _read_co(sf_dir, "lineitem", ["l_partkey", "l_suppkey"],
                   floor=8)
     pairs = grouped_count(li, ["l_partkey", "l_suppkey"],
-                          count_name="_n", strategy="bucket")
+                          count_name="_n")
     pairs = broadcast_join(pairs, part, key="l_partkey",
                            right_key="p_partkey")
     pairs = broadcast_join(pairs, supp, key="l_suppkey",
                            right_key="s_suppkey")
     mins = grouped_agg(pairs.select_columns(["l_partkey", "bal_c"]),
-                       ["l_partkey"], min_cols={"_min_c": "bal_c"},
-                       strategy="bucket")
+                       ["l_partkey"], min_cols={"_min_c": "bal_c"})
     j = shuffle_hash_join(pairs, mins, key="l_partkey", how="inner")
 
     def finish(t: pa.Table) -> pa.Table:
@@ -4791,8 +4783,7 @@ def _q_tpch_q7(sf_dir: str):
 
     return grouped_agg(j.map_batches(finish, batch_format="pyarrow"),
                        ["supp_nation", "cust_nation", "l_year"],
-                       sum_cols={"revenue_cents": "cents"},
-                       strategy="tree")
+                       sum_cols={"revenue_cents": "cents"})
 
 
 def _q_tpch_q8(sf_dir: str):
@@ -4864,8 +4855,7 @@ def _q_tpch_q8(sf_dir: str):
 
     return grouped_agg(j.map_batches(split, batch_format="pyarrow"),
                        ["o_year"], sum_cols={"nat_cents": "num",
-                                             "total_cents": "den"},
-                       strategy="tree")
+                                             "total_cents": "den"})
 
 
 def _q_tpch_q9(sf_dir: str):
@@ -4912,8 +4902,7 @@ def _q_tpch_q9(sf_dir: str):
 
     return grouped_agg(j.map_batches(amount, batch_format="pyarrow"),
                        ["n_name", "o_year"],
-                       sum_cols={"profit_cents": "profit"},
-                       strategy="tree")
+                       sum_cols={"profit_cents": "profit"})
 
 
 def _q_tpch_q11(sf_dir: str):
@@ -4938,8 +4927,8 @@ def _q_tpch_q11(sf_dir: str):
         batch_format="pyarrow")
     li = broadcast_join(li, supp, key="l_suppkey", right_key="s_suppkey")
     vals = grouped_agg(li.select_columns(["l_partkey", "qty_c"]),
-                       ["l_partkey"], sum_cols={"value_cents": "qty_c"},
-                       strategy="bucket").materialize()
+                       ["l_partkey"],
+                       sum_cols={"value_cents": "qty_c"}).materialize()
     total = int(vals.sum("value_cents") or 0)
     n_parts = int(vals.count())
     return vals.map_batches(
@@ -4975,8 +4964,7 @@ def _q_tpch_q15(sf_dir: str):
                    "l_discount"], floor=8).map_batches(
         prep, batch_format="pyarrow")
     rev = grouped_agg(li, ["l_suppkey"],
-                      sum_cols={"total_revenue_cents": "cents"},
-                      strategy="bucket").materialize()
+                      sum_cols={"total_revenue_cents": "cents"}).materialize()
     best = int(rev.max("total_revenue_cents"))
     top = rev.map_batches(
         lambda t: t.filter(pc.equal(t.column("total_revenue_cents"),
@@ -5064,8 +5052,7 @@ def _q_tpch_q20(sf_dir: str):
     li = broadcast_join(li, part, key="l_partkey", right_key="p_partkey"
                         ).map_batches(prep, batch_format="pyarrow")
     pairs = grouped_agg(li, ["l_partkey", "l_suppkey"],
-                        sum_cols={"total_c": "qty_c", "q96_c": "q96_c"},
-                        strategy="bucket")
+                        sum_cols={"total_c": "qty_c", "q96_c": "q96_c"})
     excess = pairs.map_batches(
         lambda t: t.filter(pc.and_(
             pc.greater(t.column("q96_c"), 0),
@@ -5073,8 +5060,7 @@ def _q_tpch_q20(sf_dir: str):
                                    pa.scalar(2, pa.int64())),
                        t.column("total_c"))))
         .select(["l_suppkey"]), batch_format="pyarrow")
-    supps = grouped_count(excess, ["l_suppkey"], count_name="_n",
-                          strategy="bucket")
+    supps = grouped_count(excess, ["l_suppkey"], count_name="_n")
     names = _side_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     return broadcast_join(supps, names, key="l_suppkey",
                           right_key="s_suppkey").map_batches(
@@ -5141,8 +5127,7 @@ def _q_tpch_q21(sf_dir: str):
                                  right_key="o_orderkey", how="inner",
                                  bucket_fn=per_order)
     counts = grouped_agg(partials, ["l_suppkey"],
-                         sum_cols={"numwait": "numwait_part"},
-                         strategy="bucket")
+                         sum_cols={"numwait": "numwait_part"})
     names = _side_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     return broadcast_join(counts, names, key="l_suppkey",
                           right_key="s_suppkey").map_batches(
@@ -5177,8 +5162,7 @@ def _q_events_clustered_prune(sf_dir: str):
                             "cents": _cents(t.column("value"))}),
         batch_format="pyarrow")
     return grouped_agg(prep, ["event_type"], count_name="n",
-                       sum_cols={"value_cents": "cents"},
-                       strategy="tree")
+                       sum_cols={"value_cents": "cents"})
 
 
 def _q_parts_triangles(sf_dir: str):
@@ -5301,8 +5285,7 @@ def _q_events_assoc_parts(sf_dir: str):
     cells = grouped_count(
         _read_co(sf_dir, "events", ["event_type", "ts"],
                  floor=8).map_batches(prep, batch_format="pyarrow"),
-        ["event_type", "isodow"], count_name="obs",
-        strategy="tree").to_pandas()
+        ["event_type", "isodow"], count_name="obs").to_pandas()
     n_total = int(cells["obs"].sum())
     row = cells.groupby("event_type")["obs"].sum().to_dict()
     col = cells.groupby("isodow")["obs"].sum().to_dict()
@@ -5340,7 +5323,7 @@ def _q_custs_pareto(sf_dir: str):
                     "cents": _cents(t.column("o_totalprice"))}),
                 batch_format="pyarrow"),
             ["o_custkey"], count_name="n_orders",
-            sum_cols={"spend_c": "cents"}, strategy="bucket")
+            sum_cols={"spend_c": "cents"})
 
     return skyline_2d(make, "n_orders", "spend_c", persist="memory")
 
@@ -5371,8 +5354,7 @@ def _q_events_compacted(sf_dir: str):
                             "cents": _cents(t.column("value"))}),
         batch_format="pyarrow")
     return grouped_count(prep, ["event_type"], count_name="n",
-                         sum_cols={"value_cents": "cents"},
-                         strategy="tree")
+                         sum_cols={"value_cents": "cents"})
 
 
 def _q_events_attribution(sf_dir: str):
@@ -5465,7 +5447,7 @@ def _q_docs_feature_hash(sf_dir: str):
         "doc_id", "text", n_buckets=64, hash_mode="md5")
     # each (doc, bucket) row is distinct -> count(rows) = distinct docs
     return grouped_agg(vec, ["bucket"], count_name="n_docs",
-                       sum_cols={"n_tokens": "n"}, strategy="tree")
+                       sum_cols={"n_tokens": "n"})
 
 
 def _q_events_day_checksum(sf_dir: str):
@@ -5607,8 +5589,7 @@ def _q_events_corr_parts(sf_dir: str):
     return grouped_agg(ev.map_batches(prep, batch_format="pyarrow"),
                        ["event_type"], count_name="n",
                        sum_cols={"sx": "x", "sy": "y", "sxy": "xy",
-                                 "sxx": "xx", "syy": "yy"},
-                       strategy="tree")
+                                 "sxx": "xx", "syy": "yy"})
 
 
 def _q_events_json_extract(sf_dir: str):
@@ -5633,8 +5614,7 @@ def _q_events_json_extract(sf_dir: str):
     ev = _read_co(sf_dir, "events", ["props", "value"], floor=8)
     return grouped_agg(ev.map_batches(prep, batch_format="pyarrow"),
                        ["k"], count_name="n",
-                       sum_cols={"sum_cents": "cents"},
-                       strategy="tree")
+                       sum_cols={"sum_cents": "cents"})
 
 
 def _q_events_ipc_roundtrip(sf_dir: str):
@@ -5644,27 +5624,16 @@ def _q_events_ipc_roundtrip(sf_dir: str):
     exercising both wire paths), read back with one C++ stream-reader
     call per file, and rolled up per event_type against pure SQL over
     the original table — proving the sink/source pair inverts exactly.
-    The derivation caches under a content-deterministic /tmp path
-    (staged + atomic rename) like the JSONL fixture; real inputs live
-    on shared storage."""
-    import os
-    import shutil
-    import uuid
-
+    The derivation is a :func:`_fixture_dir` cache like the JSONL
+    one."""
     from opentelemetry_collector_ray.sources.arrow_ipc import (
         read_ipc, write_ipc)
     from opentelemetry_collector_ray.stages.aggregate import grouped_agg
 
-    import pyarrow.parquet as _pq
-
-    tag = sf_dir.rstrip("/").split("/")[-1]
-    n_rows = _pq.read_metadata(f"{sf_dir}/events.parquet").num_rows
-    out_dir = f"/tmp/graft_ipc_{tag}_{n_rows}"
-    if not os.path.isdir(out_dir):
+    def build(stage: str) -> None:
         ev = _read_co(sf_dir, "events",
                       ["event_id", "user_id", "event_type", "ts"],
                       floor=8)
-        stage = f"{out_dir}.stage-{uuid.uuid4().hex[:8]}"
         half = ev.map_batches(
             lambda t: t.filter(pc.equal(
                 pc.bit_wise_and(t.column("event_id"), 1), 0)),
@@ -5675,10 +5644,8 @@ def _q_events_ipc_roundtrip(sf_dir: str):
             batch_format="pyarrow")
         write_ipc(half, f"{stage}/plain", compression="none")
         write_ipc(other, f"{stage}/zstd", compression="zstd")
-        try:
-            os.rename(stage, out_dir)
-        except OSError:  # concurrent run won the rename
-            shutil.rmtree(stage, ignore_errors=True)
+
+    out_dir = _fixture_dir("ipc", [f"{sf_dir}/events.parquet"], build)
 
     files = sorted(
         f"{out_dir}/{sub}/{n}"
@@ -5696,8 +5663,7 @@ def _q_events_ipc_roundtrip(sf_dir: str):
                        ["event_type"], count_name="n",
                        sum_cols={"sum_uid": "user_id"},
                        min_cols={"min_ts_us": "ts_us"},
-                       max_cols={"max_ts_us": "ts_us"},
-                       strategy="tree")
+                       max_cols={"max_ts_us": "ts_us"})
 
 
 def _q_lineitem_weighted_median(sf_dir: str):
@@ -5774,7 +5740,7 @@ def _q_events_survival(sf_dir: str):
 
     subj = grouped_agg(ev.map_batches(prep, batch_format="pyarrow"),
                        ["user_id"], min_cols={"t0": "_ts", "tp": "_tp"},
-                       max_cols={"tl": "_ts"}, strategy="bucket")
+                       max_cols={"tl": "_ts"})
 
     def to_subject(t: pa.Table) -> pa.Table:
         end = pc.coalesce(t.column("tp"), t.column("tl"))
@@ -5893,8 +5859,7 @@ def _q_events_trending(sf_dir: str):
             "event_type": t.column("event_type")})
 
     counts = grouped_agg(ev.map_batches(prep, batch_format="pyarrow"),
-                         ["day", "event_type"], count_name="n",
-                         strategy="tree")
+                         ["day", "event_type"], count_name="n")
     return grouped_topk(counts, "day", "n", k=3, descending=True,
                         tiebreak="event_type")
 
@@ -5957,14 +5922,10 @@ def _q_custs_rfm(sf_dir: str):
             "date_us": t.column("o_orderdate").cast(pa.int64()),
             "cents": _cents(t.column("o_totalprice"))})
 
-    # bucket strategy: o_custkey is near-uniform, and the raw-row
-    # bucket exchange beats Ray's sort-groupby over the 150k-key
-    # partials 8.4 s -> 2.3 s at sf0.1
     agg = grouped_agg(orders.map_batches(prep, batch_format="pyarrow"),
                       ["o_custkey"], count_name="freq",
                       sum_cols={"monetary": "cents"},
-                      max_cols={"last_us": "date_us"},
-                      strategy="bucket").materialize()
+                      max_cols={"last_us": "date_us"}).materialize()
     gmax = int(agg.max("last_us"))
 
     def derive(t: pa.Table) -> pa.Table:
@@ -6029,27 +5990,21 @@ def _q_events_point_lookup(sf_dir: str):
     events laid out clustered by event_id with a per-file Bloom on
     user_id; the probe reads only the files whose filter might contain
     the user, then the exact residual + rollup. Oracle = plain SQL
-    WHERE user_id = 7 — pruning must never change semantics. Layout
-    cached under a row-count-keyed /tmp path (manifest written LAST =
-    commit marker, so a half-written cache is rebuilt)."""
-    import os
-
-    import pyarrow.parquet as _pq
-
+    WHERE user_id = 7 — pruning must never change semantics. The
+    layout is a :func:`_fixture_dir` cache."""
     from opentelemetry_collector_ray.stages.aggregate import grouped_agg
     from opentelemetry_collector_ray.stages.layout import (
-        MANIFEST_NAME, cluster_write, read_pruned)
+        cluster_write, read_pruned)
 
-    tag = sf_dir.rstrip("/").split("/")[-1]
-    n_rows = _pq.read_metadata(f"{sf_dir}/events.parquet").num_rows
-    cache = f"/tmp/graft_bloomzm_{tag}_{n_rows}"
-    if not os.path.exists(os.path.join(cache, MANIFEST_NAME)):
+    def build(stage: str) -> None:
         cluster_write(
             lambda: _read_co(sf_dir, "events",
                              ["event_id", "user_id", "event_type",
                               "value"], floor=8),
-            cache, keys="event_id", stats_cols=["event_id"],
+            stage, keys="event_id", stats_cols=["event_id"],
             bloom_cols=["user_id"], num_partitions=16)
+
+    cache = _fixture_dir("bloomzm", [f"{sf_dir}/events.parquet"], build)
 
     ds, report = read_pruned(cache, {}, eq={"user_id": 7})
 
@@ -6059,8 +6014,7 @@ def _q_events_point_lookup(sf_dir: str):
 
     return grouped_agg(ds.map_batches(prep, batch_format="pyarrow"),
                        ["event_type"], count_name="n",
-                       sum_cols={"sum_cents": "cents"},
-                       strategy="tree")
+                       sum_cols={"sum_cents": "cents"})
 
 
 def _q_spans_self_time(sf_dir: str):
@@ -6125,7 +6079,7 @@ def _q_orders_benford(sf_dir: str):
         return pa.table({"digit": digit})
 
     counts = grouped_count(ords.map_batches(prep, batch_format="pyarrow"),
-                           ["digit"], count_name="n", strategy="tree")
+                           ["digit"], count_name="n")
 
     def attach(t: pa.Table) -> pa.Table:
         exp = pa.array([_BENFORD_PPM[d] for d in
@@ -6310,8 +6264,7 @@ def _q_events_user_coverage(sf_dir: str):
 
     per = merged.map_batches(lengths, batch_format="pyarrow")
     return grouped_count(per, ["user_id"], count_name="n_periods",
-                         sum_cols={"covered_us": "len_us"},
-                         strategy="bucket")
+                         sum_cols={"covered_us": "len_us"})
 
 
 def _q_events_alert_hysteresis(sf_dir: str):
@@ -6362,7 +6315,7 @@ def _q_events_rank_movers(sf_dir: str):
     ds = _read_co(sf_dir, "events", ["ts", "event_type"],
                   floor=8).map_batches(prep, batch_format="pyarrow")
     counts = grouped_count(ds, ["day_us", "event_type"],
-                           count_name="n", strategy="tree")
+                           count_name="n")
     ranked = grouped_topk(counts, "day_us", "n", k=1_000_000,
                           tiebreak="event_type", rank_name="rk")
 
@@ -6482,7 +6435,7 @@ def _q_spans_traceparent(sf_dir: str):
 
     pre = _spans(sf_dir).map_batches(prep, batch_format="pyarrow")
     return grouped_count(pre, ["tp_version", "tp_sampled"],
-                         count_name="n", strategy="tree")
+                         count_name="n")
 
 
 def _q_events_syslog_pri(sf_dir: str):
@@ -6505,7 +6458,7 @@ def _q_events_syslog_pri(sf_dir: str):
         .map_batches(prep, batch_format="pyarrow")
     return grouped_count(
         pre, ["facility", "syslog_severity", "severity_number"],
-        count_name="n", strategy="tree")
+        count_name="n")
 
 
 def _q_docs_index_phrase(sf_dir: str):
@@ -6605,8 +6558,7 @@ def _q_turns_response_latency(sf_dir: str):
 
     return grouped_agg(per, ["conv_id"], count_name="n_responses",
                        sum_cols={"total_lat_us": "lat_us"},
-                       max_cols={"max_lat_us": "lat_us"},
-                       strategy="bucket")
+                       max_cols={"max_lat_us": "lat_us"})
 
 
 def _q_events_snowflake(sf_dir: str):
@@ -6634,20 +6586,15 @@ def _q_events_snowflake(sf_dir: str):
 
     ds = _read_co(sf_dir, "events", ["ts", "user_id", "event_id"],
                   floor=8).map_batches(prep, batch_format="pyarrow")
-    # both lanes are DOMAIN-bounded (1024 machines; 1024×4096 pairs),
-    # so the map-only tree strategy applies to each — no sort exchange
-    # anywhere (the first cut's shuffle count-distinct + join was
-    # 6.6 s at sf0.1; two tree passes + a 1024-row join is ~1 s)
+    # both lanes are DOMAIN-bounded (1024 machines; 1024×4096 pairs):
+    # two grouped aggregates and a 1024-row join, no count-distinct
     rollup = grouped_agg(ds, ["sf_machine"], count_name="n",
                          min_cols={"first_ts_ms": "sf_ts_ms"},
-                         max_cols={"last_ts_ms": "sf_ts_ms"},
-                         strategy="tree")
+                         max_cols={"last_ts_ms": "sf_ts_ms"})
     pairs = grouped_count(ds.select_columns(["sf_machine", "sf_seq"]),
-                          ["sf_machine", "sf_seq"], count_name="_np",
-                          strategy="tree")
+                          ["sf_machine", "sf_seq"], count_name="_np")
     nseq = grouped_count(pairs.select_columns(["sf_machine"]),
-                         ["sf_machine"], count_name="n_seqs",
-                         strategy="tree")
+                         ["sf_machine"], count_name="n_seqs")
     return shuffle_hash_join(rollup, nseq, key=["sf_machine"],
                              how="inner")
 
@@ -6684,8 +6631,7 @@ def _q_turns_span_correlation(sf_dir: str):
     return grouped_count(joined.map_batches(lanes,
                                             batch_format="pyarrow"),
                          ["service", "level"], count_name="n_logs",
-                         sum_cols={"n_error_spans": "_err"},
-                         strategy="tree")
+                         sum_cols={"n_error_spans": "_err"})
 
 
 def _q_events_bounce_rate(sf_dir: str):
@@ -6711,7 +6657,7 @@ def _q_events_bounce_rate(sf_dir: str):
 
     per = grouped_count(sess.map_batches(lanes, batch_format="pyarrow"),
                         ["user_id"], count_name="n_sessions",
-                        sum_cols={"n_bounce": "_b"}, strategy="bucket")
+                        sum_cols={"n_bounce": "_b"})
 
     def permille(t: pa.Table) -> pa.Table:
         ns = t.column("n_sessions").to_numpy(zero_copy_only=False)
@@ -6762,8 +6708,7 @@ def _q_events_iat_parts(sf_dir: str):
     return grouped_count(lagged.map_batches(lanes,
                                             batch_format="pyarrow"),
                          ["user_id"], count_name="n_gaps",
-                         sum_cols={"sum_s": "_s", "sum_s2": "_s2"},
-                         strategy="bucket")
+                         sum_cols={"sum_s": "_s", "sum_s2": "_s2"})
 
 
 def _q_events_ring_assign(sf_dir: str):
@@ -6782,7 +6727,7 @@ def _q_events_ring_assign(sf_dir: str):
                            ["be-a", "be-b", "be-c", "be-d"], vnodes=8)
     return grouped_count(
         assigned.select_columns(["backend", "event_type"]),
-        ["backend", "event_type"], count_name="n", strategy="tree")
+        ["backend", "event_type"], count_name="n")
 
 
 def _q_events_hrw_assign(sf_dir: str):
@@ -6800,7 +6745,7 @@ def _q_events_hrw_assign(sf_dir: str):
                                  ["be-a", "be-b", "be-c", "be-d"])
     return grouped_count(
         assigned.select_columns(["backend", "event_type"]),
-        ["backend", "event_type"], count_name="n", strategy="tree")
+        ["backend", "event_type"], count_name="n")
 
 
 def _q_turns_missing_idx(sf_dir: str):
@@ -6850,7 +6795,7 @@ def _q_events_seasonal_outliers(sf_dir: str):
         return grouped_count(
             _read_co(sf_dir, "events", ["ts"], floor=8)
             .map_batches(prep, batch_format="pyarrow"),
-            ["day", "dh"], count_name="c", strategy="bucket")
+            ["day", "dh"], count_name="c")
 
     return sigma_outliers(make, "c", key="dh", k=1,
                           flag_col="is_anomaly", persist="memory")
@@ -6869,8 +6814,7 @@ def _q_events_balanced_sample(sf_dir: str):
         sample_bottom_k_by)
 
     ds = _read_co(sf_dir, "events", ["event_id", "event_type"], floor=8)
-    counts = grouped_count(ds, ["event_type"], count_name="n",
-                           strategy="tree").to_pandas()
+    counts = grouped_count(ds, ["event_type"], count_name="n").to_pandas()
     k = int(counts["n"].min())
     return sample_bottom_k_by(ds, k, "event_id", "event_type",
                               hash_mode="md5")
@@ -6897,10 +6841,9 @@ def _q_parts_kcore(sf_dir: str):
                     "s", pc.cast(t.column("l_suppkey"), pa.string()), ""),
             }), batch_format="pyarrow")
 
-    pairs = grouped_count(make(), ["src", "dst"], count_name="_m",
-                          strategy="bucket")
+    pairs = grouped_count(make(), ["src", "dst"], count_name="_m")
     pdeg = grouped_count(pairs.select_columns(["src"]), ["src"],
-                         count_name="n", strategy="bucket").to_pandas()
+                         count_name="n").to_pandas()
     k = int(np.median(pdeg["n"].to_numpy()))
     return kcore(make, "src", "dst", k=k)
 
@@ -6956,7 +6899,7 @@ def _q_events_interpolated(sf_dir: str):
     obs = grouped_agg(
         _read_co(sf_dir, "events", ["user_id", "ts", "value"],
                  floor=8).map_batches(prep, batch_format="pyarrow"),
-        ["user_id", "tu"], max_cols={"cv": "cents"}, strategy="bucket")
+        ["user_id", "tu"], max_cols={"cv": "cents"})
     return resample_interp(obs, "user_id", "tu", "cv", DAY_US)
 
 
@@ -7114,8 +7057,7 @@ def _q_turns_alternation(sf_dir: str):
     pre = win.map_batches(lanes, batch_format="pyarrow")
     return grouped_agg(pre, ["conv_id", "first_role", "last_role"],
                        count_name="n_turns",
-                       sum_cols={"n_repeats": "is_repeat"},
-                       strategy="bucket")
+                       sum_cols={"n_repeats": "is_repeat"})
 
 
 def _q_docs_screen_eval(sf_dir: str):
@@ -7261,8 +7203,7 @@ def _q_events_series_staleness(sf_dir: str):
                    floor=8).map_batches(prep, batch_format="pyarrow")
     agg = grouped_agg(pre, ["user_id"], count_name="n_points",
                       min_cols={"first_us": "ts_us"},
-                      max_cols={"last_us": "ts_us"},
-                      strategy="bucket").materialize()
+                      max_cols={"last_us": "ts_us"}).materialize()
     import pyarrow.compute as _pc
     wm = agg.max("last_us")
 
@@ -7386,7 +7327,7 @@ def _q_docs_calibration(sf_dir: str):
     pre = _read_co(sf_dir, "documents", ["n_chars", "text"],
                    floor=8).map_batches(prep, batch_format="pyarrow")
     agg = grouped_agg(pre, ["bin"], count_name="n",
-                      sum_cols={"n_pos": "pos"}, strategy="tree")
+                      sum_cols={"n_pos": "pos"})
 
     def lanes(t: pa.Table) -> pa.Table:
         n = t.column("n").to_numpy(zero_copy_only=False)
@@ -7484,7 +7425,7 @@ def _q_events_burstiness(sf_dir: str):
     cells = grouped_count(
         _read_co(sf_dir, "events", ["user_id", "ts"], floor=8)
         .map_batches(prep, batch_format="pyarrow"),
-        ["user_id", "hr"], count_name="_c", strategy="bucket")
+        ["user_id", "hr"], count_name="_c")
 
     def square(t: pa.Table) -> pa.Table:
         c = t.column("_c")
@@ -7493,8 +7434,7 @@ def _q_events_burstiness(sf_dir: str):
 
     g = grouped_count(cells.map_batches(square, batch_format="pyarrow"),
                       ["user_id"], count_name="w",
-                      sum_cols={"s": "_c", "q": "_c2"},
-                      strategy="bucket")
+                      sum_cols={"s": "_c", "q": "_c2"})
 
     def lanes(t: pa.Table) -> pa.Table:
         w = t.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7541,8 +7481,7 @@ def _q_events_folds(sf_dir: str):
                          "fold": pa.array(rn % 5, pa.int64())})
 
     pre = win.map_batches(fold, batch_format="pyarrow")
-    return grouped_agg(pre, ["event_type", "fold"], count_name="n",
-                       strategy="tree")
+    return grouped_agg(pre, ["event_type", "fold"], count_name="n")
 
 
 def _q_docs_slice_odds(sf_dir: str):
@@ -7781,8 +7720,7 @@ def _q_events_dow_hour_heatmap(sf_dir: str):
 
     pre = _read_co(sf_dir, "events", ["ts"], floor=8).map_batches(
         lanes, batch_format="pyarrow")
-    return grouped_count(pre, ["dow", "hour"], count_name="n",
-                         strategy="tree")
+    return grouped_count(pre, ["dow", "hour"], count_name="n")
 
 
 def _q_parts_degree_hist(sf_dir: str):
@@ -7799,8 +7737,7 @@ def _q_parts_degree_hist(sf_dir: str):
                   floor=8)
     deg = grouped_count_distinct(ds, ["l_partkey"], "l_suppkey",
                                  out_name="degree")
-    return grouped_count(deg, ["degree"], count_name="n_parts",
-                         strategy="tree")
+    return grouped_count(deg, ["degree"], count_name="n_parts")
 
 
 # ------------------------------------------- ninth-session operator batch
@@ -7833,8 +7770,7 @@ def _q_turns_tool_chains(sf_dir: str):
                          "tool": t.column("tool")})
 
     pre = win.map_batches(pairs, batch_format="pyarrow")
-    return grouped_count(pre, ["prev_tool", "tool"], count_name="n_pairs",
-                         strategy="tree")
+    return grouped_count(pre, ["prev_tool", "tool"], count_name="n_pairs")
 
 
 def _q_turns_role_tokens(sf_dir: str):
@@ -7860,8 +7796,7 @@ def _q_turns_role_tokens(sf_dir: str):
     agg = grouped_agg(pre, ["conv_id"], count_name="n_turns",
                       sum_cols={f"{r}_tokens": f"{r}_tokens"
                                 for r in ("user", "assistant",
-                                          "system", "tool")},
-                      strategy="bucket")
+                                          "system", "tool")})
 
     def ratio(t: pa.Table) -> pa.Table:
         u = t.column("user_tokens")
@@ -7942,7 +7877,7 @@ def _q_lineitem_ship_bd(sf_dir: str):
     return grouped_agg(pre, ["ship_month"], count_name="n_items",
                        sum_cols={"sum_bd": "bd"},
                        min_cols={"min_bd": "bd"},
-                       max_cols={"max_bd": "bd"}, strategy="tree")
+                       max_cols={"max_bd": "bd"})
 
 
 def _q_docs_sentence_stats(sf_dir: str):
@@ -7983,11 +7918,8 @@ def _q_events_csv_roundtrip(sf_dir: str):
     ray.data.read_csv — the same reader the YAML ``csv`` receiver uses
     (pipelines/builder.py) — and aggregated; compared to pure SQL over
     the original table, proving the CSV wire path inverts the
-    serialization exactly. The /tmp fixture is content-deterministic
-    (staged + atomic rename) and single-node, like the JSONL one."""
-    import os
-    import uuid
-
+    serialization exactly. The files are a :func:`_fixture_dir` cache,
+    like the JSONL ones."""
     import pyarrow.csv as pacsv
     import pyarrow.parquet as pq
 
@@ -8003,22 +7935,20 @@ def _q_events_csv_roundtrip(sf_dir: str):
                     "user_id": src.column("user_id"),
                     "event_type": src.column("event_type"),
                     "cents": cents})
-    tag = sf_dir.rstrip("/").split("/")[-1]
-    out_dir = f"/tmp/graft_csv_{tag}_{tbl.num_rows}"
-    if not os.path.isdir(out_dir):
-        stage = f"{out_dir}.stage-{uuid.uuid4().hex[:8]}"
-        os.makedirs(stage)
+
+    def build(stage: str) -> None:
         shard = tbl.column("event_id").to_numpy(zero_copy_only=False) % 8
         for s in range(8):
             part = tbl.filter(pa.array(shard == s))
             pacsv.write_csv(part, f"{stage}/events-{s}.csv")
-        os.rename(stage, out_dir)
+
+    out_dir = _fixture_dir("csv", [f"{sf_dir}/events.parquet"], build)
 
     ds = ray.data.read_csv(out_dir)
     return grouped_agg(ds, ["event_type"], count_name="n",
                        sum_cols={"sum_cents": "cents"},
                        min_cols={"min_cents": "cents"},
-                       max_cols={"max_cents": "cents"}, strategy="tree")
+                       max_cols={"max_cents": "cents"})
 
 
 def _q_events_l_diversity(sf_dir: str):
@@ -8178,8 +8108,7 @@ def _q_turns_tool_latency(sf_dir: str):
     pre = _parsed(sf_dir).map_batches(keep, batch_format="pyarrow")
     # bounded tools × bounded latency domain → map-only tree count
     return grouped_exact_quantiles(pre, key="tool_attr",
-                                   value_col="latency_ms",
-                                   count_strategy="tree")
+                                   value_col="latency_ms")
 
 
 def _q_events_user_day_grid(sf_dir: str):
@@ -8228,9 +8157,7 @@ def _q_spans_retry_rate(sf_dir: str):
     """Retry-storm audit (the trace-integrity screen every APM backend
     runs: the SAME operation executing more than once inside one
     trace): per (trace_id, name) occurrence counts — unbounded
-    NEAR-UNIQUE composite keys, so the bucket strategy (one int-bucket
-    exchange + Arrow group_by per bucket) beats the sort-aggregate
-    partials 3.7 s → 0.5 s at sf0.1 (the weighted-median lesson) —
+    NEAR-UNIQUE composite keys, reduced by per-batch partials —
     laned into per-service group count / retried-group count / retry
     permille / worst repeat. The service is a pure function of the
     span name here, so no join back is needed. Oracle = two GROUP BYs
@@ -8240,8 +8167,7 @@ def _q_spans_retry_rate(sf_dir: str):
 
     per = grouped_count(
         _spans(sf_dir).select_columns(["trace_id", "name", "service"]),
-        ["trace_id", "name", "service"], count_name="c",
-        strategy="bucket")
+        ["trace_id", "name", "service"], count_name="c")
 
     def lanes(t: pa.Table) -> pa.Table:
         retried = pc.cast(pc.greater(t.column("c"), 1), pa.int64())
@@ -8251,7 +8177,7 @@ def _q_spans_retry_rate(sf_dir: str):
     pre = per.map_batches(lanes, batch_format="pyarrow")
     agg = grouped_agg(pre, ["service"], count_name="n_groups",
                       sum_cols={"n_retried": "is_retried"},
-                      max_cols={"max_repeat": "c"}, strategy="tree")
+                      max_cols={"max_repeat": "c"})
 
     def pm(t: pa.Table) -> pa.Table:
         r = pc.divide(pc.multiply(t.column("n_retried"),
@@ -8287,12 +8213,8 @@ def _q_events_promtext_roundtrip(sf_dir: str):
     timestamps), read back with one vectorized RE2 extract per batch,
     the ``type`` label pulled out with prom_label, and aggregated;
     compared to pure SQL over the original table — proving the scrape
-    parser inverts the rendering exactly. /tmp fixture is
-    content-deterministic (staged + atomic rename), single-node like
-    the JSONL/CSV siblings."""
-    import os
-    import uuid
-
+    parser inverts the rendering exactly. The pages are a
+    :func:`_fixture_dir` cache like the JSONL/CSV siblings."""
     import pyarrow.parquet as pq
 
     from opentelemetry_collector_ray.sources.textlog import (
@@ -8308,11 +8230,8 @@ def _q_events_promtext_roundtrip(sf_dir: str):
     cents = _cents(src.column("value")).to_numpy(zero_copy_only=False)
     ts_ms = (src.column("ts").cast(pa.int64()).to_numpy(
         zero_copy_only=False) // 1000)
-    tag = sf_dir.rstrip("/").split("/")[-1]
-    out_dir = f"/tmp/graft_prom_{tag}_{len(ev_id)}"
-    if not os.path.isdir(out_dir):
-        stage = f"{out_dir}.stage-{uuid.uuid4().hex[:8]}"
-        os.makedirs(stage)
+
+    def build(stage: str) -> None:
         shard = ev_id % 8
         for s in range(8):
             rows = np.flatnonzero(shard == s)
@@ -8324,7 +8243,8 @@ def _q_events_promtext_roundtrip(sf_dir: str):
                    for i in rows])
             with open(f"{stage}/metrics-{s}.txt", "w") as f:
                 f.write(body + "\n")
-        os.rename(stage, out_dir)
+
+    out_dir = _fixture_dir("prom", [f"{sf_dir}/events.parquet"], build)
 
     ds = read_prom_text([f"{out_dir}/metrics-{s}.txt"
                          for s in range(8)])
@@ -8338,8 +8258,7 @@ def _q_events_promtext_roundtrip(sf_dir: str):
     pre = ds.map_batches(lanes, batch_format="pyarrow")
     return grouped_agg(pre, ["event_type"], count_name="n",
                        sum_cols={"sum_cents": "cents"},
-                       max_cols={"max_ts_ms": "ts_ms"},
-                       strategy="tree")
+                       max_cols={"max_ts_ms": "ts_ms"})
 
 
 def _q_events_orc_roundtrip(sf_dir: str):
@@ -8350,11 +8269,8 @@ def _q_events_orc_roundtrip(sf_dir: str):
     write_orc (atomic-rename sink convention) and read back through
     read_orc with column pruning, aggregated, and compared to pure
     SQL over the original parquet — both directions of the format
-    proven. /tmp fixture is content-deterministic like the
+    proven. The shards are a :func:`_fixture_dir` cache like the
     CSV/JSONL/prom siblings."""
-    import os
-    import uuid
-
     import pyarrow.parquet as pq
 
     import ray.data
@@ -8368,19 +8284,17 @@ def _q_events_orc_roundtrip(sf_dir: str):
     tbl = pa.table({"event_id": src.column("event_id"),
                     "event_type": src.column("event_type"),
                     "cents": _cents(src.column("value"))})
-    tag = sf_dir.rstrip("/").split("/")[-1]
-    out_dir = f"/tmp/graft_orc_{tag}_{tbl.num_rows}"
-    if not os.path.isdir(out_dir):
-        stage = f"{out_dir}.stage-{uuid.uuid4().hex[:8]}"
-        write_orc(ray.data.from_arrow(tbl).repartition(8), stage)
-        os.rename(stage, out_dir)
+    out_dir = _fixture_dir(
+        "orc", [f"{sf_dir}/events.parquet"],
+        lambda stage: write_orc(ray.data.from_arrow(tbl).repartition(8),
+                                stage))
 
     ds = read_orc([f"{out_dir}/{f}" for f in sorted(os.listdir(out_dir))],
                   columns=["event_type", "cents"])
     return grouped_agg(ds, ["event_type"], count_name="n",
                        sum_cols={"sum_cents": "cents"},
                        min_cols={"min_cents": "cents"},
-                       max_cols={"max_cents": "cents"}, strategy="tree")
+                       max_cols={"max_cents": "cents"})
 
 
 def _q_turns_sum_connector(sf_dir: str):
@@ -8401,8 +8315,7 @@ def _q_turns_sum_connector(sf_dir: str):
 
     pre = _parsed(sf_dir).map_batches(keep, batch_format="pyarrow")
     return grouped_agg(pre, ["tool", "status"], count_name="n_calls",
-                       sum_cols={"sum_latency_ms": "latency_ms"},
-                       strategy="tree")
+                       sum_cols={"sum_latency_ms": "latency_ms"})
 
 
 _DECAY_ANCHOR_US = 1_706_659_200_000_000  # 2024-01-31T00:00:00Z in µs
@@ -8478,8 +8391,7 @@ def _q_events_counter_resets(sf_dir: str):
     pre2 = deltas.map_batches(lanes, batch_format="pyarrow")
     return grouped_agg(pre2, ["user_id"], count_name="n",
                        sum_cols={"n_resets": "is_reset",
-                                 "sum_delta": "delta"},
-                       strategy="bucket")
+                                 "sum_delta": "delta"})
 
 
 def _q_events_quota_sample(sf_dir: str):
@@ -8565,8 +8477,7 @@ def _q_events_ab_lift(sf_dir: str):
     pre = _read_co(sf_dir, "events", ["user_id", "event_type"],
                    floor=8).map_batches(lanes, batch_format="pyarrow")
     agg = grouped_agg(pre, ["variant"], count_name="n_trials",
-                      sum_cols={"n_conversions": "is_conv"},
-                      strategy="tree")
+                      sum_cols={"n_conversions": "is_conv"})
     conv_users = grouped_count_distinct(
         pre.map_batches(
             lambda t: t.filter(pc.equal(t.column("is_conv"), 1)),
@@ -8691,7 +8602,7 @@ def _q_events_funnel_latency(sf_dir: str):
 
     counts = grouped_count(fu.map_batches(days_lane,
                                           batch_format="pyarrow"),
-                           ["days"], count_name="_n", strategy="tree")
+                           ["days"], count_name="_n")
 
     def rank_read(t: pa.Table) -> pa.Table:
         t = t.sort_by([("days", "ascending")])
@@ -8764,7 +8675,7 @@ def _q_docs_mixture_temp(sf_dir: str):
 
     counts = grouped_count(
         _read_co(sf_dir, "documents", ["source"], floor=8),
-        ["source"], count_name="n", strategy="tree")
+        ["source"], count_name="n")
 
     def squared(t: pa.Table) -> pa.Table:
         n = t.column("n").to_numpy(zero_copy_only=False)
@@ -8799,7 +8710,7 @@ def _q_events_metric_ratio(sf_dir: str):
                    floor=8).map_batches(lanes, batch_format="pyarrow")
     agg = grouped_agg(pre, ["day"],
                       sum_cols={"n_clicks": "n_clicks",
-                                "n_views": "n_views"}, strategy="tree")
+                                "n_views": "n_views"})
 
     def ratio(t: pa.Table) -> pa.Table:
         pm = pc.if_else(
@@ -8837,7 +8748,7 @@ def _q_turns_handoff_matrix(sf_dir: str):
 
     pre = win.map_batches(pairs, batch_format="pyarrow")
     return grouped_count(pre, ["prev_role", "role"],
-                         count_name="n_handoffs", strategy="tree")
+                         count_name="n_handoffs")
 
 
 def _q_events_dwell_time(sf_dir: str):
@@ -8877,8 +8788,7 @@ def _q_events_dwell_time(sf_dir: str):
     return grouped_agg(mid, ["prev_type", "event_type"],
                        count_name="n",
                        sum_cols={"sum_dwell_us": "dwell_us"},
-                       max_cols={"max_dwell_us": "dwell_us"},
-                       strategy="tree")
+                       max_cols={"max_dwell_us": "dwell_us"})
 
 
 def _q_profiles_diff(sf_dir: str):
@@ -8915,7 +8825,7 @@ def _q_profiles_diff(sf_dir: str):
     agg = grouped_agg(pre, ["name"],
                       sum_cols={c: c for c in
                                 ("base_us", "cand_us",
-                                 "n_base", "n_cand")}, strategy="tree")
+                                 "n_base", "n_cand")})
 
     def delta(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -8929,8 +8839,8 @@ def _q_spans_slow_exemplars(sf_dir: str):
     """Slowest-trace exemplars (the drill-down link every latency
     dashboard carries: per service, WHICH trace to open — the one
     with the largest total span time): per-(service, trace) sums ride
-    the bucket aggregate (unbounded trace keys, near-unique composite
-    → the bucket strategy, the weighted-median lesson), then one
+    the two-phase aggregate (unbounded trace keys, near-unique
+    composite), then one
     argmax per service via cdc.latest_by_key. Oracle = row_number
     over (total DESC, trace DESC) = 1."""
     from opentelemetry_collector_ray.stages.aggregate import grouped_agg
@@ -8940,7 +8850,7 @@ def _q_spans_slow_exemplars(sf_dir: str):
         _spans(sf_dir).select_columns(["service", "trace_id",
                                        "duration_us"]),
         ["service", "trace_id"], count_name="n_spans",
-        sum_cols={"total_us": "duration_us"}, strategy="bucket")
+        sum_cols={"total_us": "duration_us"})
     return latest_by_key(per_trace, "service",
                          ["total_us", "trace_id"], keep="last")
 
@@ -9017,8 +8927,7 @@ def _q_turns_subsessions(sf_dir: str):
                       sum_cols={"n_breaks": "is_break"},
                       max_cols={"max_gap_us": "gap_us",
                                 "last_ts": "ts_us"},
-                      min_cols={"first_ts": "ts_us"},
-                      strategy="bucket")
+                      min_cols={"first_ts": "ts_us"})
 
     def fin(t: pa.Table) -> pa.Table:
         eps = pc.add(t.column("n_breaks"), pa.scalar(1, pa.int64()))
@@ -9128,8 +9037,7 @@ def _q_events_forecast_backtest(sf_dir: str):
     pre = win.map_batches(err, batch_format="pyarrow")
     return grouped_agg(pre, ["event_type"], count_name="n_days",
                        sum_cols={"sum_abs_err": "abs_err",
-                                 "sum_actual": "actual"},
-                       strategy="tree")
+                                 "sum_actual": "actual"})
 
 
 def _q_spans_error_budget(sf_dir: str):
@@ -9151,7 +9059,7 @@ def _q_spans_error_budget(sf_dir: str):
         ["service", "status_code"]).map_batches(
         lanes, batch_format="pyarrow")
     agg = grouped_agg(pre, ["service"], count_name="n_requests",
-                      sum_cols={"n_errors": "is_err"}, strategy="tree")
+                      sum_cols={"n_errors": "is_err"})
 
     def budget(t: pa.Table) -> pa.Table:
         allowed = pc.divide(pc.multiply(t.column("n_requests"),
@@ -9195,8 +9103,7 @@ def _q_orders_aging_buckets(sf_dir: str):
 
     pre = base.map_batches(lanes, batch_format="pyarrow")
     return grouped_agg(pre, ["age_band"], count_name="n_orders",
-                       sum_cols={"sum_cents": "cents"},
-                       strategy="tree")
+                       sum_cols={"sum_cents": "cents"})
 
 
 # ----------------------------------------------------------- driver surface

@@ -231,7 +231,7 @@ class Table(dict):
 # a processor row is fn(ds, **fields) over ``stages/`` (or fn(lambda: ds,
 # ...), see _THUNK_PARAMS), applied as a DatasetTransform
 STAGES = Table("stages", 1, "batch_size concurrency", {
-    "count_agg": ("aggregate:grouped_count", "keys count_name strategy"),
+    "count_agg": ("aggregate:grouped_count", "keys count_name"),
     "count_distinct": ("aggregate:grouped_count_distinct",
                        "keys distinct_col out_name"),
     "mode_agg": ("aggregate:grouped_mode",
@@ -239,7 +239,7 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
     "string_agg": ("aggregate:grouped_string_agg",
                    "key order_by value_col sep out=out_name n_buckets"),
     "binary_eval": ("agreement:binary_eval",
-                    "keys pred=pred_col label=label_col strategy"),
+                    "keys pred=pred_col label=label_col"),
     "auc": ("agreement:grouped_auc", "key score=score_col label=label_col"),
     "gini_impurity": ("agreement:gini_impurity", "key cat=cat_col"),
     "rater_kappa": ("agreement:rater_agreement", "key=group_key a=a_col "
@@ -258,7 +258,7 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
     "scd2": ("cdc:scd2_intervals",
              "key order_col value_cols tie_break n_buckets"),
     "log_dedup": ("cdc:log_dedup", "match_cols ts_col interval_us "
-                  "count_name strategy n_buckets"),
+                  "count_name n_buckets"),
     "checksum": ("checksum:table_checksum", "cols group_col sep n_buckets"),
     "semdedup": ("clustering:semantic_dedup", "k threshold iters id_col "
                  "vec_col max_cluster_rows persist"),
@@ -327,7 +327,7 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
     "token_budget": ("mixing:select_token_budget",
                      "score_col token_col budget id_col persist"),
     "mix": ("mixing:mix_by_class", "class_col weights id_col base persist"),
-    "moments": ("normalize:grouped_moments", "keys value=value_col strategy"),
+    "moments": ("normalize:grouped_moments", "keys value=value_col"),
     "chi2_drift": ("normalize:chi2_two_sample",
                    "group_col cell_col group_a group_b scale max_cells"),
     "minmax_scale": ("normalize:minmax_scale",
@@ -344,25 +344,25 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
     "l_diversity": ("privacy:l_diversity",
                     "quasi=quasi_cols sensitive=sensitive_col l"),
     "dp_release": ("privacy:dp_count_release", "keys epsilon seed "
-                   "count_name suppress_below strategy"),
+                   "count_name suppress_below"),
     "t_closeness": ("privacy:t_closeness",
                     "group=group_col sensitive=sensitive_col max_grid"),
     "tfidf": ("ranking:score_tfidf_int",
               "terms=query_terms scale text_col id_col persist"),
     "grid_densify": ("resample:grid_densify",
-                     "row=row_col col=col_col count_name strategy max_cells"),
+                     "row=row_col col=col_col count_name max_cells"),
     "lag_xcorr": ("resample:lagged_xcorr_parts",
                   "bucket_col group_col group_a group_b lags max_span"),
     "hopping_window": ("resample:hopping_window_agg",
                        "ts_col size_us slide_us keys count_name sum_cols "
-                       "window_name strategy"),
+                       "window_name"),
     "resample": ("resample:resample_asof", "key ts_col every_us value_cols "
                  "how max_points_per_key grid_name"),
     "pivot": ("reshape:pivot",
-              "keys name_col value_col names strict strategy"),
+              "keys name_col value_col names strict"),
     "unpivot": ("reshape:unpivot", "keys value_cols name_col value_col"),
     "rollup": ("rollup:rollup_agg", "keys count_name sum_cols min_cols "
-               "max_cols sets grouping_id_name strategy"),
+               "max_cols sets grouping_id_name"),
     "sample": ("sampling:sample_bottom_k", "k id_col hash_mode keep_rank"),
     "sample_weighted": ("sampling:sample_weighted_k",
                         "k id_col weight_col hash_mode keep_rank"),
@@ -384,7 +384,7 @@ STAGES = Table("stages", 1, "batch_size concurrency", {
     "service_graph": ("spanops:service_graph", "n_buckets"),
     "apdex": ("spanops:apdex", "t_us key duration=duration_col"),
     "cont_quantiles": ("spanops:grouped_cont_quantiles",
-                       "key value=value_col qs n_buckets count_strategy"),
+                       "key value=value_col qs n_buckets"),
     "weighted_quantiles": ("spanops:grouped_weighted_quantiles",
                            "key value_col weight_col qs n_buckets"),
     "head_sample": ("spanops:head_sample", "permille trace_col"),
@@ -802,7 +802,7 @@ def _register_builtins() -> None:
         return compile_statements([str(x) for x in cfg["statements"]],
                                   map_col=cfg.get("map_col", "attrs"))
 
-    @reads("log_templates", "rules text strategy")
+    @reads("log_templates", "rules text")
     def make_log_templates(cfg: dict):
         from .stages.templates import DEFAULT_MASK_RULES, mine_templates
 
@@ -816,8 +816,7 @@ def _register_builtins() -> None:
             rules = tuple(
                 (r["name"], r["pattern"], r["token"]) for r in raw)
         return DatasetTransform(lambda ds: mine_templates(
-            ds, cfg.get("text", "text"), rules=rules,
-            strategy=cfg.get("strategy", "bucket")))
+            ds, cfg.get("text", "text"), rules=rules))
 
     @reads("repetition", "text_col id_col")
     def make_repetition(cfg: dict):
@@ -834,7 +833,7 @@ def _register_builtins() -> None:
 
         return fn
 
-    @reads("agg_delta", "keys base_path count_name sum_cols op_col strategy")
+    @reads("agg_delta", "keys base_path count_name sum_cols op_col")
     def make_agg_delta(cfg: dict):
         import ray.data as _rd
 
@@ -848,8 +847,7 @@ def _register_builtins() -> None:
             ds, [str(k) for k in cfg["keys"]],
             count_name=cfg.get("count_name", "n"),
             sum_cols=dict(cfg.get("sum_cols") or {}),
-            op_col=cfg.get("op_col", "op"),
-            strategy=cfg.get("strategy", "tree")))
+            op_col=cfg.get("op_col", "op")))
 
     @reads("pca", "n_components vec_col persist out_col")
     def make_pca(cfg: dict):

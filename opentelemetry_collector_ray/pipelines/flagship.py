@@ -39,6 +39,7 @@ import ray.data
 from ray.data.block import BlockAccessor
 
 from ..stages.aggregate import grouped_count
+from ..stages.bucketing import adds_no_rows
 from ..stages.enrich import EnrichStage
 from ..stages.parse import DEFAULT_PARSE_RULES, ParseStage
 from ..stages.route import DEFAULT_ROUTE_RULES, RouteStage
@@ -57,6 +58,10 @@ class StageChain:
     def __init__(self, stages, batch_size: int | None):
         self.stages = tuple(stages)
         self.batch_size = batch_size
+
+    @property
+    def adds_no_rows(self) -> bool:
+        return all(getattr(s, "adds_no_rows", False) for s in self.stages)
 
     def __call__(self, block: pa.Table) -> pa.Table:
         step = self.batch_size or max(block.num_rows, 1)
@@ -89,10 +94,12 @@ def build_aggregate(routed: ray.data.Dataset, *, bucket_unit: str = "hour",
                     keys: list[str] = AGG_KEYS) -> ray.data.Dataset:
     """Routed rows → per (route, role, tool, time-bucket) counts, two-phase:
     a partial count per batch, then ONE combine task over all partials
-    (``grouped_count`` strategy="tree" — the plan's only all-to-all
-    operator is the ``repartition(1)`` in front of that task)."""
+    (``grouped_count`` on an input of at most ``TARGET_BUCKET_BYTES``,
+    measured through the stages, which add no rows — the plan's only
+    all-to-all operator is the ``repartition(1)`` in front of that
+    task)."""
     with_bucket = routed.map_batches(
-        lambda t: t.append_column("bucket", pc.floor_temporal(t.column("ts"),
-                                                              unit=bucket_unit)),
+        adds_no_rows(lambda t: t.append_column(
+            "bucket", pc.floor_temporal(t.column("ts"), unit=bucket_unit))),
         batch_format="pyarrow")
     return grouped_count(with_bucket.select_columns(keys), keys, count_name="n_turns")

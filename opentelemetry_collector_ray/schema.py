@@ -95,8 +95,7 @@ def check_unique_turn_ids(ds) -> int:
     from .stages.aggregate import grouped_count
 
     counts = grouped_count(ds.select_columns(["conv_id", "turn_idx"]),
-                           ["conv_id", "turn_idx"], count_name="n",
-                           strategy="bucket")
+                           ["conv_id", "turn_idx"], count_name="n")
     import pyarrow.compute as pc2
 
     dups = counts.map_batches(

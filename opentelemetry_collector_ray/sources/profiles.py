@@ -71,7 +71,7 @@ def _distinct_names(frames: ray.data.Dataset) -> ray.data.Dataset:
         return pa.table({"name": pc.unique(flat)})
 
     return grouped_count(frames.map_batches(names, batch_format="pyarrow"),
-                         ["name"], strategy="bucket").select_columns(["name"])
+                         ["name"]).select_columns(["name"])
 
 
 def build_function_table(frames: ray.data.Dataset,

@@ -8,12 +8,14 @@ aggregate is per ``(conv_id, role, tool, time-bucket)`` turn counts.
 Scale design (SURVEY.md §4.3): a bare ``groupby().aggregate()`` shuffles
 every row. Here each batch is first reduced with a vectorized
 ``pyarrow.Table.group_by`` (the combiner — one output row per distinct key
-per batch), and only the partials move. Two ways to merge them:
-``strategy="tree"`` folds every partial in ONE task (bounded roll-up
-keys); ``strategy="bucket"`` hash-buckets the partials by the first key
-and merges each bucket in one task (unbounded keys). Either way a hot key
-contributes ≤1 row per batch to the merge — the salting degenerate case
-where the batch index acts as the salt.
+per batch), and only the partials move. The input's measured size picks
+the merge (``bucketing.fits_one_task``): up to ``TARGET_BUCKET_BYTES``,
+measured through operators that add no rows, every partial folds in ONE
+task; above it, or when the size is unknown (a row-adding or unmarked
+map on the way), the partials are hash-bucketed by the first key and
+each bucket merges in one task. Either way a hot key contributes ≤1 row per batch to the
+merge — the salting degenerate case where the batch index acts as the
+salt.
 """
 
 from __future__ import annotations
@@ -26,44 +28,15 @@ from ray.data import Dataset
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..functions.groupsafe import group_aggregate
+from . import bucketing
 from .treereduce import combine_all
-
-
-class PartialCountStage:
-    """Combiner for count/sum aggregates: batch → one row per distinct key.
-
-    ``value_cols`` maps output-column name -> (input col, "sum").
-    Emits ``n_turns`` partial counts plus optional partial sums.
-    """
-
-    def __init__(self, keys: list[str], count_name: str = "n_turns",
-                 sum_cols: dict[str, str] | None = None):
-        self.keys = list(keys)
-        self.count_name = count_name
-        self.sum_cols = dict(sum_cols or {})
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        aggs = [([], "count_all")]
-        for out, src in self.sum_cols.items():
-            aggs.append((src, "sum"))
-        g = group_aggregate(batch, self.keys, aggs)
-        names = list(self.keys) + [self.count_name] + list(self.sum_cols.keys())
-        # pyarrow emits key cols AFTER aggregate cols in some versions; select
-        # by generated names to be explicit.
-        gen = {"count_all": g.column("count_all")}
-        for out, src in self.sum_cols.items():
-            gen[out] = g.column(f"{src}_sum")
-        cols = {k: g.column(k) for k in self.keys}
-        cols[self.count_name] = gen["count_all"].cast(pa.int64())
-        for out in self.sum_cols:
-            cols[out] = gen[out]
-        t = pa.table(cols)
-        return t.select(names)
 
 
 class PartialAggStage:
     """General combiner: per-batch group_by with count/sum/min/max partials
     (all mergeable: count+sum merge by sum, min by min, max by max)."""
+
+    adds_no_rows = True
 
     def __init__(self, keys: list[str], count_name: str | None = None,
                  sum_cols: dict[str, str] | None = None,
@@ -103,9 +76,21 @@ class PartialAggStage:
         return pa.table(cols).select(self.keys + self.out_cols)
 
 
+class PartialCountStage(PartialAggStage):
+    """The count/sum partial of :func:`grouped_count` (the flagship's
+    plan shows it by this name): :class:`PartialAggStage` with a count
+    column, ``n_turns`` by default, and optional sums."""
+
+    def __init__(self, keys: list[str], count_name: str = "n_turns",
+                 sum_cols: dict[str, str] | None = None):
+        super().__init__(keys, count_name, sum_cols)
+
+
 class CombineStage:
     """Merge partial rows: sum for counts/sums, min/max for extrema, names
     preserved (the delta→cumulative merge discipline)."""
+
+    adds_no_rows = True
 
     def __init__(self, keys: list[str], value_cols: list[str],
                  min_cols: tuple[str, ...] = (), max_cols: tuple[str, ...] = ()):
@@ -126,73 +111,82 @@ class CombineStage:
         return pa.table(cols).select(self.keys + self.value_cols)
 
 
+PARTIAL_BATCH_ROWS = 65536
+# logical operators a batch map with no batch_size fuses into
+_FUSING_MAPS = frozenset({"MapBatches", "MapRows", "Filter", "Project"})
+
+
+def _partial_batch_size(ds: Dataset) -> int | None:
+    """Rows per partial call. None when ``ds`` is maps over a
+    ``read_turns`` read (the flagship's input): Ray fuses the partial
+    into the read tasks, which ``plan_read`` already sizes (at least
+    1 MiB each, about two per CPU), so the input rows never pass
+    through the object store. Otherwise 64k rows: small blocks (a split
+    read, an exchange's output, ``from_arrow``) share a partial task and
+    reach the merge as few blocks, since the sort exchange's cost grows
+    with its block count."""
+    from ..sources.parquet import FooterDatasource
+
+    try:
+        op = ds._logical_plan.dag
+        while type(op).__name__ in _FUSING_MAPS \
+                and getattr(op, "_batch_size", None) is None:
+            (op,) = op.input_dependencies
+        if isinstance(getattr(op, "_datasource", None), FooterDatasource):
+            return None
+    except (AttributeError, ValueError):
+        pass
+    return PARTIAL_BATCH_ROWS
+
+
+def _two_phase(ds: Dataset, stage: PartialAggStage,
+               n_buckets: int | str) -> Dataset:
+    combine = CombineStage(stage.keys, stage.out_cols,
+                           min_cols=tuple(stage.min_cols),
+                           max_cols=tuple(stage.max_cols))
+    partial = ds.map_batches(stage, batch_format="pyarrow",
+                             batch_size=_partial_batch_size(ds))
+    if bucketing.fits_one_task(ds):
+        return combine_all(partial, combine)
+    return bucketing.bucketed_map_groups(partial, stage.keys[0], combine,
+                                         n_buckets=n_buckets)
+
+
 def grouped_agg(ds: Dataset, keys: list[str], count_name: str | None = None,
                 sum_cols: dict[str, str] | None = None,
                 min_cols: dict[str, str] | None = None,
                 max_cols: dict[str, str] | None = None,
-                strategy: str = "tree",
                 n_buckets: int | str = "auto") -> Dataset:
-    """General two-phase grouped aggregate (count/sum/min/max).
+    """General two-phase grouped aggregate (count/sum/min/max). Each
+    batch first reduces to one partial row per distinct key (projected
+    to the key and aggregate columns); the merge is chosen by
+    ``bucketing.fits_one_task``.
 
-    strategy="tree": per-batch partials, then ONE combine task over all of
-    them (no sort, no hash shuffle) — requires the distinct key set to fit
-    one task (bounded roll-up keys).
+    Input measured at most ``TARGET_BUCKET_BYTES`` through row-bounded
+    operators: ONE combine task over all partials (``repartition(1)``,
+    no sort, no hash shuffle) — the partials hold no more rows than the
+    sources, whatever the key.
 
-    strategy="bucket": for unbounded keys (e.g. conv_id at 10^12 scale).
-    Each 64k-row batch first reduces to one partial row per distinct key
-    (projected to the key and aggregate columns), then the partials are
-    hash-bucketed by keys[0] and ONE Arrow group_by per bucket merges them
-    — exact, since a key tuple's partials share keys[0], hence a bucket.
-    A hot key sends at most one row per batch into the exchange (the
-    batch index acts as the salt), and the exchange sorts an int bucket
-    id, never the string keys themselves.
+    Larger or unmeasured input: the partials are hash-bucketed by
+    keys[0] into ``n_buckets`` buckets and ONE Arrow group_by per bucket
+    merges them — exact, since a key tuple's partials share keys[0],
+    hence a bucket. A hot key sends at most one row per batch into the
+    exchange (the batch index acts as the salt), and the exchange sorts
+    an int bucket id, never the string keys themselves.
     """
-    if strategy not in ("tree", "bucket"):
-        raise ValueError(f"unknown aggregate strategy {strategy!r}: "
-                         "use \"tree\" or \"bucket\"")
-    stage = PartialAggStage(keys, count_name, sum_cols, min_cols, max_cols)
-    combine = CombineStage(keys, stage.out_cols,
-                           min_cols=tuple(min_cols or {}),
-                           max_cols=tuple(max_cols or {}))
-    if strategy == "bucket":
-        from .bucketing import bucketed_map_groups
-
-        partial = ds.map_batches(stage, batch_format="pyarrow",
-                                 batch_size=65536)
-        return bucketed_map_groups(partial, keys[0], combine,
-                                   n_buckets=n_buckets)
-    return combine_all(ds.map_batches(stage, batch_format="pyarrow"),
-                       combine)
+    return _two_phase(
+        ds, PartialAggStage(keys, count_name, sum_cols, min_cols, max_cols),
+        n_buckets)
 
 
 def grouped_count(ds: Dataset, keys: list[str], count_name: str = "n_turns",
                   sum_cols: dict[str, str] | None = None,
-                  strategy: str = "tree",
                   n_buckets: int | str = "auto") -> Dataset:
-    """Two-phase grouped count/sum.
-
-    strategy="tree" (default): per-batch partials → coalesce into one
-    block (``repartition(1)``, no sort) → one combine task. Nothing is
-    ever sorted or hash-shuffled. Correct whenever the DISTINCT KEY SET
-    fits one task (true for bounded roll-up keys like
-    route×role×tool×time-bucket — the north-star aggregate): the final
-    task reads at most |keys| partial rows per input block.
-
-    strategy="bucket": the count/sum subset of :func:`grouped_agg`'s
-    bucket path — per-batch partials, one int-bucket exchange, one Arrow
-    group_by per bucket. The result stays DISTRIBUTED, unlike "tree"
-    whose final combine holds the whole key set in one task.
-    """
-    if strategy != "tree":
-        return grouped_agg(ds, keys, count_name=count_name,
-                           sum_cols=sum_cols, strategy=strategy,
-                           n_buckets=n_buckets)
-    value_cols = [count_name] + list(sum_cols or {})
-    partial = ds.map_batches(
-        PartialCountStage(keys, count_name=count_name, sum_cols=sum_cols),
-        batch_format="pyarrow",
-    )
-    return combine_all(partial, CombineStage(keys, value_cols))
+    """The count/sum subset of :func:`grouped_agg`, same merge rule.
+    On the one-task path the final task reads at most |keys| partial
+    rows per batch; on the bucket path the result stays distributed."""
+    return _two_phase(ds, PartialCountStage(keys, count_name, sum_cols),
+                      n_buckets)
 
 
 def add_time_bucket(batch: pa.Table, ts_col: str = "ts", unit: str = "hour",
@@ -205,7 +199,7 @@ def count_distinct(ds: Dataset, cols: list[str],
     """Exact distinct count, two-phase: per-batch distinct key rows (the
     mergeable 'sketch' for exact distinct) → one merge task → count.
     Shuffle-free; requires the distinct set to fit one task (else use
-    the bucket strategy or an approximate sketch)."""
+    :func:`grouped_count` over ``cols`` or an approximate sketch)."""
     def distinct(batch: pa.Table) -> pa.Table:
         return group_aggregate(batch, cols, [])
 
@@ -375,7 +369,7 @@ def exact_global_quantile(ds: Dataset, col: str, q: float,
     the per-key quantile ops agrees only at some q, e.g. 0.5).
 
     Scale shape: the 10^12-row input reduces to one count per DISTINCT
-    VALUE (tree-strategy grouped count, behind an HLL screen);
+    VALUE (grouped count, behind an HLL screen);
     only that value-count table (bounded by the value domain, not the row
     count) reaches the driver. The two-pass global-threshold pattern:
     call this, then filter with the returned scalar broadcast into the
@@ -404,12 +398,12 @@ def exact_global_quantiles(ds: Dataset, col: str, qs: tuple[float, ...],
     per batch)."""
     import numpy as np
 
-    # the map-only tree combine is ~5x cheaper than the sort exchange
-    # but its final task holds the WHOLE distinct-value table — so the
-    # cardinality guard must fire BEFORE that task exists (review
-    # finding: a post-hoc count would OOM first). One cheap HLL pass
-    # (map-only, ~1.6% error, one tiny row per block moved) screens the
-    # domain; the exact count still runs below for the boundary band.
+    # the WHOLE distinct-value table is pulled to the driver below, and
+    # on the one-task path one merge task holds it — so the cardinality
+    # guard must fire BEFORE either exists (a post-hoc count would OOM
+    # first). One cheap HLL pass (map-only, ~1.6% error, one tiny row
+    # per block moved) screens the domain; the exact count still runs
+    # below for the boundary band.
     from .sketch import approx_distinct
 
     est = approx_distinct(ds.select_columns([col]), col)
@@ -421,7 +415,7 @@ def exact_global_quantiles(ds: Dataset, col: str, qs: tuple[float, ...],
             "mergeable KLL sketch (stages/sketch.py approx_quantiles) or "
             "raise max_distinct if the cluster has headroom.")
     counts = grouped_count(ds.select_columns([col]), [col],
-                           count_name="_n", strategy="tree")
+                           count_name="_n")
     counts = counts.materialize()
     n_distinct = counts.count()
     if n_distinct > int(max_distinct):
@@ -460,7 +454,7 @@ def grouped_mode(ds: Dataset, key: str, value_col: str,
     counts = grouped_count(
         ds.select_columns([key, value_col]).map_batches(
             drop_nulls, batch_format="pyarrow"),
-        [key, value_col], count_name="_n", strategy="bucket")
+        [key, value_col], count_name="_n")
 
     def pick(t: pa.Table) -> pa.Table:
         # ascending (key, -n, value): each key's first row is its mode
@@ -514,7 +508,7 @@ def grouped_trimmed(ds: Dataset, key: str, value_col: str,
     counts = grouped_count(
         ds.select_columns([key, value_col]).map_batches(
             check, batch_format="pyarrow"),
-        [key, value_col], count_name="_c", strategy="bucket")
+        [key, value_col], count_name="_c")
 
     def trim(t: pa.Table) -> pa.Table:
         e = pa.array([], pa.int64())

@@ -94,7 +94,7 @@ def rater_agreement(ds: ray.data.Dataset, group_key: str, a_col: str,
             "one task — shard by group range or raise max_groups")
 
     counts = grouped_count(labeled, [group_key, a_col, b_col],
-                           count_name="_n", strategy="tree")
+                           count_name="_n")
     counts = counts.materialize()
     cs = counts.schema(fetch_if_missing=False)
     if cs is not None and group_key in cs.base_schema.names:
@@ -159,8 +159,8 @@ def rater_agreement(ds: ray.data.Dataset, group_key: str, a_col: str,
 
 
 def binary_eval(ds: ray.data.Dataset, keys: list[str], pred_col: str,
-                label_col: str, *, strategy: str = "bucket",
-                n_buckets: int | str = "auto") -> ray.data.Dataset:
+                label_col: str, *, n_buckets: int | str = "auto"
+                ) -> ray.data.Dataset:
     """Per-``keys`` binary-classifier evaluation as exact integer lanes
     — the confusion matrix plus truncating-permille precision / recall /
     F1 (the model-vs-ground-truth scorecard every screening-model
@@ -177,8 +177,8 @@ def binary_eval(ds: ray.data.Dataset, keys: list[str], pred_col: str,
     excluded (SQL COUNT-over-pair semantics).
 
     Scale shape: four indicator lanes reduce through ONE two-phase
-    ``grouped_agg`` (partials per batch, so keys may be unbounded with
-    strategy="bucket"); the permille arithmetic is one vectorized pass
+    ``grouped_agg`` (partials per batch, so keys may be unbounded); the
+    permille arithmetic is one vectorized pass
     over the skinny per-key table. Nothing wide ever shuffles."""
     import numpy as np
 
@@ -215,7 +215,7 @@ def binary_eval(ds: ray.data.Dataset, keys: list[str], pred_col: str,
     agg = grouped_agg(pre, list(keys),
                       sum_cols={"tp": "_tp", "fp": "_fp",
                                 "fn": "_fn", "tn": "_tn"},
-                      strategy=strategy, n_buckets=n_buckets)
+                      n_buckets=n_buckets)
 
     def lanes(t: pa.Table) -> pa.Table:
         tp = t.column("tp").to_numpy(zero_copy_only=False)
@@ -356,8 +356,7 @@ def gini_impurity(ds: ray.data.Dataset, key: str, cat_col: str,
     from .bucketing import bucketed_map_groups
 
     counts = grouped_count(ds.select_columns([key, cat_col]),
-                           [key, cat_col], count_name="_c",
-                           strategy="bucket")
+                           [key, cat_col], count_name="_c")
 
     def fold(t: pa.Table) -> pa.Table:
         kt = t.column(key).type
@@ -410,8 +409,7 @@ def multiclass_eval(ds: ray.data.Dataset, pred_col: str, label_col: str,
 
     labeled = ds.map_batches(prep, batch_format="pyarrow")
     counts = grouped_count(labeled, [pred_col, label_col],
-                           count_name="_n",
-                           strategy="bucket").materialize()
+                           count_name="_n").materialize()
     n_cells = counts.count()
     if n_cells > int(max_classes) ** 2:
         raise ValueError(

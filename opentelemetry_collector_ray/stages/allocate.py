@@ -42,8 +42,7 @@ def apportion(ds: ray.data.Dataset, keys: list[str], n_seats: int, *,
     counts = grouped_agg(
         ds.select_columns(keep), list(keys),
         count_name=count_name if weight_col is None else None,
-        sum_cols={count_name: weight_col} if weight_col else None,
-        strategy="tree")
+        sum_cols={count_name: weight_col} if weight_col else None)
 
     def fin(t: pa.Table) -> pa.Table:
         if t.num_rows > max_groups:

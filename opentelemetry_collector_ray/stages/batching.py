@@ -43,8 +43,7 @@ def check_metadata_cardinality(ds, keys: list[str],
     two-phase distinct (unique on the key projection)."""
     from .aggregate import grouped_count
 
-    distinct = grouped_count(ds.select_columns(keys), keys,
-                             strategy="bucket").count()
+    distinct = grouped_count(ds.select_columns(keys), keys).count()
     if distinct > limit:
         raise TooManyBatchersError(
             f"metadata cardinality {distinct} exceeds limit {limit}")

@@ -11,7 +11,7 @@ Scale shape — the key insight is that classic BPE training is a
 function of the WORD HISTOGRAM, not the corpus:
 
 1. ONE distributed pass reduces the corpus to (word, count) via the
-   bucket-strategy grouped count (``corpusstats.term_counts`` — the
+   two-phase grouped count (``corpusstats.term_counts`` — the
    10^12-token corpus becomes ~10^6 word types). The histogram is
    ``count()``-guarded before it reaches the driver (``max_word_types``,
    same contract as ``unigram_mass``'s max_vocab).

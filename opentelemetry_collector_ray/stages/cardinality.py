@@ -73,7 +73,7 @@ def cardinality_cap(ds: ray.data.Dataset, group_col: str, series_col: str,
     series = grouped_count(
         ds.map_batches(check, batch_format="pyarrow"),
         [group_col, series_col], count_name=count_name,
-        sum_cols=sums or None, strategy="bucket", n_buckets=n_buckets)
+        sum_cols=sums or None, n_buckets=n_buckets)
 
     order = [(group_col, "ascending"), (count_name, "descending"),
              (series_col, "ascending")]

@@ -211,7 +211,6 @@ def scd2_intervals(ds: ray.data.Dataset, key: str, order_col: str,
 def log_dedup(ds: ray.data.Dataset, match_cols: list[str],
               ts_col: str, interval_us: int,
               count_name: str = "log_count",
-              strategy: str = "bucket",
               n_buckets: int | str = "auto") -> ray.data.Dataset:
     """Interval log deduplication — the contrib logdedup processor's
     batch analog (opentelemetry-collector-contrib
@@ -222,14 +221,13 @@ def log_dedup(ds: ray.data.Dataset, match_cols: list[str],
     last observed timestamps — the "same error logged 40,000 times"
     compactor.
 
-    One grouped aggregate keyed on (window, match...).
-    ``strategy="bucket"`` (default) reduces each batch to its partial
-    rows, exchanges them by window hash and merges them with one Arrow
-    group_by per bucket — near-unique string match keys would make a
-    Ray sort exchange pay full freight on the composite (measured 18 s
-    vs 0.3 s at sf0.1 on 2M rows, the weighted-median lesson); a hot
-    duplicate sends at most one partial row per batch. Pass ``"tree"``
-    when the distinct (window, match) set is known-bounded.
+    One grouped aggregate keyed on (window, match...): each batch
+    reduces to its partial rows, and above one task's worth of input
+    they are exchanged by window hash and merged with one Arrow group_by
+    per bucket — near-unique string match keys would make a Ray sort
+    exchange pay full freight on the composite (measured 18 s vs 0.3 s
+    at sf0.1 on 2M rows, the weighted-median lesson); a hot duplicate
+    sends at most one partial row per batch.
     Returns
     ``(window_start, *match_cols, count_name, first_ts, last_ts)``."""
     from .aggregate import grouped_agg
@@ -265,5 +263,5 @@ def log_dedup(ds: ray.data.Dataset, match_cols: list[str],
                       count_name=count_name,
                       min_cols={"first_ts": "_ts"},
                       max_cols={"last_ts": "_ts"},
-                      strategy=strategy, n_buckets=n_buckets)
+                      n_buckets=n_buckets)
     return agg

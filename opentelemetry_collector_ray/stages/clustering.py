@@ -102,7 +102,7 @@ def kmeans_fit(make_ds, k: int = 64, iters: int = 10, seed: int = 42,
 
         def combine(t: pa.Table) -> pa.Table:
             # one combine task: ≤ k rows out (bounded-key reduce — no
-            # sort exchange; same shape as grouped_agg strategy="tree")
+            # sort exchange; same shape as grouped_agg's one-task merge)
             if not t.num_rows:
                 return t
             cl = t.column("cluster").to_numpy(zero_copy_only=False)

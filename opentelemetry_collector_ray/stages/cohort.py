@@ -77,7 +77,7 @@ def cohort_retention(ds: ray.data.Dataset, user_col: str = "user_id",
     pairs = bucketed_map_groups(pre, user_col, per_user,
                                 n_buckets=n_buckets)
     out = grouped_count(pairs, ["cohort", "offset"],
-                        count_name="n_users", strategy="tree")
+                        count_name="n_users")
     return out.map_batches(
         lambda t: t.rename_columns([f"cohort_{period}", "offset",
                                     "n_users"]),
@@ -166,8 +166,7 @@ def audience_overlap(ds: "ray.data.Dataset", group_col: str,
         "_gu", mark, n_buckets=n_buckets)
     daily = grouped_agg(marked, [group_col, day_col],
                         sum_cols={"n_today": "_present",
-                                  "n_inter": "_inter"},
-                        strategy="tree")
+                                  "n_inter": "_inter"})
     win = per_key_window(daily, group_col, [day_col],
                          {"_prev_day": ("lag", day_col),
                           "n_prev": ("lag", "n_today")})

@@ -3,9 +3,9 @@ training-data pipeline uses to score documents against corpus-wide token
 statistics (TF-IDF weighting, unigram-frequency quality proxies,
 rare-token filtering).
 
-Pass 1 reduces the corpus to one count per DISTINCT TERM (the bucket
-strategy — per-bucket Arrow group_by, vocabulary never lands in one
-task); the vocabulary table is broadcast via ``ray.put`` (guarded by
+Pass 1 reduces the corpus to one count per DISTINCT TERM (two-phase
+grouped count — above one task's worth of input, per-bucket Arrow
+group_by, so the vocabulary never lands in one task); the vocabulary table is broadcast via ``ray.put`` (guarded by
 ``max_vocab`` — a natural-language corpus vocabulary is ~10^6 terms
 ≈ tens of MB, fine to broadcast; above the cap the caller should switch
 to a join against the term table instead). Pass 2 re-tokenizes each
@@ -53,7 +53,7 @@ def _tokens_with_rows(col, split_pattern: str = TOKEN_SPLIT_RE
 
 def term_counts(ds: ray.data.Dataset, text_col: str = "text",
                 split_pattern: str = TOKEN_SPLIT_RE) -> ray.data.Dataset:
-    """Corpus term-frequency table (term, n) — bucket-strategy grouped
+    """Corpus term-frequency table (term, n) — two-phase grouped
     count over the exploded tokens."""
     from .aggregate import grouped_count
 
@@ -63,8 +63,7 @@ def term_counts(ds: ray.data.Dataset, text_col: str = "text",
         return pa.table({"term": flat})
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
-    return grouped_count(exploded, ["term"], count_name="n",
-                         strategy="bucket")
+    return grouped_count(exploded, ["term"], count_name="n")
 
 
 def ngram_counts(ds: ray.data.Dataset, n: int = 2,
@@ -74,7 +73,7 @@ def ngram_counts(ds: ray.data.Dataset, n: int = 2,
     statistics a contamination/novelty scorer consumes. Per batch: one
     tokenize, n-gram strings built by ONE ``binary_join_element_wise``
     over the n shifted token views (windows crossing a document boundary
-    masked out) — no Python per token; then the same bucket-strategy
+    masked out) — no Python per token; then the same two-phase
     grouped count as :func:`term_counts`."""
     if n < 2:
         raise ValueError("ngram_counts: n must be >= 2 "
@@ -94,8 +93,7 @@ def ngram_counts(ds: ray.data.Dataset, n: int = 2,
         return pa.table({"ngram": grams})
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
-    return grouped_count(exploded, ["ngram"], count_name="n",
-                         strategy="bucket")
+    return grouped_count(exploded, ["ngram"], count_name="n")
 
 
 MAX_HH_CANDIDATES = 5_000_000  # broadcast candidate list bound
@@ -282,7 +280,7 @@ def oov_stats(ds_factory, text_col: str = "text",
     Same cost contract as :func:`unigram_mass`: ``ds_factory`` is
     invoked once per pass; pass ``persist=`` to execute an expensive
     upstream exactly once. Scale shape: the corpus reduces to one row
-    per distinct term (bucket-strategy grouped count); the vocabulary
+    per distinct term (two-phase grouped count); the vocabulary
     is ``count()``-guarded by ``max_vocab`` BEFORE the driver pull,
     ``ray.put`` once, fetched once per actor; the doc pass never
     shuffles (a document never spans batches)."""
@@ -361,7 +359,7 @@ def term_divergence(ds_a: ray.data.Dataset, ds_b: ray.data.Dataset,
     crawl snapshot, a language slice, or a source against the rest).
 
     Scale shape: each side reduces to its term-count table via the
-    bucket-strategy grouped count (``term_counts`` — the corpus never
+    two-phase grouped count (``term_counts`` — the corpus never
     moves, only one row per distinct term), both vocabularies are
     ``count()``-guarded by ``max_vocab`` before the driver pull, and the
     JSD sum runs once on the two aligned count vectors. Returns a
@@ -418,7 +416,7 @@ def vocab_growth(ds: ray.data.Dataset, text_col: str = "text",
     non-empty bucket.
 
     Scale shape: tokens explode inside ``map_batches`` (whole-column
-    kernels), the per-term min rides the bucket-strategy grouped
+    kernels), the per-term min rides the two-phase grouped
     aggregate (unbounded term keys — per-batch partials bound the
     exchange to ≤ |distinct terms per batch| rows), and the final
     per-bucket count is a bounded tree roll-up. Nothing lands on the
@@ -456,7 +454,7 @@ def vocab_growth(ds: ray.data.Dataset, text_col: str = "text",
 
     births = grouped_agg(
         ds.map_batches(explode, batch_format="pyarrow"), ["term"],
-        min_cols={"first_doc": "_id"}, strategy="bucket")
+        min_cols={"first_doc": "_id"})
 
     def to_bucket(t: pa.Table) -> pa.Table:
         fd = t.column("first_doc").combine_chunks().to_numpy(
@@ -466,8 +464,7 @@ def vocab_growth(ds: ray.data.Dataset, text_col: str = "text",
 
     return grouped_count(births.map_batches(to_bucket,
                                             batch_format="pyarrow"),
-                         ["bucket"], count_name="new_terms",
-                         strategy="tree")
+                         ["bucket"], count_name="new_terms")
 
 
 def grouped_gini(ds: ray.data.Dataset, key: str, value_col: str, *,
@@ -555,7 +552,7 @@ def keyness_odds(ds: ray.data.Dataset, slice_col: str, slice_a: str,
     slice-exclusive terms finite and the arithmetic integer.
 
     Scale shape: tokens explode once with two 0/1 slice lanes and
-    reduce through ONE bucket-strategy grouped sum to the (term, a, b)
+    reduce through ONE two-phase grouped sum to the (term, a, b)
     table; totals are two sums and a count over that reduced table
     (never a second input scan); the permille is one vectorized pass,
     magnitude-guarded loudly (a corpus whose token totals push
@@ -582,8 +579,7 @@ def keyness_odds(ds: ray.data.Dataset, slice_col: str, slice_a: str,
     counts = grouped_agg(
         ds.select_columns([slice_col, text_col]).map_batches(
             explode, batch_format="pyarrow"),
-        ["term"], sum_cols={"a": "_a", "b": "_b"},
-        strategy="bucket").materialize()
+        ["term"], sum_cols={"a": "_a", "b": "_b"}).materialize()
     v = counts.count()
     if v == 0:
         import ray.data as _rd

@@ -55,13 +55,12 @@ def exact_dedup(ds: ray.data.Dataset, text_col: str = "text",
     Identity key = a PAIR of independent 64-bit content hashes (collision
     needs both to collide: ~2^-128 — cryptographic-grade distinctness
     without shipping text through the exchange). The per-(h1, h2) min id
-    is the bucket-strategy ``grouped_agg``: per-batch partials reduce
+    is the two-phase ``grouped_agg``: per-batch partials reduce
     duplicates before the exchange; only (h1, h2, id) rows move.
     """
     hashed = ds.select_columns([id_col, text_col]).map_batches(
         _PartialDedup(text_col, id_col), batch_format="pyarrow")
-    kept = grouped_agg(hashed, ["_h1", "_h2"], min_cols={id_col: id_col},
-                       strategy="bucket")
+    kept = grouped_agg(hashed, ["_h1", "_h2"], min_cols={id_col: id_col})
     return kept.select_columns([id_col])
 
 
@@ -342,7 +341,7 @@ def connected_components(edges: ray.data.Dataset, n_buckets: int = 64,
 
     Distributed path: iterative min-label (hash-min) propagation expressed
     as Ray stages — per round, each node's label is min(own, neighbors')
-    via one hash-bucket co-group shuffle + one bucket-strategy grouped
+    via one hash-bucket co-group shuffle + one two-phase grouped
     min; convergence is detected by the (monotone-decreasing) sum of
     labels. O(component diameter) rounds; nothing driver-side scales
     with edge count. The driver union-find fast path serves
@@ -390,7 +389,6 @@ def connected_components(edges: ray.data.Dataset, n_buckets: int = 64,
 
     def min_label(ds: ray.data.Dataset) -> ray.data.Dataset:
         return grouped_agg(ds, ["node"], min_cols={"label": "label"},
-                           strategy="bucket",
                            n_buckets=n_buckets).materialize()
 
     labels = min_label(tagged_edges.map_batches(
@@ -550,7 +548,6 @@ def _distinct_edges(edges: ray.data.Dataset,
                    n_buckets: int | str = "auto") -> ray.data.Dataset:
     """The distinct ``(id_a, id_b)`` rows of an edge list."""
     return grouped_count(edges, ["id_a", "id_b"], count_name="_n",
-                         strategy="bucket",
                          n_buckets=n_buckets).select_columns(["id_a", "id_b"])
 
 

@@ -49,7 +49,7 @@ def label_encode(make_ds, col: str, out_col: str | None = None,
     counts = grouped_count(
         f().select_columns([col]).map_batches(drop_nulls,
                                               batch_format="pyarrow"),
-        [col], count_name="_n", strategy="bucket").materialize()
+        [col], count_name="_n").materialize()
     n_cat = counts.count()
     if n_cat > int(max_categories):
         raise ValueError(
@@ -164,8 +164,7 @@ def target_encode(ds: ray.data.Dataset, cat_col: str, target_col: str,
         raise ValueError(f"target_encode: smoothing_m must be >= 0, got {m}")
     parts = grouped_agg(
         ds.select_columns([cat_col, target_col]), [cat_col],
-        count_name="n", sum_cols={"s": target_col},
-        strategy="bucket").materialize()
+        count_name="n", sum_cols={"s": target_col}).materialize()
     pdf = parts.to_pandas()
     # Ray's to_pandas drops ALL columns on a fully-empty dataset
     empty_in = len(pdf) == 0 or "n" not in pdf.columns

@@ -100,6 +100,8 @@ class EnrichStage:
     "pyarrow")``. The dictionaries are the module-level fixtures; they are
     small, so they ship inside the pickled stage with each task."""
 
+    adds_no_rows = True
+
     def __init__(self, tool_col: str = "tool", role_col: str = "role",
                  conv_col: str = "conv_id"):
         self.tool_col, self.role_col, self.conv_col = tool_col, role_col, conv_col

@@ -36,7 +36,7 @@ import ray
 import ray.data
 
 from .aggregate import grouped_agg, grouped_count
-from .bucketing import key_segments
+from .bucketing import adds_no_rows, key_segments
 from .treereduce import collect
 
 __all__ = ["pagerank", "cooccurrence_edges", "cooccurrence_cosine",
@@ -102,7 +102,7 @@ def _index_graph(make_edges, src: str, dst: str, max_nodes: int,
     nodes_ds = grouped_count(
         make_edges().select_columns([src, dst]).map_batches(
             both_cols, batch_format="pyarrow"),
-        ["node"], count_name="_n", strategy="bucket").materialize()
+        ["node"], count_name="_n").materialize()
     n_nodes = nodes_ds.count()
     if n_nodes > int(max_nodes):
         raise ValueError(
@@ -143,11 +143,10 @@ def _index_graph(make_edges, src: str, dst: str, max_nodes: int,
         to_idx, batch_format="pyarrow")
     if weight_col:
         wedges = grouped_agg(indexed, ["_s", "_d"],
-                             sum_cols={"_w": "_wt"}, strategy="bucket",
+                             sum_cols={"_w": "_wt"},
                              n_buckets=n_buckets).materialize()
     else:
         wedges = grouped_count(indexed, ["_s", "_d"], count_name="_w",
-                               strategy="bucket",
                                n_buckets=n_buckets).materialize()
     return n_nodes, nodes_pa, wedges
 
@@ -226,8 +225,7 @@ def pagerank(make_edges, src: str, dst: str, *, damping: float = 0.85,
 
     # ---- out-degree vector (driver, O(nodes)) -----------------------
     deg_pdf = grouped_agg(wedges, ["_s"],
-                          sum_cols={"_n": "_w"},
-                          strategy="bucket").to_pandas()
+                          sum_cols={"_n": "_w"}).to_pandas()
     outdeg = np.zeros(n_nodes)  # float: weighted graphs sum doubles
     outdeg[deg_pdf["_s"].to_numpy()] = deg_pdf["_n"].to_numpy()
     dangling = np.flatnonzero(outdeg == 0)
@@ -258,6 +256,7 @@ def pagerank(make_edges, src: str, dst: str, *, damping: float = 0.85,
         else:
             share_ref = ray.put(share)
 
+            @adds_no_rows  # one row per distinct dst in the block
             def contrib(t: pa.Table, _ref=share_ref) -> pa.Table:
                 share_ = ray.get(_ref)
                 si = t.column("_s").to_numpy(zero_copy_only=False)
@@ -271,13 +270,9 @@ def pagerank(make_edges, src: str, dst: str, *, damping: float = 0.85,
                 return pa.table({"_d": pa.array(uniq),
                                  "_c": pa.array(sums)})
 
-            # n_nodes is known and guarded: below 1M the whole
-            # contribution vector fits one task, so the map-only tree
-            # combine replaces the per-iteration sort exchange
-            strat = "tree" if n_nodes <= 1_000_000 else "bucket"
             cpdf = grouped_agg(wedges.map_batches(
                 contrib, batch_format="pyarrow"), ["_d"],
-                sum_cols={"_c": "_c"}, strategy=strat).to_pandas()
+                sum_cols={"_c": "_c"}).to_pandas()
             incoming = np.zeros(n_nodes)
             incoming[cpdf["_d"].to_numpy()] = cpdf["_c"].to_numpy()
         dangling_mass = float(rank[dangling].sum())
@@ -319,7 +314,7 @@ def cooccurrence_edges(ds: ray.data.Dataset, group_col: str,
     dedup = ds if pre_deduped else grouped_count(
         ds.select_columns([group_col, item_col]),
         [group_col, item_col], count_name="_n",
-        strategy="bucket", n_buckets=n_buckets)
+        n_buckets=n_buckets)
 
     def expand(t: pa.Table) -> pa.Table:
         t = t.sort_by([(group_col, "ascending"),
@@ -347,7 +342,7 @@ def cooccurrence_edges(ds: ray.data.Dataset, group_col: str,
     pairs = bucketed_map_groups(dedup, group_col, expand,
                                 n_buckets=n_buckets)
     edges = grouped_count(pairs, ["a", "b"], count_name="support",
-                          strategy="bucket", n_buckets=n_buckets)
+                          n_buckets=n_buckets)
     if min_support > 1:
         edges = edges.map_batches(
             lambda t: t.filter(pc.greater_equal(
@@ -378,8 +373,7 @@ def _broadcast_item_degrees(dedup: ray.data.Dataset, item_col: str,
             f"max_items={int(max_items):,}) — the degree table would "
             "neither tree-combine nor broadcast; raise the cap or "
             "pre-filter items")
-    counts_ds = grouped_count(dedup, [item_col], count_name="n",
-                              strategy="tree").materialize()
+    counts_ds = grouped_count(dedup, [item_col], count_name="n").materialize()
     n_items = counts_ds.count()
     if n_items > int(max_items):
         raise ValueError(
@@ -426,7 +420,7 @@ def cooccurrence_cosine(make_ds, group_col: str, item_col: str, *,
         raise ValueError("cooccurrence_cosine: min_support must be >= 1")
     dedup = grouped_count(
         make_ds().select_columns([group_col, item_col]),
-        [group_col, item_col], count_name="_n", strategy="bucket",
+        [group_col, item_col], count_name="_n",
         n_buckets=n_buckets).materialize()
     edges = cooccurrence_edges(dedup, group_col, item_col,
                                min_support=min_support,
@@ -499,7 +493,7 @@ def association_rules(make_ds, group_col: str, item_col: str, *,
     src_schema = src.schema(fetch_if_missing=True)
     dedup = grouped_count(
         src, [group_col, item_col], count_name="_n",
-        strategy="bucket", n_buckets=n_buckets).materialize()
+        n_buckets=n_buckets).materialize()
     edges = cooccurrence_edges(dedup, group_col, item_col,
                                min_support=min_support,
                                n_buckets=n_buckets, pre_deduped=True)
@@ -510,7 +504,7 @@ def association_rules(make_ds, group_col: str, item_col: str, *,
     # unbounded, only the scalar N comes back to the driver
     n_groups = grouped_count(
         dedup.select_columns([group_col]), [group_col],
-        count_name="_n", strategy="bucket", n_buckets=n_buckets).count()
+        count_name="_n", n_buckets=n_buckets).count()
 
     # a fully-empty materialized dedup reports no schema — fall back
     # to the source schema captured before the exchange
@@ -601,8 +595,7 @@ def triangle_count(edges: ray.data.Dataset, a: str = "a", b: str = "b",
 
     out = grouped_count(tri.map_batches(corners,
                                         batch_format="pyarrow"),
-                        ["node"], count_name="n_triangles",
-                        strategy="bucket").materialize()
+                        ["node"], count_name="n_triangles").materialize()
     if out.count() == 0:
         # a triangle-free graph must still honor the promised schema
         # (Ray loses it through an empty exchange)
@@ -749,7 +742,6 @@ def kcore(make_edges, src: str, dst: str, *, k: int,
 
     pairs = grouped_count(wedges.map_batches(sym, batch_format="pyarrow"),
                           ["_a", "_b"], count_name="_m",
-                          strategy="bucket",
                           n_buckets=n_buckets).materialize()
     n_pairs = pairs.count()
     alive = np.ones(n_nodes, bool)
@@ -778,10 +770,9 @@ def kcore(make_edges, src: str, dst: str, *, k: int,
                 return pa.table({"_n": pa.array(uniq),
                                  "_c": pa.array(cnt.astype(np.int64))})
 
-            strat = "tree" if n_nodes <= 1_000_000 else "bucket"
             dpdf = grouped_agg(pairs.map_batches(
                 degrees, batch_format="pyarrow"), ["_n"],
-                sum_cols={"_c": "_c"}, strategy=strat).to_pandas()
+                sum_cols={"_c": "_c"}).to_pandas()
             deg = np.zeros(n_nodes, np.int64)
             deg[dpdf["_n"].to_numpy()] = dpdf["_c"].to_numpy()
         dead = alive & (deg < k)

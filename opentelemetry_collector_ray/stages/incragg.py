@@ -37,7 +37,6 @@ def apply_agg_delta(base_agg: ray.data.Dataset,
                     keys: list[str], count_name: str = "n",
                     sum_cols: dict[str, str] | None = None,
                     op_col: str = "op",
-                    strategy: str = "tree",
                     n_buckets: int | str = "auto") -> ray.data.Dataset:
     """Maintain a count/sum aggregate under a row-level changelog.
 
@@ -100,7 +99,7 @@ def apply_agg_delta(base_agg: ray.data.Dataset,
     new_state = grouped_agg(
         merged, keys,
         sum_cols={c: c for c in (count_name, *sum_cols)},
-        strategy=strategy, n_buckets=n_buckets)
+        n_buckets=n_buckets)
 
     def finalize(t: pa.Table) -> pa.Table:
         n = t.column(count_name)

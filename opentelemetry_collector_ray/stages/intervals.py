@@ -376,8 +376,7 @@ def rolling_distinct_count(ds: ray.data.Dataset, entity_col: str,
             f"rolling_distinct_count: ~{int(est):,} distinct time "
             f"units (HLL estimate, max_times={int(max_times):,}) — "
             "coarsen the time unit or raise the cap")
-    sums = grouped_agg(dl, ["_t"], sum_cols={"_d": "_d"},
-                       strategy="tree").materialize()
+    sums = grouped_agg(dl, ["_t"], sum_cols={"_d": "_d"}).materialize()
     out_schema = pa.schema([(out_time, pa.int64()),
                             (out_count, pa.int64())])
     parts = collect(sums)

@@ -54,8 +54,7 @@ def exp_bucket_index(vals: np.ndarray, scale: int = 0) -> np.ndarray:
 
 
 def exp_histogram(ds: ray.data.Dataset, keys: list[str], value_col: str,
-                  scale: int = 0, strategy: str = "tree",
-                  signed: bool = False) -> ray.data.Dataset:
+                  scale: int = 0, signed: bool = False) -> ray.data.Dataset:
     """Per-key exponential histogram → rows (keys..., idx, n) where idx is
     the bucket index (null = the OTel zero bucket).
 
@@ -86,7 +85,7 @@ def exp_histogram(ds: ray.data.Dataset, keys: list[str], value_col: str,
     pre = ds.select_columns(keys + [value_col]).map_batches(
         bucketize, batch_format="pyarrow")
     group_keys = keys + (["sign"] if signed else []) + ["idx"]
-    return grouped_count(pre, group_keys, count_name="n", strategy=strategy)
+    return grouped_count(pre, group_keys, count_name="n")
 
 
 def gauge_last(ds: ray.data.Dataset, key: str, order_cols: list[str],
@@ -127,7 +126,7 @@ def grouped_trend(ds, key: str, x_col: str, y_col: str,
     ``r2_scaled = trunc(scale · num² / (den_x · den_y))`` (null when
     either variance is zero — num² ≥ 0 and den_x·den_y > 0 otherwise,
     so plain truncating division needs no sign handling). One mergeable-partials pass (n, Σx,
-    Σy, Σxy, Σx², bucket strategy — skew-neutral), then exact Python
+    Σy, Σxy, Σx², per-batch partials — skew-neutral), then exact Python
     ints over the per-key table (``max_groups``-guarded); int64 partial
     overflow is guarded from the non-wrapping min/max/count lanes the
     same way ``sigma_outliers`` does.
@@ -175,8 +174,7 @@ def grouped_trend(ds, key: str, x_col: str, y_col: str,
                                "_sxy": "_xy", "_sxx": "_xx",
                                "_syy": "_yy"},
                      min_cols={"_mnx": "_x", "_mny": "_y"},
-                     max_cols={"_mxx": "_x", "_mxy": "_y"},
-                     strategy="bucket").materialize()
+                     max_cols={"_mxx": "_x", "_mxy": "_y"}).materialize()
     n_groups = gt.count()
     if n_groups > int(max_groups):
         raise ValueError(
@@ -366,8 +364,8 @@ def hysteresis_alerts(ds, key: str, order_by: list[str], value_col: str,
 
 
 def exphist_downscale(hist: ray.data.Dataset, keys: list[str], shift: int,
-                      idx_col: str = "idx", count_col: str = "n",
-                      strategy: str = "tree") -> ray.data.Dataset:
+                      idx_col: str = "idx", count_col: str = "n"
+                      ) -> ray.data.Dataset:
     """OTel exponential-histogram downscale (the scale-reduction merge
     of ``pmetric/exponential_histogram_data_point.go`` — applied when a
     series' range outgrows its bucket budget): at scale ``s``, bucket
@@ -382,7 +380,7 @@ def exphist_downscale(hist: ray.data.Dataset, keys: list[str], shift: int,
     Input is an ``exp_histogram`` output — (keys..., [sign,] idx, n)
     with the zero bucket as a NULL idx, which passes through untouched
     (zero is scale-invariant). Counts re-aggregate with the same
-    bounded-key two-phase strategy as the original histogram; a sign
+    two-phase grouped count as the original histogram; a sign
     column, when present, is just another group key."""
     k = int(shift)
     if k < 0:
@@ -403,8 +401,7 @@ def exphist_downscale(hist: ray.data.Dataset, keys: list[str], shift: int,
     from .aggregate import grouped_agg
 
     pre = hist.map_batches(remap, batch_format="pyarrow")
-    return grouped_agg(pre, group_keys, sum_cols={count_col: count_col},
-                       strategy=strategy)
+    return grouped_agg(pre, group_keys, sum_cols={count_col: count_col})
 
 
 def slo_burn(ds: ray.data.Dataset, key: str, ts_col: str, err_col: str,
@@ -532,8 +529,7 @@ def exphist_quantile(hist: ray.data.Dataset, key: str, q_permille: int,
 
 
 def explicit_histogram(ds: ray.data.Dataset, keys: list[str],
-                       value_col: str, bounds: list[int],
-                       strategy: str = "tree") -> ray.data.Dataset:
+                       value_col: str, bounds: list[int]) -> ray.data.Dataset:
     """Explicit-bounds histogram — the pmetric Histogram bucket rule
     (reference ``pdata/pmetric/generated_histogram_data_point.go``:
     upper-INCLUSIVE explicit bounds): bucket ``i`` covers
@@ -571,14 +567,13 @@ def explicit_histogram(ds: ray.data.Dataset, keys: list[str],
                                for c in keys + [value_col]):
         ds = ds.select_columns(keys + [value_col])
     pre = ds.map_batches(bucketize, batch_format="pyarrow")
-    return grouped_count(pre, keys + ["bucket"], count_name="n",
-                         strategy=strategy)
+    return grouped_count(pre, keys + ["bucket"], count_name="n")
 
 
 def hist_rebucket(hist: ray.data.Dataset, keys: list[str],
                   old_bounds: list[int], new_bounds: list[int],
-                  bucket_col: str = "bucket", count_col: str = "n",
-                  strategy: str = "tree") -> ray.data.Dataset:
+                  bucket_col: str = "bucket", count_col: str = "n"
+                  ) -> ray.data.Dataset:
     """Re-bucket an explicit-bounds histogram to COARSER bounds — the
     fixed-bounds sibling of :func:`exphist_downscale` (what a
     collector does when downstream wants fewer buckets): exact only
@@ -587,7 +582,7 @@ def hist_rebucket(hist: ray.data.Dataset, keys: list[str],
     Old bucket ``i`` (upper edge ``old_bounds[i]``, overflow for
     ``i == len(old)``) maps to the new bucket whose interval contains
     its whole span; counts re-aggregate with the same two-phase
-    strategy."""
+    grouped aggregate."""
     ob = np.asarray(list(old_bounds), dtype=np.int64)
     nb = np.asarray(list(new_bounds), dtype=np.int64)
     for name, arr in (("old_bounds", ob), ("new_bounds", nb)):
@@ -624,8 +619,7 @@ def hist_rebucket(hist: ray.data.Dataset, keys: list[str],
 
     pre = hist.map_batches(remap, batch_format="pyarrow")
     return grouped_agg(pre, list(keys) + [bucket_col],
-                       sum_cols={count_col: count_col},
-                       strategy=strategy)
+                       sum_cols={count_col: count_col})
 
 
 def _multi_key_change(t: pa.Table, keys: list[str]) -> np.ndarray:
@@ -650,7 +644,7 @@ def grouped_ohlc(ds: ray.data.Dataset, keys: list[str],
     tuple of its open/close candidate, which is what makes first/last
     mergeable) → one combine task. No sort exchange; requires the
     distinct key set to fit one task (bounded roll-up keys, e.g.
-    day×type), same precondition as ``grouped_agg(strategy="tree")``.
+    day×type).
     ``value_col`` must be integer (cents-style lanes) so min/max/count stay exact."""
     ocols = list(order_cols)
     sort_spec = [(k, "ascending") for k in keys] \

@@ -74,8 +74,7 @@ def mix_by_class(make_ds, class_col: str, weights: dict[str, int],
 
     make_ds = persisted_factory(make_ds, persist)
     ct = grouped_count(make_ds().select_columns([class_col]),
-                       [class_col], count_name="_n",
-                       strategy="bucket").to_pandas()
+                       [class_col], count_name="_n").to_pandas()
     if len(ct) > MAX_CLASSES:
         raise ValueError(
             f"mix_by_class: {len(ct)} classes > {MAX_CLASSES}; a mixture "
@@ -336,7 +335,7 @@ def fair_quota(ds: ray.data.Dataset, tenant_col: str, capacity: int, *,
     ``alloc``. Ties in demand order by tenant for a total order.
 
     Scale shape: the raw rows reduce once to per-tenant demand counts
-    (bucket-strategy grouped count, tenants unbounded); only that
+    (two-phase grouped count, tenants unbounded); only that
     skinny table — ``count()``-guarded by ``max_tenants`` BEFORE the
     pull — reaches the driver for the closed-form threshold, and the
     result IS the small table (no second pass over the data)."""
@@ -345,8 +344,7 @@ def fair_quota(ds: ray.data.Dataset, tenant_col: str, capacity: int, *,
     if capacity < 0:
         raise ValueError("fair_quota: capacity must be >= 0")
     demands = grouped_count(ds.select_columns([tenant_col]),
-                            [tenant_col], count_name="demand",
-                            strategy="bucket").materialize()
+                            [tenant_col], count_name="demand").materialize()
     n = demands.count()
     if n > int(max_tenants):
         raise ValueError(

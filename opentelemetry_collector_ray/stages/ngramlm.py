@@ -7,7 +7,7 @@ bigram model with add-one (Laplace) smoothing over the same ``[a-z]+``
 token lane as the rest of the corpus stats.
 
 Scale shape:
-- TRAIN is two grouped counts (unigram and bigram), bucket-strategy —
+- TRAIN is two grouped counts (unigram and bigram), two-phase —
   per-batch partials bound the exchange, unbounded key sets are safe;
 - the model tables are pulled to the driver behind loud
   ``max_vocab`` / ``max_bigrams`` count-before-pull guards and
@@ -66,7 +66,7 @@ def bigram_counts(ds: ray.data.Dataset, text_col: str = "text"
     return grouped_count(
         ds.select_columns([text_col]).map_batches(
             explode, batch_format="pyarrow"),
-        ["w1", "w2"], count_name="n", strategy="bucket")
+        ["w1", "w2"], count_name="n")
 
 
 def score_bigram_lm(make_ds, id_col: str = "doc_id",
@@ -91,7 +91,7 @@ def score_bigram_lm(make_ds, id_col: str = "doc_id",
         f().select_columns([text_col]).map_batches(
             lambda t: pa.table({"w": _tokens_with_rows(
                 t.column(text_col))[0]}), batch_format="pyarrow"),
-        ["w"], count_name="n", strategy="bucket").materialize()
+        ["w"], count_name="n").materialize()
     n_vocab = uni.count()
     if n_vocab > int(max_vocab):
         raise ValueError(

@@ -3,7 +3,7 @@ normalization (global or per-key).
 
 The canonical broadcast-statistics shape: pass 1 reduces the corpus to
 one (min, max) row per key (mergeable partials — hot keys are
-batch-salted by ``grouped_agg``'s bucket strategy); the key→(min, max)
+batch-salted by ``grouped_agg``'s per-batch partials); the key→(min, max)
 table is guarded by ``max_groups`` (count BEFORE driver pull, loud
 failure like ``exact_global_quantile``) and broadcast via ``ray.put``;
 pass 2 rescales every batch with ONE ``pc.index_in`` probe + numpy
@@ -58,8 +58,8 @@ def minmax_scale(make_ds, col: str, key: str | None = None,
         stats_ref = ray.put((mins, maxs))
     else:
         stats = grouped_agg(make_ds().select_columns([key, col]), [key],
-                            min_cols={"_min": col}, max_cols={"_max": col},
-                            strategy="bucket").materialize()
+                            min_cols={"_min": col},
+                            max_cols={"_max": col}).materialize()
         n_groups = stats.count()
         if n_groups > int(max_groups):
             raise ValueError(
@@ -185,8 +185,8 @@ def sigma_outliers(make_ds, col: str, key: str | None = None,
     else:
         gt = grouped_agg(pre, [key], count_name="_n",
                          sum_cols={"_s1": col, "_s2": "_sq"},
-                         min_cols={"_mn": col}, max_cols={"_mx": col},
-                         strategy="bucket").materialize()
+                         min_cols={"_mn": col},
+                         max_cols={"_mx": col}).materialize()
         n_groups = gt.count()
         if n_groups > int(max_groups):
             raise ValueError(
@@ -258,8 +258,7 @@ def _broadcast_medians(ds, key: str, col: str, max_groups: int,
     # bounded keys (max_groups) x bounded value domain (the operator's
     # exact-integer contract) -> the distinct count table fits one
     # task: the map-only tree combine beats the sort exchange ~5x
-    med = grouped_exact_quantiles(ds, key, col, qs=(0.5,),
-                                  count_strategy="tree").materialize()
+    med = grouped_exact_quantiles(ds, key, col, qs=(0.5,)).materialize()
     n_groups = med.count()
     if n_groups > int(max_groups):
         raise ValueError(
@@ -381,8 +380,7 @@ def robust_scale(make_ds, col: str, key: str | None = None,
     # overflow guard below — they are never broadcast to pass 2.
     q = grouped_exact_quantiles(
         make_ds().map_batches(keyed, batch_format="pyarrow"),
-        gkey, col, qs=(0.0, 0.25, 0.5, 0.75, 1.0),
-        count_strategy="tree").materialize()
+        gkey, col, qs=(0.0, 0.25, 0.5, 0.75, 1.0)).materialize()
     n_groups = q.count()
     if n_groups > int(max_groups):
         raise ValueError(
@@ -493,7 +491,7 @@ def ks_two_sample(ds: ray.data.Dataset, group_col: str, value_col: str,
             "_ca": pc.cast(pc.equal(t.column("_g"), ga), pa.int64()),
             "_cb": pc.cast(pc.equal(t.column("_g"), gb), pa.int64())}),
         batch_format="pyarrow"), ["_v"],
-        sum_cols={"ca": "_ca", "cb": "_cb"}, strategy="tree")
+        sum_cols={"ca": "_ca", "cb": "_cb"})
     pdf = counts.to_pandas().sort_values("_v")
     ca = pdf["ca"].to_numpy()
     cb = pdf["cb"].to_numpy()
@@ -676,8 +674,7 @@ def chi2_two_sample(ds: ray.data.Dataset, group_col: str, cell_col: str,
             "_ob": pc.cast(pc.equal(t2.column("_g"), gb), pa.int64())})
 
     counts = grouped_agg(ds.map_batches(keep, batch_format="pyarrow"),
-                         ["_c"], sum_cols={"o_a": "_oa", "o_b": "_ob"},
-                         strategy="tree")
+                         ["_c"], sum_cols={"o_a": "_oa", "o_b": "_ob"})
     counts = counts.materialize()
     ncells = counts.count()
     if ncells > max_cells:
@@ -737,8 +734,7 @@ def quantile_map(ds: ray.data.Dataset, slice_col: str, value_col: str,
     from .aggregate import grouped_count
 
     vc = grouped_count(ds.select_columns([slice_col, value_col]),
-                       [slice_col, value_col], count_name="_c",
-                       strategy="bucket").materialize()
+                       [slice_col, value_col], count_name="_c").materialize()
     nt = vc.count()
     if nt > int(max_table):
         raise ValueError(
@@ -793,8 +789,7 @@ def quantile_map(ds: ray.data.Dataset, slice_col: str, value_col: str,
 
 
 def grouped_moments(ds: ray.data.Dataset, keys: list[str],
-                    value_col: str, *,
-                    strategy: str = "tree") -> ray.data.Dataset:
+                    value_col: str) -> ray.data.Dataset:
     """Distribution-shape sufficient statistics per key — the exact
     integer lanes (n, Σx, Σx², Σx³, Σx⁴, min, max) from which a reader
     derives variance / skewness / kurtosis (the higher-moment siblings
@@ -842,8 +837,7 @@ def grouped_moments(ds: ray.data.Dataset, keys: list[str],
                                            ("n", "sum_x", "sum_x2",
                                             "sum_x3", "sum_x4")},
                       min_cols={"min_x": "min_x"},
-                      max_cols={"max_x": "max_x", "abs_x": "abs_x"},
-                      strategy=strategy)
+                      max_cols={"max_x": "max_x", "abs_x": "abs_x"})
 
     def check(t: pa.Table) -> pa.Table:
         # exact Python-int bound over the (bounded) grouped table: every

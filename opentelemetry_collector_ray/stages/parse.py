@@ -392,6 +392,8 @@ class ParseStage:
     """Callable class for ``map_batches(ParseStage, batch_format="pyarrow",
     concurrency=N)`` — ruleset is validated/compiled once per actor."""
 
+    adds_no_rows = True
+
     def __init__(self, rules: tuple[ParseRule, ...] = DEFAULT_PARSE_RULES,
                  text_col: str = "text"):
         self.rules = tuple(rules)

@@ -11,7 +11,7 @@ surviving group must contain at least ``l`` DISTINCT sensitive values,
 so a group that is large but homogeneous (everyone in it has the same
 diagnosis) is still suppressed.
 
-Scale shape: group sizes come from the bucket-strategy grouped count
+Scale shape: group sizes come from the two-phase grouped count
 (unbounded quasi-identifier domains — per-batch partials bound the
 exchange, batch-index-as-salt neutralizes hot groups), l-diversity from
 the exact two-phase ``grouped_count_distinct``; the two per-group tables
@@ -86,7 +86,7 @@ def k_anonymize(ds: ray.data.Dataset, quasi_cols: list[str], k: int, *,
 
     checked = ds.map_batches(check_nulls, batch_format="pyarrow")
     groups = grouped_count(checked.select_columns(quasi), quasi,
-                           count_name="_gn", strategy="bucket")
+                           count_name="_gn")
     ok = groups.map_batches(
         lambda t: t.filter(pc.greater_equal(t.column("_gn"), k)),
         batch_format="pyarrow")
@@ -151,7 +151,7 @@ def t_closeness(ds: ray.data.Dataset, group_col: str, sensitive_col: str,
     ``sensitive_col`` must be integer (band/bucket it first — cents,
     deciles; the value domain is the grid and is ``count()``-guarded by
     ``max_grid`` BEFORE the driver pull). Groups are unbounded: the
-    (group, value) count rows ride one bucket-strategy grouped count,
+    (group, value) count rows ride one two-phase grouped count,
     then one hash-bucket exchange by group; inside a bucket every
     group's cum-curve evaluates at once on a dense (groups × grid)
     scatter + axis cumsum — no Python per group. Magnitude is guarded
@@ -179,13 +179,12 @@ def t_closeness(ds: ray.data.Dataset, group_col: str, sensitive_col: str,
     checked = ds.select_columns([group_col, sensitive_col]).map_batches(
         check, batch_format="pyarrow")
     gv = grouped_count(checked, [group_col, sensitive_col],
-                       count_name="_c", strategy="bucket").materialize()
+                       count_name="_c").materialize()
     # corpus grid: global per-value counts — bounded by the (banded)
     # value domain, guarded BEFORE the pull
     grid_ds = grouped_count(
         gv.select_columns([sensitive_col, "_c"]),
-        [sensitive_col], count_name="_n", sum_cols={"_ca": "_c"},
-        strategy="bucket").materialize()
+        [sensitive_col], count_name="_n", sum_cols={"_ca": "_c"}).materialize()
     m = grid_ds.count()
     if m > int(max_grid):
         raise ValueError(
@@ -267,8 +266,7 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 def dp_count_release(ds: ray.data.Dataset, keys: list[str], *,
                      epsilon: float, seed: int,
                      count_name: str = "n",
-                     suppress_below: int | None = None,
-                     strategy: str = "bucket"
+                     suppress_below: int | None = None
                      ) -> ray.data.Dataset:
     """ε-differentially-private group-count release (Dwork et al. 2006
     Laplace mechanism): exact per-key counts get Laplace(1/ε) noise —
@@ -289,7 +287,7 @@ def dp_count_release(ds: ray.data.Dataset, keys: list[str], *,
     ε-additively — rotate data, not seeds.
 
     Scale shape: the exact counts come from the two-phase partials
-    (unbounded keys, ``strategy="bucket"``); noise is one vectorized
+    (unbounded keys); noise is one vectorized
     map over the skinny count rows. Output: keys + noisy ``count_name``
     (int64)."""
     from .aggregate import grouped_count
@@ -301,7 +299,7 @@ def dp_count_release(ds: ray.data.Dataset, keys: list[str], *,
     seed64 = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
     counts = grouped_count(ds.select_columns(keys), keys,
-                           count_name=count_name, strategy=strategy)
+                           count_name=count_name)
 
     def add_noise(t: pa.Table) -> pa.Table:
         if len(t) == 0:

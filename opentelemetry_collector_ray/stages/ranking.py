@@ -300,8 +300,7 @@ def query_inverted_index(index_dir: str, terms, mode: str = "any",
 
     # postings are distinct (term, doc): doc matches all terms iff its
     # posting count over the query terms == len(terms)
-    counts = grouped_count(posts, [id_col], count_name="_nt",
-                           strategy="bucket")
+    counts = grouped_count(posts, [id_col], count_name="_nt")
     k = len(terms)
     return counts.map_batches(
         lambda t: t.filter(pc.equal(t.column("_nt"), k)).select([id_col]),
@@ -460,8 +459,7 @@ def rrf_fuse(rankings: list, id_col: str = "doc_id",
     u = rankings[0].map_batches(contrib, batch_format="pyarrow")
     for ds in rankings[1:]:
         u = u.union(ds.map_batches(contrib, batch_format="pyarrow"))
-    fused = grouped_agg(u, [id_col], sum_cols={"rrf": "_rrf"},
-                        strategy="bucket")
+    fused = grouped_agg(u, [id_col], sum_cols={"rrf": "_rrf"})
     out = fused.sort(["rrf", id_col], descending=[True, False])
     return out.limit(int(topk)) if topk else out
 
@@ -487,8 +485,8 @@ def eval_ranking(results: ray.data.Dataset, qrels: ray.data.Dataset, *,
 
     Scale shape: ONE composite-key shuffle semi-join (results ∩ qrels —
     fixed-width id rows are the only exchange currency), per-query
-    partial aggregates on both lanes (unbounded query keys — shuffle
-    strategy), and one left join of two already-reduced per-query
+    partial aggregates on both lanes (unbounded query keys — per-batch
+    partials), and one left join of two already-reduced per-query
     tables. No driver state."""
     from .aggregate import grouped_agg, grouped_count
     from .join import shuffle_hash_join
@@ -502,10 +500,8 @@ def eval_ranking(results: ray.data.Dataset, qrels: ray.data.Dataset, *,
     hits = shuffle_hash_join(topk, qrels, key=[query_col, id_col],
                              how="semi")
     per_q = grouped_agg(hits, [query_col], count_name="hits_at_k",
-                        min_cols={"_first_rank": rank_col},
-                        strategy="bucket")
-    n_rel = grouped_count(qrels, [query_col], count_name="n_rel",
-                          strategy="bucket")
+                        min_cols={"_first_rank": rank_col})
+    n_rel = grouped_count(qrels, [query_col], count_name="n_rel")
     j = shuffle_hash_join(n_rel, per_q, key=query_col, how="left")
 
     def finish(t: pa.Table) -> pa.Table:

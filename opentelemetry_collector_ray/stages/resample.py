@@ -32,7 +32,6 @@ def hopping_window_agg(ds: ray.data.Dataset, ts_col: str, *,
                        count_name: str = "n",
                        sum_cols: dict[str, str] | None = None,
                        window_name: str = "window_start",
-                       strategy: str = "tree",
                        max_windows_per_row: int = 1024
                        ) -> ray.data.Dataset:
     """Hopping (sliding/overlapping) window aggregate — the streaming
@@ -49,10 +48,8 @@ def hopping_window_agg(ds: ray.data.Dataset, ts_col: str, *,
     of the SKINNY projection (window id + group keys + sum lanes) —
     Ray fuses it with the grouped partial stage into one task, so the
     m× amplification never hits the object store; the exchange carries
-    only per-batch partial rows. ``strategy="tree"`` needs the distinct
-    (window × keys) set to fit one task (true for time-bounded windows
-    × bounded keys — 10 years of 15-min slides is ~350k windows);
-    ``strategy="bucket"`` for unbounded group keys. Timestamp inputs
+    only per-batch partial rows, merged as ``grouped_agg`` chooses from
+    the input's size. Timestamp inputs
     are unit-normalized to MICROSECONDS (``size_us``/``slide_us`` are
     always microseconds); the window column is then timestamp[us],
     else the integer input type. Negative/epoch-preceding timestamps
@@ -103,7 +100,7 @@ def hopping_window_agg(ds: ray.data.Dataset, ts_col: str, *,
 
     return grouped_agg(ds.map_batches(expand, batch_format="pyarrow"),
                        [window_name, *keys], count_name=count_name,
-                       sum_cols=sum_cols, strategy=strategy)
+                       sum_cols=sum_cols)
 
 
 def resample_asof(ds_factory, key: str, ts_col: str, every_us: int,
@@ -160,8 +157,7 @@ def resample_asof(ds_factory, key: str, ts_col: str, every_us: int,
 
     bounds = grouped_agg(
         ds_factory().map_batches(to_us, batch_format="pyarrow"), [key],
-        min_cols={"_lo": "_ts_us"}, max_cols={"_hi": "_ts_us"},
-        strategy="bucket")
+        min_cols={"_lo": "_ts_us"}, max_cols={"_hi": "_ts_us"})
 
     def explode(t: pa.Table) -> pa.Table:
         lo = t.column("_lo").to_numpy(zero_copy_only=False)
@@ -247,7 +243,7 @@ def lagged_xcorr_parts(ds: ray.data.Dataset, bucket_col: str,
 
     counts = grouped_agg(
         ds.map_batches(lanes, batch_format="pyarrow"), ["_b"],
-        sum_cols={"ca": "_ca", "cb": "_cb"}, strategy="bucket")
+        sum_cols={"ca": "_ca", "cb": "_cb"})
     pdf = counts.to_pandas()
     if not len(pdf):
         raise ValueError("lagged_xcorr_parts: no rows in either group")
@@ -412,7 +408,7 @@ def resample_interp(ds: ray.data.Dataset, key: str, ts_col: str,
 
 
 def grid_densify(ds: ray.data.Dataset, row_col: str, col_col: str, *,
-                 count_name: str = "n", strategy: str = "tree",
+                 count_name: str = "n",
                  max_cells: int = 5_000_000) -> ray.data.Dataset:
     """Dense grid zero-fill — the dashboard "no gaps in the series"
     contract: count rows per (row_col, col_col) and emit EVERY
@@ -427,8 +423,7 @@ def grid_densify(ds: ray.data.Dataset, row_col: str, col_col: str, *,
     from .aggregate import grouped_count
 
     counts = grouped_count(ds.select_columns([row_col, col_col]),
-                           [row_col, col_col], count_name=count_name,
-                           strategy=strategy)
+                           [row_col, col_col], count_name=count_name)
 
     def fin(t: pa.Table) -> pa.Table:
         for c in (row_col, col_col):

@@ -34,7 +34,6 @@ __all__ = ["pivot", "unpivot"]
 
 def pivot(ds: ray.data.Dataset, keys: list[str], name_col: str,
           value_col: str, names: list[str], strict: bool = True,
-          strategy: str = "bucket",
           n_buckets: int | str = "auto") -> ray.data.Dataset:
     """Long→wide: one output row per ``keys`` tuple, one int64 SUM column
     per entry of ``names`` (absent (key, name) pairs sum to 0)."""
@@ -75,7 +74,7 @@ def pivot(ds: ray.data.Dataset, keys: list[str], name_col: str,
     wide = ds.select_columns(keys + [name_col, value_col]).map_batches(
         widen, batch_format="pyarrow")
     return grouped_agg(wide, keys, sum_cols={nm: nm for nm in names},
-                       strategy=strategy, n_buckets=n_buckets)
+                       n_buckets=n_buckets)
 
 
 def unpivot(ds: ray.data.Dataset, keys: list[str], value_cols: list[str],

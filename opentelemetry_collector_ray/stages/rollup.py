@@ -6,8 +6,8 @@ type, grand total) without re-scanning the input per level.
 Scale shape: the INPUT is scanned exactly once by the finest-level
 :func:`~.aggregate.grouped_agg` (two-phase partials — the 100 TB never
 sees more than one pass); every coarser grouping set is then derived
-from the FINE AGGREGATE, which is small by the same bounded-key
-contract ``strategy="tree"`` already imposes, in ONE task (an Arrow
+from the FINE AGGREGATE, which must be small (a bounded key set), in
+ONE task (an Arrow
 ``group_by`` per set over |fine keys| rows). Rolled-up key columns are
 emitted as nulls plus a SQL ``GROUPING_ID()``-compatible bitmask column
 so data-null keys stay distinguishable from rollup-nulls.
@@ -62,7 +62,6 @@ def rollup_agg(ds: Dataset, keys: list[str],
                max_cols: dict[str, str] | None = None,
                sets: list[tuple[int, ...]] | None = None,
                grouping_id_name: str = "grouping_id",
-               strategy: str = "tree",
                n_buckets: int | str = "auto") -> Dataset:
     """``GROUP BY ROLLUP(*keys)`` (default) or explicit ``GROUPING
     SETS`` given as tuples of key INDICES (``sets=[(0, 1), (0,), ()]``
@@ -73,10 +72,9 @@ def rollup_agg(ds: Dataset, keys: list[str],
 
     Output columns: ``*keys`` (null where rolled up), the aggregate
     columns, and ``grouping_id_name`` (int64 GROUPING_ID bitmask, key 0
-    = MSB). Requires the finest-level distinct key set to fit one task
-    — the same contract as ``grouped_agg(strategy="tree")``; pass
-    ``strategy="bucket"`` only to change how the fine pass exchanges,
-    the rollup derivation itself is always one small task.
+    = MSB). Requires the finest-level distinct key set to fit one task:
+    the fine pass merges as :func:`~.aggregate.grouped_agg` chooses, the
+    rollup derivation itself is always one small task.
 
     Known SQL deviation: over a fully EMPTY input this returns zero
     rows, while ANSI ``GROUPING SETS(())`` yields one grand-total row
@@ -111,7 +109,7 @@ def rollup_agg(ds: Dataset, keys: list[str],
 
     fine = grouped_agg(ds, keys, count_name=count_name, sum_cols=sum_cols,
                        min_cols=min_cols, max_cols=max_cols,
-                       strategy=strategy, n_buckets=n_buckets)
+                       n_buckets=n_buckets)
 
     value_cols = ([count_name] if count_name else []) + \
         list(sum_cols or {}) + list(min_cols or {}) + list(max_cols or {})
@@ -152,8 +150,7 @@ def rollup_agg(ds: Dataset, keys: list[str],
 
 
 def path_rollup(ds: Dataset, path_col: str, max_depth: int,
-                sep: str = "/", count_name: str = "n",
-                strategy: str = "bucket") -> Dataset:
+                sep: str = "/", count_name: str = "n") -> Dataset:
     """Hierarchical path-prefix rollup — the URL/file-path analog of
     SQL ROLLUP (the log-analytics "traffic by /api, /api/v2,
     /api/v2/users" view): every row contributes one count to each of
@@ -206,4 +203,4 @@ def path_rollup(ds: Dataset, path_col: str, max_depth: int,
         ds = ds.select_columns([path_col])  # prune only when schema known
     exploded = ds.map_batches(explode, batch_format="pyarrow")
     return grouped_count(exploded, ["prefix", "depth"],
-                         count_name=count_name, strategy=strategy)
+                         count_name=count_name)

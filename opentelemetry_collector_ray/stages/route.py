@@ -48,6 +48,8 @@ class RouteStage:
     """Stateless-shaped callable (kept as a class so rules compile once per
     actor when used with concurrency=N). Appends ``route: string``."""
 
+    adds_no_rows = True
+
     def __init__(self, rules: tuple[RouteRule, ...] = DEFAULT_ROUTE_RULES,
                  default_sink: str = DEFAULT_SINK):
         self.rules = tuple(rules)

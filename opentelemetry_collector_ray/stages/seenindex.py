@@ -68,8 +68,7 @@ def build_seen_index(ds: ray.data.Dataset, path: str,
     fp = ds.map_batches(
         lambda t: pa.table(fingerprint_batch(t, text_col, n_shards)),
         batch_format="pyarrow")
-    uniq = grouped_count(fp, ["shard", "h1", "h2"], count_name="_n",
-                         strategy="bucket")
+    uniq = grouped_count(fp, ["shard", "h1", "h2"], count_name="_n")
     uniq.map_batches(lambda t: t.drop_columns(["_n"]),
                      batch_format="pyarrow").write_parquet(
         path, partition_cols=["shard"])
@@ -190,8 +189,7 @@ def compact_seen_index(path: str, n_shards: int | None = None) -> int:
                               .astype(np.int64)))
 
     uniq = grouped_count(ds.map_batches(reshard, batch_format="pyarrow"),
-                         ["shard", "h1", "h2"], count_name="_n",
-                         strategy="bucket")
+                         ["shard", "h1", "h2"], count_name="_n")
     tmp = path.rstrip("/") + ".compacting"
     old = path.rstrip("/") + ".old"
     for d in (tmp, old):

@@ -177,8 +177,7 @@ def longest_run(ds: ray.data.Dataset, key: str, ordinal_col: str,
     from .bucketing import bucketed_map_groups, key_segments
 
     distinct = grouped_count(ds.select_columns([key, ordinal_col]),
-                             [key, ordinal_col], count_name="_n",
-                             strategy="bucket")
+                             [key, ordinal_col], count_name="_n")
 
     def fold(t: pa.Table) -> pa.Table:
         kt = t.column(key).type

@@ -590,7 +590,7 @@ def heavy_hitters(make_ds, col: str, k: int, *, capacity: int | None = None,
     counted = grouped_count(
         make_ds().select_columns([col]).map_batches(
             keep_cands, batch_format="pyarrow"),
-        [col], count_name=count_name, strategy="tree")
+        [col], count_name=count_name)
 
     def threshold(t: pa.Table) -> pa.Table:
         ok = pc.greater(pc.multiply_checked(

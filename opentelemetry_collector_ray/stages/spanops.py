@@ -14,7 +14,7 @@ All three follow the engine's standard scale shapes:
   hash groupby (the conv_stats shape).
 - ``grouped_exact_quantiles``: EXACT percentiles for a bounded integer
   domain at any data scale — value-count histogram per (key, value) via
-  the bucket-strategy grouped count (so a 10^12-row input reduces to
+  the two-phase grouped count (so a 10^12-row input reduces to
   |keys|×|distinct values| rows), then the rank r = floor((n-1)·q) element
   is read off the cumulative counts per key. This is the pmetric Summary
   quantile analog with exact (not sketched) results; for unbounded/float
@@ -94,8 +94,7 @@ def service_graph(spans: ray.data.Dataset, n_buckets: int = 64,
         "trace_id", edge_bucket, n_buckets=n_buckets)
     return grouped_agg(edges, ["client", "server"], count_name="n_calls",
                        sum_cols={"n_errors": "is_err",
-                                 "total_duration_us": "dur"},
-                       strategy="tree")
+                                 "total_duration_us": "dur"})
 
 
 def trace_stats(spans: ray.data.Dataset, n_buckets: int | str = 64,
@@ -137,8 +136,7 @@ def trace_stats(spans: ray.data.Dataset, n_buckets: int | str = 64,
 
 def grouped_exact_quantiles(ds: ray.data.Dataset, key: str, value_col: str,
                             qs: tuple[float, ...] = (0.5, 0.95, 0.99),
-                            n_buckets: int | str = 64,
-                            count_strategy: str = "bucket"
+                            n_buckets: int | str = 64
                             ) -> ray.data.Dataset:
     """Exact per-key quantiles of a bounded integer VALUE domain (keys may
     be unbounded: the per-key work runs on the bucket idiom, one
@@ -150,7 +148,7 @@ def grouped_exact_quantiles(ds: ray.data.Dataset, key: str, value_col: str,
     identical to row_number()-based selection on the sorted column.
 
     Scale shape: the 10^12-row input first reduces to |keys|×|distinct
-    values| count rows (bucket-strategy grouped count), then ONE Arrow
+    values| count rows (two-phase grouped count), then ONE Arrow
     sort + cumulative-count searchsorted per BUCKET reads the ranks off —
     cum is strictly increasing (counts ≥ 1), so a single global
     searchsorted answers every key's quantile at once.
@@ -162,33 +160,8 @@ def grouped_exact_quantiles(ds: ray.data.Dataset, key: str, value_col: str,
             "grouped_exact_quantiles: key 'n' collides with the count "
             "output column — rename the key upstream")
 
-    # count_strategy="bucket" (default) is the unbounded-key-safe
-    # choice; callers whose distinct (key, value) table fits one task
-    # (bounded keys x bounded value domain, e.g. the broadcast-stats
-    # operators) pass "tree" — map-only, no exchange at all. Because
-    # tree's final combine holds the WHOLE distinct table, a cheap HLL
-    # screen over the (key, value) pairs fires loudly BEFORE that task
-    # can exist (never a worker OOM for an out-of-contract unbounded key).
-    if count_strategy == "tree":
-        from .sketch import approx_distinct
-
-        def _kv(t: pa.Table) -> pa.Table:
-            return pa.table({"_kv": pc.binary_join_element_wise(
-                pc.cast(t.column(key), pa.string()),
-                pc.cast(t.column(value_col), pa.string()), "\x1f")})
-
-        est = approx_distinct(
-            ds.select_columns([key, value_col]).map_batches(
-                _kv, batch_format="pyarrow"), "_kv")
-        if est > 20_000_000:
-            raise ValueError(
-                f"grouped_exact_quantiles: ~{int(est):,} distinct "
-                f"({key}, {value_col}) pairs (HLL estimate) — too large "
-                "for count_strategy='tree' (whole table in one task); "
-                "use the default count_strategy='bucket'")
     counts = grouped_count(ds.select_columns([key, value_col]),
-                           [key, value_col], count_name="_n",
-                           strategy=count_strategy)
+                           [key, value_col], count_name="_n")
 
     def pick_bucket(t: pa.Table) -> pa.Table:
         t = t.sort_by([(key, "ascending"), (value_col, "ascending")])
@@ -218,8 +191,7 @@ def grouped_exact_quantiles(ds: ray.data.Dataset, key: str, value_col: str,
 def grouped_cont_quantiles(ds: ray.data.Dataset, key: str,
                            value_col: str,
                            qs: tuple[tuple[int, int], ...] = ((1, 2),),
-                           n_buckets: int | str = 64,
-                           count_strategy: str = "bucket"
+                           n_buckets: int | str = 64
                            ) -> ray.data.Dataset:
     """Exact per-key CONTINUOUS (interpolated) quantiles of an integer
     value — SQL ``quantile_cont`` / ``percentile_cont`` semantics with
@@ -251,8 +223,7 @@ def grouped_cont_quantiles(ds: ray.data.Dataset, key: str,
                 f"with den > 0, got {num}/{den}")
 
     counts = grouped_count(ds.select_columns([key, value_col]),
-                           [key, value_col], count_name="_n",
-                           strategy=count_strategy)
+                           [key, value_col], count_name="_n")
 
     def pick_bucket(t: pa.Table) -> pa.Table:
         t = t.sort_by([(key, "ascending"), (value_col, "ascending")])
@@ -621,8 +592,7 @@ def apdex(spans: ray.data.Dataset, t_us: int, *, key: str = "service",
     counts = grouped_count(
         spans.map_batches(lanes, batch_format="pyarrow"), [key],
         count_name="n", sum_cols={"n_satisfied": "_sat",
-                                  "n_tolerating": "_tol"},
-        strategy="tree")
+                                  "n_tolerating": "_tol"})
 
     def score(t: pa.Table) -> pa.Table:
         n = t.column("n").to_numpy(zero_copy_only=False)

@@ -63,8 +63,7 @@ def km_parts(subjects: ray.data.Dataset, duration_col: str,
             "table would not fit one combine task; band the durations "
             "coarser or raise the cap")
     counts = grouped_agg(skinny, ["_t"],
-                         sum_cols={"d": "_d", "c": "_c"},
-                         strategy="tree")
+                         sum_cols={"d": "_d", "c": "_c"})
     pdf = counts.to_pandas().sort_values("_t").reset_index(drop=True)
     exits = (pdf["d"] + pdf["c"]).to_numpy()
     at_risk = exits[::-1].cumsum()[::-1] if len(exits) else exits

@@ -17,9 +17,8 @@ Scale shape: masking is one vectorized ``pc.replace_substring_regex``
 pass per rule per batch (zero-copy Arrow, no Python per row); the
 combine is the shared two-phase grouped aggregate — per-batch partials
 bound the exchange to |templates-in-batch| rows per block, so a 100 TB
-log stream reduces to the (bounded) template set. ``strategy="bucket"``
-keeps the result distributed when the template universe is larger than
-one task.
+log stream reduces to the (bounded) template set; above one task's worth
+of input the merge runs per hash bucket, so the result stays distributed.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ def mine_templates(ds: ray.data.Dataset, text_col: str = "text", *,
                    template_name: str = "template",
                    count_name: str = "n",
                    example_name: str = "example",
-                   strategy: str = "bucket",
                    n_buckets: int | str = "auto") -> ray.data.Dataset:
     """Mask each line with ``rules`` (in order) and aggregate per
     template: occurrence count plus the lexicographically-smallest
@@ -84,4 +82,4 @@ def mine_templates(ds: ray.data.Dataset, text_col: str = "text", *,
         mask, batch_format="pyarrow")
     return grouped_agg(masked, [template_name], count_name=count_name,
                        min_cols={example_name: example_name},
-                       strategy=strategy, n_buckets=n_buckets)
+                       n_buckets=n_buckets)

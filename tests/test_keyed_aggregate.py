@@ -1,13 +1,14 @@
-"""Keyed aggregates: the two strategies (``tree`` and ``bucket``), their
-guard against any other name, the hot-key bound of the bucket path and
-SQL grouping of NaN keys; and the keyed exchange under them
-(``bucketed_map_groups`` over one or several key columns, ``exchange``)."""
+"""Keyed aggregates: the size rule that picks the one-task merge or the
+bucket exchange (and the lint that no hand-set strategy knob is left),
+the hot-key bound of the bucket path and SQL grouping of NaN keys; and
+the keyed exchange under them (``bucketed_map_groups`` over one or
+several key columns, ``exchange``)."""
 
 from __future__ import annotations
 
-import importlib
+import ast
 import inspect
-import pkgutil
+import pathlib
 import re
 
 import numpy as np
@@ -15,76 +16,110 @@ import pyarrow as pa
 import pytest
 
 STRATEGIES = ("tree", "bucket")
+KNOBS = {"strategy", "count_strategy", "final_strategy"}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# the processors that took a ``strategy`` key before the size rule
+FORMER_STRATEGY_PROCESSORS = (
+    "count_agg", "binary_eval", "log_dedup", "moments", "dp_release",
+    "grid_densify", "hopping_window", "pivot", "rollup", "cont_quantiles",
+    "log_templates", "agg_delta")
+
+
+def force_path(monkeypatch, path: str) -> None:
+    """Make ``grouped_agg``/``grouped_count`` take ``path`` whatever the
+    input's size: ``"bucket"`` sets the one-task bound to 0 bytes."""
+    from opentelemetry_collector_ray.stages import bucketing
+
+    monkeypatch.setattr(bucketing, "TARGET_BUCKET_BYTES",
+                        0 if path == "bucket" else 1 << 62)
 
 
 def test_strategy_defaults_are_tree_or_bucket():
-    """No Ray: every YAML-derived processor and every public stage
-    signature defaults ``strategy``/``count_strategy`` to a live value,
-    and no ``final_strategy`` is left anywhere."""
-    from opentelemetry_collector_ray import config, stages
+    """No Ray: the merge follows the input's size, so no package
+    signature, call, derived-component spec or ``@reads`` key list
+    names a strategy knob."""
+    from opentelemetry_collector_ray import config
 
-    for name, (target, spec) in config.STAGES.items():
-        assert "final_strategy" not in spec, name
-        _, params = config._stage(target)
-        assert "final_strategy" not in {p.name for p in params}, name
-    checked = 0
-    for mod in pkgutil.iter_modules(stages.__path__):
-        module = importlib.import_module(f"{stages.__name__}.{mod.name}")
-        for fname, fn in vars(module).items():
-            if fname.startswith("_") or not inspect.isfunction(fn) \
-                    or fn.__module__ != module.__name__:
-                continue
-            params = inspect.signature(fn).parameters
-            assert "final_strategy" not in params, f"{mod.name}.{fname}"
-            for p in ("strategy", "count_strategy"):
-                if p in params:
-                    checked += 1
-                    assert params[p].default in STRATEGIES, \
-                        f"{mod.name}.{fname}({p}={params[p].default!r})"
-    assert checked >= 20
+    for table in (config.STAGES, config.RECEIVERS, config.EXPORTERS):
+        for name, (_, spec) in table.items():
+            fields = {k for f in spec.split() for k in f.split("=")}
+            assert not KNOBS & fields, f"{name}: {sorted(KNOBS & fields)}"
+    n_reads = 0
+    files = [*(ROOT / "opentelemetry_collector_ray").rglob("*.py"),
+             ROOT / "__ray_entry__.py", ROOT / "bench.py",
+             ROOT / "bench_skew.py"]
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {x.arg for x in a.posonlyargs + a.args
+                         + a.kwonlyargs}
+                assert not KNOBS & names, f"{where} {node.name}"
+            elif isinstance(node, ast.Call):
+                assert not KNOBS & {k.arg for k in node.keywords}, where
+                if getattr(node.func, "id", None) == "reads":
+                    n_reads += 1
+                    keys = set(node.args[1].value.split())
+                    assert not KNOBS & keys, f"{where} {node.args[0].value}"
+    assert n_reads >= 17
 
 
 @pytest.mark.parametrize("bad", ["shuffle", "bukcet"])
-def test_unknown_strategy_rejected(ray_session, bad):
-    import ray.data
+def test_unknown_strategy_rejected(bad):
+    """A ``strategy``/``count_strategy`` keyword is a TypeError: the
+    parameters are gone, not ignored."""
+    import importlib
 
     from opentelemetry_collector_ray.stages.aggregate import (
         grouped_agg, grouped_count)
     from opentelemetry_collector_ray.stages.spanops import (
         grouped_exact_quantiles)
 
-    ds = ray.data.from_arrow(pa.table({"k": ["a"], "v": [1]}))
-    for call in (lambda: grouped_agg(ds, ["k"], count_name="n",
+    for call in (lambda: grouped_agg(None, ["k"], count_name="n",
                                      strategy=bad),
-                 lambda: grouped_count(ds, ["k"], strategy=bad),
-                 lambda: grouped_exact_quantiles(ds, "k", "v",
+                 lambda: grouped_count(None, ["k"], strategy=bad),
+                 lambda: grouped_exact_quantiles(None, "k", "v",
                                                  count_strategy=bad)):
-        with pytest.raises(ValueError, match=r'"tree".*"bucket"'):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             call()
+    former = {  # every function that took or forwarded a knob
+        "agreement": ["binary_eval"], "cdc": ["log_dedup"],
+        "incragg": ["apply_agg_delta"],
+        "metricsops": ["exp_histogram", "exphist_downscale",
+                       "explicit_histogram", "hist_rebucket"],
+        "normalize": ["grouped_moments"], "privacy": ["dp_count_release"],
+        "resample": ["hopping_window_agg", "grid_densify"],
+        "reshape": ["pivot"], "rollup": ["rollup_agg", "path_rollup"],
+        "templates": ["mine_templates"], "temporal": ["decayed_count"],
+        "spanops": ["grouped_cont_quantiles"]}
+    n = 0
+    for mod, fns in former.items():
+        m = importlib.import_module(
+            f"opentelemetry_collector_ray.stages.{mod}")
+        for fname in fns:
+            for kw in ("strategy", "count_strategy"):
+                with pytest.raises(TypeError):
+                    inspect.signature(getattr(m, fname)).bind_partial(
+                        **{kw: bad})
+            n += 1
+    assert n + 3 == 20
 
 
 @pytest.mark.parametrize("bad", ["shuffle", "bukcet"])
-def test_unknown_strategy_rejected_yaml(ray_session, tmp_path, bad):
-    import pyarrow.parquet as pq
+def test_unknown_strategy_rejected_yaml(bad):
+    """No Ray: a YAML ``strategy:`` key is an unknown field of each of
+    the 12 processors that once read it, and the error names both."""
+    from opentelemetry_collector_ray.config import ConfigError, get_factory
 
-    from opentelemetry_collector_ray.config import PipelineConfig
-    from opentelemetry_collector_ray.pipelines.builder import build_dataset
-
-    src = tmp_path / "in.parquet"
-    pq.write_table(pa.table({"k": ["a", "b"]}), str(src))
-    cfg = PipelineConfig.from_dict({
-        "receivers": {"parquet": {"paths": str(src)}},
-        "processors": {"count_agg": {"keys": ["k"], "strategy": bad}},
-        "exporters": {"debug": {}},
-        "service": {"pipelines": {"logs": {
-            "receivers": ["parquet"], "processors": ["count_agg"],
-            "exporters": ["debug"]}}},
-    })
-    with pytest.raises(ValueError, match=r'"tree".*"bucket"'):
-        build_dataset(cfg)
+    for name in FORMER_STRATEGY_PROCESSORS:
+        with pytest.raises(ConfigError,
+                           match=rf"^{name}: unknown field.*'strategy'"):
+            get_factory(name).create({"strategy": bad})
 
 
-def test_hot_key_sends_one_row_per_batch(ray_session):
+def test_hot_key_sends_one_row_per_batch(ray_session, monkeypatch):
     """Half of 200k rows carry one key. The bucket path must count it
     exactly, and only per-batch partials — one row per key per batch —
     may reach the exchange."""
@@ -98,8 +133,8 @@ def test_hot_key_sends_one_row_per_batch(ray_session):
                     np.char.add("c", (i // 2 % n_cold).astype(str)))
     t = pa.table({"k": keys})
     ds = ray.data.from_arrow(t).repartition(n_blocks).materialize()
-    out = grouped_count(ds, ["k"], count_name="n",
-                        strategy="bucket").materialize()
+    force_path(monkeypatch, "bucket")
+    out = grouped_count(ds, ["k"], count_name="n").materialize()
 
     got = dict(zip(*(out.to_pandas()[c].tolist() for c in ("k", "n"))))
     want = t.to_pandas()["k"].value_counts().to_dict()
@@ -107,7 +142,7 @@ def test_hot_key_sends_one_row_per_batch(ray_session):
 
     # every batch holds the hot key and all cold keys, so the partial
     # operator emits exactly (1 + n_cold) rows per batch: one hot row
-    m = re.search(r"Operator \d+ [^\n]*PartialAggStage[^\n]*\n"
+    m = re.search(r"Operator \d+ [^\n]*PartialCountStage[^\n]*\n"
                   r"(?:[^\n]*\n)*?\* Output num rows per block: "
                   r"[^\n]*?(\d+) total", out.stats())
     partial_rows = int(m.group(1))
@@ -116,7 +151,7 @@ def test_hot_key_sends_one_row_per_batch(ray_session):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_nan_keys_group_like_sql(ray_session, strategy):
+def test_nan_keys_group_like_sql(ray_session, monkeypatch, strategy):
     """NaNs with different sign and payload bits are ONE group in SQL;
     Arrow's group_by would split them by bit pattern."""
     import duckdb
@@ -130,9 +165,9 @@ def test_nan_keys_group_like_sql(ray_session, strategy):
     vals = np.tile(np.concatenate([nans, [1.5, -2.0]]), 40)
     t = pa.table({"k": pa.array(vals, mask=np.arange(len(vals)) % 7 == 0),
                   "v": pa.array(np.arange(len(vals)), pa.int64())})
+    force_path(monkeypatch, strategy)
     out = grouped_count(ray.data.from_arrow(t).repartition(3), ["k"],
-                        count_name="n", sum_cols={"s": "v"},
-                        strategy=strategy).take_all()
+                        count_name="n", sum_cols={"s": "v"}).take_all()
     got = sorted(((r["k"], r["n"], r["s"]) for r in out), key=repr)
     want = duckdb.sql("SELECT k, count(*), sum(v) FROM t GROUP BY k") \
         .fetchall()

@@ -80,3 +80,38 @@ def test_oracle_checked_queries_first():
     head = q_names[:len(oracle_names)]
     assert set(head) == oracle_names, (
         "oracle-checked queries must come first in queries()")
+
+
+@pytest.mark.parametrize("name", SQL_KEYS)
+def test_query_matches_oracle_on_bucket_path(ray_session, monkeypatch, name):
+    """Every oracle-checked query whose plan reaches a keyed reduce
+    (``grouped_agg``/``grouped_count``, both merged by
+    ``aggregate._two_phase``), with the bucket exchange forced (a
+    one-task bound of 0 bytes), still equals its DuckDB oracle: at test
+    scale the size rule picks the one-task merge for every measurable
+    input."""
+    import sys
+
+    from opentelemetry_collector_ray.stages import aggregate, bucketing
+
+    monkeypatch.setattr(bucketing, "TARGET_BUCKET_BYTES", 0)
+    target, reached = aggregate._two_phase.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is target:
+            reached.append(name)
+
+    sys.setprofile(profile)
+    try:
+        res = entrymod.queries()[name](SF_DIR)
+    finally:
+        sys.setprofile(None)
+    if not reached:
+        pytest.skip("reaches no keyed reduce")
+    ray_df = _canon(_to_pandas(res))
+    con = _duck(SF_DIR)
+    sql_df = _canon(con.sql(entrymod.oracle_sql()[name]).df())
+    assert list(ray_df.columns) == list(sql_df.columns)
+    assert len(ray_df) == len(sql_df), f"{name}: rows {len(ray_df)} != {len(sql_df)}"
+    pd.testing.assert_frame_equal(ray_df, sql_df, check_dtype=False,
+                                  check_exact=True, obj=name)

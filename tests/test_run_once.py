@@ -219,29 +219,29 @@ def test_empty_fragment_commits(ray_session, tmp_path):
     assert m["metrics"]["rows_in"] == m["metrics"]["rows_out"] == 0
 
 
-def test_collect_runs_an_exchange_once(ray_session, tmp_path):
+def test_collect_runs_an_exchange_once(ray_session, tmp_path, monkeypatch):
     """``collect`` over a lazy bucket-exchange aggregate pushes each
     upstream row once (``to_arrow_refs`` alone would push it twice), and
     an empty input collects to ``[]``."""
     import ray.data
 
+    from opentelemetry_collector_ray.stages import bucketing
     from opentelemetry_collector_ray.stages.aggregate import grouped_count
     from opentelemetry_collector_ray.stages.treereduce import collect
 
+    monkeypatch.setattr(bucketing, "TARGET_BUCKET_BYTES", 0)  # bucket path
     n = 4000
     t = pa.table({"k": pa.array([f"k{i % 37}" for i in range(n)])})
     ds = ray.data.from_arrow(t).repartition(4).map_batches(
         _row_counter(str(tmp_path)), batch_format="pyarrow")
-    parts = collect(grouped_count(ds, ["k"], count_name="n",
-                                  strategy="bucket"))
+    parts = collect(grouped_count(ds, ["k"], count_name="n"))
     assert _pushed(str(tmp_path)) == n
     got = pa.concat_tables(parts)
     assert got.num_rows == 37 and all(p.num_rows for p in parts)
     assert sum(got.column("n").to_pylist()) == n
 
     empty = ray.data.from_arrow(pa.table({"k": pa.array([], pa.string())}))
-    assert collect(grouped_count(empty, ["k"], count_name="n",
-                                 strategy="bucket")) == []
+    assert collect(grouped_count(empty, ["k"], count_name="n")) == []
 
 
 def _two_pass(op: str, upstream, persist: str):

@@ -62,13 +62,14 @@ def test_fanout_branches_equal_partitioned_write(ray_session, tmp_path):
     assert single_pass == branches
 
 
-def test_grouped_agg_tree_equals_bucket(ray_session):
+def test_grouped_agg_tree_equals_bucket(ray_session, monkeypatch):
     # whole-second timestamps: min/max must keep timestamp[us] on both
     # paths (a sort-exchange aggregate once narrowed them to [s])
     import pyarrow.compute as pc
     import ray
     import ray.data
 
+    from opentelemetry_collector_ray.stages import bucketing
     from opentelemetry_collector_ray.stages.aggregate import grouped_agg
     from opentelemetry_collector_ray.synth import synth_turns
 
@@ -79,8 +80,12 @@ def test_grouped_agg_tree_equals_bucket(ray_session):
     ds = ray.data.from_arrow(t).repartition(5)
     kw = dict(count_name="n", min_cols={"first": "ts"}, max_cols={"last": "ts"})
 
-    def run(strategy: str) -> pa.Table:
-        out = grouped_agg(ds, ["role"], strategy=strategy, **kw)
+    def run(path: str) -> pa.Table:
+        # "bucket": a one-task bound of 0 bytes forces the exchange
+        with monkeypatch.context() as m:
+            m.setattr(bucketing, "TARGET_BUCKET_BYTES",
+                      0 if path == "bucket" else 1 << 62)
+            out = grouped_agg(ds, ["role"], **kw)
         return pa.concat_tables(ray.get(out.to_arrow_refs())).sort_by("role")
 
     tree, bucket = run("tree"), run("bucket")
