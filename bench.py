@@ -4,7 +4,7 @@ Headline: the north-rule flagship pipeline (parse → enrich → route →
 aggregate) over a transcript table derived deterministically from the
 ``$GRAFT_SF_DIR`` events table and replicated to ~BENCH_TARGET_ROWS turns
 (replicas get distinct conv_id suffixes, preserving per-conversation
-structure). Secondary: per-query timings of representative operators.
+structure). Secondary: the wall time of every ``queries()`` entry.
 
 ``--scaling`` runs the headline twice in fresh processes at
 ``num_cpus=8`` and ``num_cpus=32`` on the SAME cached input and reports
@@ -70,18 +70,6 @@ def _prepare_turns(sf_dir: str) -> tuple[str, int]:
     return out_dir, base.num_rows * k
 
 
-def _read_blocks(turns_dir: str) -> int:
-    """Block count for the timed read: max(num_cpus, bytes/128MB). The
-    default (one-plus tasks per FILE) is dispatch-bound on many small
-    fragments — measured 2.64s → 1.24s at 32 CPUs by coalescing to one
-    block per CPU; at real scale the 128MB-per-block term dominates."""
-    import glob
-
-    nbytes = sum(os.path.getsize(f)
-                 for f in glob.glob(os.path.join(turns_dir, "*.parquet")))
-    return max(NCPUS, nbytes // (128 << 20))
-
-
 def run_flagship(turns_dir: str) -> tuple[float, int, int]:
     """Timed: read → parse → enrich → route → two-phase aggregate."""
     t0 = time.time()
@@ -91,122 +79,15 @@ def run_flagship(turns_dir: str) -> tuple[float, int, int]:
 
 
 def run_secondary(sf_dir: str) -> dict[str, float]:
+    """Wall seconds of every ``queries()`` entry, in registry order."""
+    import ray.data
+
     import __ray_entry__ as m
 
     out: dict[str, float] = {}
-    names = ["events_agg", "events_sessionize", "tpch_q1", "nation_revenue",
-             "docs_token_count", "docs_quality", "docs_exact_dedup", "emb_knn",
-             "spans_service_stats", "spans_trace_stats", "events_gauge_last",
-             "events_exp_histogram", "turns_attrs_map",
-             "profiles_top_functions", "spans_tail_sampled",
-             "join_priority_revenue", "events_last_order_asof",
-             "pii_redact", "orders_global_sorted", "docs_tfidf_topk",
-             "docs_index_postings", "events_user_window",
-             "docs_contamination", "docs_curation", "docs_repetition",
-             "events_pivot", "events_value_scaled", "docs_canonical_dedup",
-             "docs_chunk_sliding", "emb_kmeans", "tpch_q3",
-             "events_user_split", "events_profile", "orders_violations",
-             "emb_pca", "events_user_rolling", "events_rollup",
-             "events_funnel", "events_type_rank", "docs_above_lang_median",
-             "docs_lang_sample", "tpch_q5", "events_resampled_daily",
-             "events_jsonl_roundtrip", "orders_vip_join",
-             "spans_service_graph", "docs_dup_spans", "docs_dup_stats",
-             "orders_decile", "spans_busy_periods", "events_outliers",
-             "events_robust_outliers", "orders_cc",
-             "docs_weighted_sample", "docs_incremental_dedup",
-             "events_url_parse", "docs_top_terms_per_lang",
-             "orders_snapshot_diff", "docs_token_budget",
-             "docs_bpe_tokens", "parts_pagerank",
-             # round-5 additions
-             "events_hist_wire", "emb_quantize", "docs_bpe_roundtrip",
-             "events_value_pctile", "orders_latest_by_cust",
-             "events_throttled", "events_state_changes",
-             "events_user_mode", "events_user_paths", "events_gap_stats",
-             "events_twa", "events_zorder", "events_ffill",
-             "docs_lm_bigram_stats", "orders_price_band",
-             "events_daily_delta", "lineitem_weighted_price",
-             "customers_sha256", "events_label_encode",
-             "orders_with_returns", "tpch_q10", "docs_epoch_order",
-             "events_transform_ottl", "spans_depth", "docs_gopher",
-             "events_winsorized", "events_peak_rate",
-             "docs_hybrid_rank", "events_type_deciles",
-             "events_user_hhi",
-             # round-5 late additions
-             "tpch_q9", "tpch_q21", "events_clustered_prune",
-             "custs_pareto", "parts_triangles", "events_attribution",
-             "events_compacted", "orders_merge_upsert",
-             # round-5 closing-session additions
-             "orders_scd2", "docs_feature_hash", "events_day_checksum",
-             "custs_target_encode", "lineitem_basket_pairs",
-             "events_rolling_outliers", "events_corr_parts",
-             "events_json_extract", "events_ipc_roundtrip",
-             "lineitem_weighted_median", "events_trending",
-             "events_debounced", "custs_rfm", "spans_self_time",
-             # round-5 final-session additions
-             "events_moving_avg", "events_type_p_cont",
-             "docs_extract_matches", "orders_incr_agg",
-             "parts_pair_cosine", "events_path_trigrams",
-             "orders_scd2_asof", "parts_bfs_depth",
-             "lineitem_weighted_p90", "events_ks_drift",
-             "events_survival", "events_lag_xcorr",
-             "events_log_dedup", "events_type_drift",
-             # round-5 drift-panel-session additions
-             "events_chi2_drift", "orders_benford",
-             "events_rolling_users", "parts_assoc_rules",
-             "turns_templates",
-             # round-5 sixth-session additions
-             "events_cardinality_cap", "events_late_arrivals",
-             "turns_oov_rate", "spans_head_sampled",
-             "events_user_coverage", "events_alert_hysteresis",
-             "events_rank_movers", "events_t_closeness",
-             "spans_apdex", "events_delta_rate", "spans_traceparent",
-             "events_syslog_pri", "docs_index_phrase",
-             "turns_conv_digest", "turns_response_latency",
-             "events_snowflake", "turns_span_correlation",
-             "events_bounce_rate", "events_iat_parts",
-             # round-5 seventh-session additions
-             "turns_context_window", "spans_slo_burn",
-             "events_exphist_downscale", "docs_rater_kappa",
-             "turns_alternation", "docs_screen_eval",
-             "events_value_auc", "events_user_gini",
-             "events_exphist_p99", "events_logfmt",
-             "spans_deepest_path", "events_series_staleness",
-             "customers_near_names", "events_rolling_extrema",
-             "events_exemplars", "docs_calibration",
-             "events_user_streak", "turns_qa_pairs", "events_folds",
-             "docs_slice_odds", "events_audience_overlap",
-             "docs_lang_eval", "customers_entity_groups",
-             "events_path_rollup", "orders_hist_rebucket",
-             "docs_compress_ratio", "events_base64",
-             "events_duration_parse", "events_dow_hour_heatmap",
-             "parts_degree_hist",
-             # round-5 ninth-session additions
-             "turns_tool_chains", "turns_role_tokens",
-             "events_apportion", "events_ohlc", "lineitem_ship_bd",
-             "docs_sentence_stats", "events_csv_roundtrip",
-             "events_l_diversity", "events_hist_p90",
-             "orders_partition_diff", "turns_tool_latency",
-             "events_user_day_grid", "events_moment_parts",
-             "spans_retry_rate", "orders_revenue_apportion",
-             "events_promtext_roundtrip", "events_orc_roundtrip",
-             "turns_sum_connector", "events_decayed_counts",
-             "events_counter_resets", "events_quota_sample",
-             "docs_index_near", "turns_tool_streak",
-             "events_ab_lift", "turns_pii_screen",
-             "events_funnel_latency", "docs_dedup_keep_best",
-             "docs_mixture_temp", "events_metric_ratio",
-             "turns_handoff_matrix", "events_dwell_time",
-             "profiles_diff", "spans_slow_exemplars",
-             "spans_trace_assembly", "turns_subsessions",
-             "events_negative_samples", "turns_length_drift",
-             "events_forecast_backtest", "spans_error_budget",
-             "orders_aging_buckets"]
-    q = m.queries()
-    for name in names:
+    for name, fn in m.queries().items():
         t0 = time.time()
-        res = q[name](sf_dir)
-        import ray.data
-
+        res = fn(sf_dir)
         if isinstance(res, ray.data.Dataset):
             res.count()
         out[name] = round(time.time() - t0, 3)
@@ -270,16 +151,14 @@ def main() -> None:
     if "--headline-only" not in sys.argv:
         import shutil
 
-        import ray.data
-
         from opentelemetry_collector_ray.pipelines.flagship import build_routed
         from opentelemetry_collector_ray.sinks.parquet_sink import write_routed
+        from opentelemetry_collector_ray.sources.parquet import read_turns
 
         sink = "/tmp/graft_bench/routed_sink"
         shutil.rmtree(sink, ignore_errors=True)
         t0 = time.time()
-        write_routed(build_routed(ray.data.read_parquet(
-            turns_dir, override_num_blocks=_read_blocks(turns_dir))), sink)
+        write_routed(build_routed(read_turns(turns_dir)), sink)
         routed_write = round(time.time() - t0, 3)
     queries = run_secondary(SF_DIR) if "--headline-only" not in sys.argv else {}
     ann = run_ann(SF_DIR) if "--headline-only" not in sys.argv else {}
@@ -346,16 +225,14 @@ def _init_ray() -> None:
 
 
 def _flagship_ds(turns_dir: str):
-    import ray.data
-
     from opentelemetry_collector_ray.pipelines.flagship import (
         build_aggregate, build_routed)
+    from opentelemetry_collector_ray.sources.parquet import read_turns
 
     # prune at the read: the aggregate never touches turn_idx, so only the
     # five columns the parse→enrich→route→agg path reads leave storage
-    return build_aggregate(build_routed(ray.data.read_parquet(
-        turns_dir, columns=["conv_id", "role", "text", "tool", "ts"],
-        override_num_blocks=_read_blocks(turns_dir))))
+    return build_aggregate(build_routed(read_turns(
+        turns_dir, columns=["conv_id", "role", "text", "tool", "ts"])))
 
 
 def stats() -> None:

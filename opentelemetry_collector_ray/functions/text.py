@@ -138,93 +138,6 @@ def md5_mod(col: pa.ChunkedArray | pa.Array, mod: int,
                        np.int64, count=len(hexes))
 
 
-def fingerprint_minima(col: pa.ChunkedArray | pa.Array, k: int = 5, window: int = 8,
-                       ) -> pa.ListArray:
-    """Winnowing-style rolling-hash fingerprint: k-gram word shingles hashed
-    with splitmix64, minimum per sliding window → sorted unique fingerprint
-    list per document (list<uint64> column).
-
-    Fully vectorized: one Arrow split + ONE hash pass over the whole
-    batch's tokens, global sliding-window minima with doc-boundary masking
-    (windows crossing a doc are dropped), per-doc unique via one lexsort —
-    no per-document Python (the row loop this replaced was the last one in
-    functions/)."""
-    from .hashing import hash64, hash64_ints
-
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    split = pc.split_pattern_regex(pc.utf8_lower(col), pattern=r"\W+")
-    if isinstance(split, pa.ChunkedArray):
-        split = split.combine_chunks()
-    n = len(col)
-    flat_tok = split.flatten()
-    tok_counts = np.diff(np.asarray(split.offsets.to_numpy(
-        zero_copy_only=False), np.int64))
-    keep = pc.greater(pc.utf8_length(flat_tok), 0).to_numpy(
-        zero_copy_only=False)
-    if not keep.all():
-        rows = np.repeat(np.arange(n), tok_counts)
-        tok_counts = np.bincount(rows[keep], minlength=n)
-        flat_tok = flat_tok.filter(pa.array(keep))
-    total = len(flat_tok)
-    empty = pa.ListArray.from_arrays(
-        pa.array(np.zeros(n + 1, np.int32)), pa.array([], pa.uint64()))
-    if total < k:
-        return empty
-    doc_of_tok = np.repeat(np.arange(n), tok_counts)
-    wh = hash64(flat_tok)
-    # rolling k-gram chain over the flat token hashes (global; windows
-    # crossing doc boundaries masked below)
-    m = total - k + 1
-    sh = wh[:m].copy()
-    for j in range(1, k):
-        sh = hash64_ints(sh ^ wh[j: j + m])
-    # compact to VALID shingles only (a shingle is valid iff its k tokens
-    # stay in one doc); valid shingles are contiguous per doc, so global
-    # windows with a same-doc start/end check never straddle docs or touch
-    # the invalid cross-doc tail positions
-    sh_valid = doc_of_tok[:m] == doc_of_tok[k - 1:]
-    sh_c = sh[sh_valid]
-    doc_c = doc_of_tok[:m][sh_valid]
-    mc = len(sh_c)
-    # per-doc shingle counts c; docs with 0 < c <= window emit ONE min;
-    # docs with c > window emit sliding-window minima of width `window`
-    pairs_docs = []
-    pairs_vals = []
-    if mc >= window:
-        q = mc - window + 1
-        win_ok = doc_c[:q] == doc_c[window - 1: window - 1 + q]
-        if win_ok.any():
-            wins = np.lib.stride_tricks.sliding_window_view(sh_c, window)
-            pairs_docs.append(doc_c[:q][win_ok])
-            pairs_vals.append(wins.min(axis=1)[win_ok])
-    sh_counts = np.bincount(doc_c, minlength=n) if mc else np.zeros(n, np.int64)
-    small = np.nonzero((sh_counts > 0) & (sh_counts <= window))[0]
-    if len(small):
-        # single whole-doc min for short docs: segment min over their
-        # shingles (mask other docs' shingles to the max value)
-        masked = np.where(np.isin(doc_c, small), sh_c,
-                          np.iinfo(np.uint64).max)
-        mins = np.full(n, np.iinfo(np.uint64).max, np.uint64)
-        np.minimum.at(mins, doc_c, masked)
-        pairs_docs.append(small)
-        pairs_vals.append(mins[small])
-    if not pairs_docs:
-        return empty
-    docs = np.concatenate(pairs_docs)
-    vals = np.concatenate(pairs_vals)
-    order = np.lexsort((vals, docs))
-    docs, vals = docs[order], vals[order]
-    uniq = np.ones(len(docs), bool)
-    if len(docs) > 1:
-        uniq[1:] = (docs[1:] != docs[:-1]) | (vals[1:] != vals[:-1])
-    docs, vals = docs[uniq], vals[uniq]
-    offsets_out = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(docs, minlength=n), out=offsets_out[1:])
-    return pa.ListArray.from_arrays(pa.array(offsets_out.astype(np.int32)),
-                                    pa.array(vals, pa.uint64()))
-
-
 def repetition_stats(col: pa.ChunkedArray | pa.Array) -> dict[str, pa.Array]:
     """Gopher-style repetition signals per document (exact integers so a
     DuckDB oracle hash-matches): ``n_tokens``, ``n_distinct``,

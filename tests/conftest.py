@@ -26,7 +26,7 @@ def ray_session():
 def turns_small():
     from opentelemetry_collector_ray.synth import synth_turns
 
-    return synth_turns(sf=0.01, seed=42)  # ~100 rows... sf0.01 => ~100? (sf*1e4=100)
+    return synth_turns(sf=0.01, seed=42)  # 100 turns in 1 conversation
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import pytest
 from opentelemetry_collector_ray.functions import attrs
 from opentelemetry_collector_ray.functions.hashing import bucket_of, hash64, hash64_ints
 from opentelemetry_collector_ray.functions.text import (
-    fingerprint_minima, lang_id, md5_hex, quality_features, token_count)
+    lang_id, md5_hex, quality_features, token_count)
 
 
 @pytest.fixture
@@ -99,18 +99,6 @@ def test_md5_matches_duckdb():
     con = duckdb.connect()
     for s, h in zip(col.to_pylist(), ours):
         assert con.execute("SELECT md5(?)", [s]).fetchone()[0] == h
-
-
-def test_fingerprint_minima_shape():
-    col = pa.array(["one two three four five six seven eight nine ten " * 5,
-                    "short", ""])
-    fp = fingerprint_minima(col, k=3, window=4)
-    lists = fp.to_pylist()
-    assert len(lists[0]) >= 1
-    assert lists[1] == [] or len(lists[1]) >= 0
-    assert lists[2] == []
-    # deterministic
-    assert fp.to_pylist() == fingerprint_minima(col, k=3, window=4).to_pylist()
 
 
 def test_redact_rules():
