@@ -23,8 +23,12 @@ _REPO_DIR = os.path.dirname(os.path.abspath(__file__))
 if _REPO_DIR not in sys.path:
     sys.path.insert(0, _REPO_DIR)  # robust to being invoked from any CWD
 
+from perfbench.engine import usable_cpus  # noqa: E402
+
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NCPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# Ray CPUs: $RAY_GRAFT_CPUS, else what this process may use (as nproc
+# counts it), so a small host does not start one worker per absent CPU
+NCPUS = int(os.environ.get("RAY_GRAFT_CPUS") or usable_cpus())
 TARGET_ROWS = int(os.environ.get("BENCH_TARGET_ROWS", "2000000"))
 CACHE_ROOT = os.environ.get("BENCH_CACHE", "/tmp/graft_bench")
 

@@ -22,7 +22,11 @@ _REPO_DIR = os.path.dirname(os.path.abspath(__file__))
 if _REPO_DIR not in sys.path:
     sys.path.insert(0, _REPO_DIR)
 
-NCPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+from perfbench.engine import usable_cpus  # noqa: E402
+
+# Ray CPUs: $RAY_GRAFT_CPUS, else what this process may use (as nproc
+# counts it), so a small host does not start one worker per absent CPU
+NCPUS = int(os.environ.get("RAY_GRAFT_CPUS") or usable_cpus())
 N_LEFT = int(os.environ.get("SKEW_LEFT_ROWS", "2000000"))
 N_KEYS = 30_000
 HOT_FRAC = 0.2

@@ -28,7 +28,7 @@ from ..sinks.parquet_sink import DebugSink, write_routed
 from ..sources.parquet import read_turns
 from ..state import manifest
 from ..state.manifest import ManifestStore, PartitionTask, run_resumable
-from .flagship import StageChain
+from ..stages.chain import StageChain
 
 
 def _receiver_paths(name: str, rcfg: dict):

@@ -8,14 +8,23 @@ aggregate is per ``(conv_id, role, tool, time-bucket)`` turn counts.
 Scale design (SURVEY.md §4.3): a bare ``groupby().aggregate()`` shuffles
 every row. Here each batch is first reduced with a vectorized
 ``pyarrow.Table.group_by`` (the combiner — one output row per distinct key
-per batch), and only the partials move. The input's measured size picks
-the merge (``bucketing.fits_one_task``): up to ``TARGET_BUCKET_BYTES``,
-measured through operators that add no rows, every partial folds in ONE
-task; above it, or when the size is unknown (a row-adding or unmarked
-map on the way), the partials are hash-bucketed by the first key and
-each bucket merges in one task. Either way a hot key contributes ≤1 row per batch to the
-merge — the salting degenerate case where the batch index acts as the
-salt.
+per batch), and only the partials move. Where the partial runs: over
+maps on a ``read_turns`` read it takes no ``batch_size``
+(``_partial_batch_size``); there, when the input ends with a
+``StageChain`` map (``stages/chain.py``; the flagship's
+``build_routed``), the partial joins that chain (``chain.then``) and
+reduces each of the chain's slices as soon as the other stages are
+done with it, so no task holds a whole block's stage output, and
+otherwise Ray fuses it into the maps before it. Over any other input
+it is its own map over 64k-row batches, so few partial blocks reach
+the merge. The input's measured size picks the merge
+(``bucketing.fits_one_task``): up to ``TARGET_BUCKET_BYTES``, measured
+through operators that add no rows, every partial folds in ONE task;
+above it, or when the size is unknown (a row-adding or unmarked map on
+the way), the partials are hash-bucketed by the first key and each
+bucket merges in one task. Either way a hot key contributes ≤1 row per
+batch to the merge — the salting degenerate case where the batch
+index acts as the salt.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..functions.groupsafe import group_aggregate
 from . import bucketing
+from .chain import then
 from .treereduce import combine_all
 
 
@@ -144,8 +154,7 @@ def _two_phase(ds: Dataset, stage: PartialAggStage,
     combine = CombineStage(stage.keys, stage.out_cols,
                            min_cols=tuple(stage.min_cols),
                            max_cols=tuple(stage.max_cols))
-    partial = ds.map_batches(stage, batch_format="pyarrow",
-                             batch_size=_partial_batch_size(ds))
+    partial = then(ds, stage, batch_size=_partial_batch_size(ds))
     if bucketing.fits_one_task(ds):
         return combine_all(partial, combine)
     return bucketing.bucketed_map_groups(partial, stage.keys[0], combine,

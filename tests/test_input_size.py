@@ -150,8 +150,9 @@ def test_estimate_is_none_for_an_unsized_source(ray_session):
 
 
 def test_flagship_plan_keeps_its_one_task_combine(ray_session, tmp_path):
-    """The flagship aggregate over a few small files stays partial count
-    → ``repartition(1)`` → one combine task."""
+    """The flagship aggregate over a few small files stays the read with
+    its stage chain (the partial count inside it) → ``repartition(1)`` →
+    one combine task."""
     from opentelemetry_collector_ray.pipelines.flagship import (
         build_aggregate, build_routed)
     from opentelemetry_collector_ray.sources.parquet import read_turns
@@ -160,7 +161,7 @@ def test_flagship_plan_keeps_its_one_task_combine(ray_session, tmp_path):
     paths = write_turns_parquet(str(tmp_path), sf=0.2, seed=3, shards=4)
     agg = build_aggregate(build_routed(read_turns(paths))).materialize()
     ops = re.findall(r"^Operator \d+ ([^:]+):", agg.stats(), re.M)
-    assert ops[-3].endswith("->MapBatches(PartialCountStage)"), ops
+    assert ops[-3] == "ReadParquet->MapBatches(StageChain)", ops
     assert ops[-2:] == ["Repartition", "MapBatches(CombineStage)"], ops
     assert sum(agg.to_pandas()["n_turns"]) == sum(
         pq.read_metadata(p).num_rows for p in paths)
